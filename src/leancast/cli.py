@@ -48,6 +48,12 @@ def _reject_unknown(doc: dict, allowed: set, where: str):
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _reject_repeats(values, what: str):
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{what} listed more than once: {', '.join(map(str, repeated))}")
+
+
 def load_config(path: str) -> dict:
     with open(path) as handle:
         try:
@@ -80,6 +86,10 @@ def load_config(path: str) -> dict:
     for leaning in doc.get("leanings", []):
         if leaning not in ingest.LEANINGS:
             raise ConfigError(f"unknown leaning {leaning!r}")
+    # each (kind, leaning, metric) is one report cell, so none may repeat
+    _reject_repeats([e["kind"] for e in doc.get("forecasters", [])], "forecaster kind")
+    _reject_repeats(doc.get("metrics", []), "metric")
+    _reject_repeats(doc.get("leanings", []), "leaning")
     return doc
 
 
@@ -110,11 +120,12 @@ def _build_synthetic(doc: dict, seed: int):
     return generate_synthetic(kind, n, seed, **synth)
 
 
-def _gather_series(doc: dict, seed: int):
-    """Yield (metric, leaning, DailySeries) for everything the config names."""
-    if "synthetic" in doc:
-        series = _build_synthetic(doc, derive_seed(seed, "synthetic"))
-        return [("synthetic", None, series)], "synthetic"
+def _ingest_posts(doc: dict):
+    """Read the posts and bias table, apply the platform filter and
+    aggregate each configured metric.
+
+    Returns (posts, table, {metric: {leaning: DailySeries}}).
+    """
     posts = ingest.read_posts_csv(doc["posts_csv"])
     table = ingest.read_bias_csv(doc["bias_csv"])
     platform = doc.get("platform")
@@ -123,17 +134,28 @@ def _gather_series(doc: dict, seed: int):
     if not posts:
         raise ConfigError("no posts to ingest (empty file or platform filter)")
     window = _config_window(doc)
-    metrics = doc.get("metrics", ["post_count"])
-    leanings = doc.get("leanings", list(ingest.LEANINGS))
-    out = []
-    for metric in metrics:
+    by_metric = {}
+    for metric in doc.get("metrics", ["post_count"]):
         if metric == "sentiment_mean":
-            by_leaning = ingest.daily_mean_sentiment(posts, table, window)
+            by_metric[metric] = ingest.daily_mean_sentiment(posts, table, window)
         else:
-            by_leaning = ingest.aggregate_daily(posts, table, metric, window)
-        for leaning in leanings:
-            out.append((metric, leaning, by_leaning[leaning]))
-    return out, platform or ingest._posts_platform(posts)
+            by_metric[metric] = ingest.aggregate_daily(posts, table, metric, window)
+    return posts, table, by_metric
+
+
+def _gather_series(doc: dict, seed: int):
+    """Yield (metric, leaning, DailySeries) for everything the config names."""
+    if "synthetic" in doc:
+        series = _build_synthetic(doc, derive_seed(seed, "synthetic"))
+        return [("synthetic", None, series)], "synthetic"
+    if "sentiment_mean" in doc.get("metrics", []):
+        raise ConfigError("metric sentiment_mean is undefined on days without posts, "
+                          "so it cannot be fitted; only ingest writes it")
+    posts, _, by_metric = _ingest_posts(doc)
+    leanings = doc.get("leanings", list(ingest.LEANINGS))
+    out = [(metric, leaning, by_leaning[leaning])
+           for metric, by_leaning in by_metric.items() for leaning in leanings]
+    return out, doc.get("platform") or ingest._posts_platform(posts)
 
 
 def _resolve_forecaster_config(entry: dict, bundle, leaning, kind_seed: int):
@@ -179,22 +201,8 @@ def cmd_ingest(args) -> int:
     doc = _require_config(args)
     if "synthetic" in doc:
         raise ConfigError("ingest needs posts_csv and bias_csv, not a synthetic spec")
-    posts = ingest.read_posts_csv(doc["posts_csv"])
-    table = ingest.read_bias_csv(doc["bias_csv"])
-    platform = doc.get("platform")
-    if platform:
-        posts = [p for p in posts if p.platform == platform]
-    if not posts:
-        raise ConfigError("no posts to ingest (empty file or platform filter)")
-    window = _config_window(doc)
-    metrics = doc.get("metrics", ["post_count"])
     # compute everything first so a failure writes nothing
-    outputs = {}
-    for metric in metrics:
-        if metric == "sentiment_mean":
-            outputs[metric] = ingest.daily_mean_sentiment(posts, table, window)
-        else:
-            outputs[metric] = ingest.aggregate_daily(posts, table, metric, window)
+    posts, table, outputs = _ingest_posts(doc)
     summary = ingest.summarize(posts, table)
     out = _out_dir(args, doc)
     for metric, by_leaning in outputs.items():
@@ -391,7 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, sarima.GridSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ posts, since a mean over nothing is undefined rather than zero.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import json
@@ -268,16 +269,21 @@ def _parse_timestamp(text: str, where: str) -> dt.datetime:
         raise ValueError(f"{where}: cannot parse timestamp {text!r}") from None
 
 
+@contextlib.contextmanager
+def _open_source(source):
+    """A path is opened here and closed on exit; a handle passes through
+    and stays open for its owner."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, newline="") as handle:
+            yield handle
+    else:
+        yield source
+
+
 def read_posts_csv(source) -> list:
     """Parse the posts CSV (see POSTS_HEADER); raises with the row number
     on any malformed field."""
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _open_source(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != POSTS_HEADER:
@@ -305,19 +311,10 @@ def read_posts_csv(source) -> list:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
         return posts
-    finally:
-        if close:
-            handle.close()
 
 
 def read_bias_csv(source) -> BiasTable:
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _open_source(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != BIAS_HEADER:
@@ -333,9 +330,6 @@ def read_bias_csv(source) -> BiasTable:
                 raise ValueError(f"bias row {line_no}: unknown leaning {leaning!r}")
             pairs.append((domain, leaning))
         return BiasTable.from_pairs(pairs)
-    finally:
-        if close:
-            handle.close()
 
 
 def _format_value(v: float) -> str:
@@ -365,13 +359,7 @@ def write_series_csv(series_by_leaning: dict, path) -> None:
 
 
 def read_series_csv(source, platform: str = "unknown", metric: str = "post_count") -> dict:
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _open_source(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != SERIES_HEADER:
@@ -397,9 +385,6 @@ def read_series_csv(source, platform: str = "unknown", metric: str = "post_count
                                      values=np.array(columns[leaning]),
                                      platform=platform, leaning=leaning, metric=metric)
                 for leaning in LEANINGS}
-    finally:
-        if close:
-            handle.close()
 
 
 def write_value_series_csv(series: DailySeries, path) -> None:
@@ -411,13 +396,7 @@ def write_value_series_csv(series: DailySeries, path) -> None:
 
 
 def read_value_series_csv(source, metric: str = "synthetic") -> DailySeries:
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        handle = open(source, newline="")
-        close = True
-    else:
-        handle = source
-    try:
+    with _open_source(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["date", "value"]:
@@ -436,6 +415,3 @@ def read_value_series_csv(source, metric: str = "synthetic") -> DailySeries:
             if (dates[i] - dates[i - 1]).days != 1:
                 raise ValueError(f"series dates must be consecutive; gap before {dates[i]}")
         return DailySeries(start_date=dates[0], values=np.array(values), metric=metric)
-    finally:
-        if close:
-            handle.close()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,43 +172,59 @@ def invert_difference(diffed, context: DifferencingContext) -> np.ndarray:
     return cur
 
 
-def _residual_buffer(w, spec: SarimaSpec, params: SarimaParams) -> np.ndarray:
-    """Residuals aligned with w; entries before the burn-in are zero."""
-    params.check_lengths(spec)
-    w = np.asarray(w, dtype=np.float64)
-    n = len(w)
-    burn = spec.burn_in
-    if n < burn + 1:
-        raise ValueError(f"need at least {burn + 1} observations, got {n}")
+def _arma_pass(w, eps, n_observed: int, start: int, spec: SarimaSpec,
+               params: SarimaParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ARMA conditional mean, run over t = start .. len(w) - 1.
+
+    Where the data covers t (t < n_observed) the step sets
+    eps[t] = w[t] - mean; past it, w[t] = mean + eps[t].  Lags that reach
+    before the series read zero.  Returns filled copies of (w, eps).
+    """
+    p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
+    # one zero beyond the largest lag keeps every reversed slice's stop >= 0
+    pad = max(p, q, s * P, s * Q) + 1
+    wp = np.concatenate([np.zeros(pad), w])
+    ep = np.concatenate([np.zeros(pad), eps])
     alpha = np.asarray(params.alpha)
     theta = np.asarray(params.theta)
     phi = np.asarray(params.phi)
     eta = np.asarray(params.eta)
-    p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
-    eps = np.zeros(n)
-    for t in range(burn, n):
+    # seasonal lags are gathered into contiguous copies: a strided view would
+    # take a different dot-product path and change the last bits of the sum
+    seasonal_ar = s * np.arange(1, P + 1)
+    seasonal_ma = s * np.arange(1, Q + 1)
+    known = pad + n_observed
+    for t in range(pad + start, len(wp)):
         acc = params.c
         if p:
-            acc += alpha @ w[t - p:t][::-1]
+            acc += alpha @ wp[t - 1:t - p - 1:-1]
         if q:
-            window = eps[max(0, t - q):t][::-1]  # eps_{t-1}, eps_{t-2}, ...
-            acc += theta[:len(window)] @ window
+            acc += theta @ ep[t - 1:t - q - 1:-1]
         if P:
-            acc += phi @ w[t - s * np.arange(1, P + 1)]
+            acc += phi @ wp[t - seasonal_ar]
         if Q:
-            idx = t - s * np.arange(1, Q + 1)
-            ok = idx >= 0
-            if ok.any():
-                acc += eta[ok] @ eps[idx[ok]]
-        eps[t] = w[t] - acc
-    return eps
+            acc += eta @ ep[t - seasonal_ma]
+        if t < known:
+            ep[t] = wp[t] - acc
+        else:
+            wp[t] = acc + ep[t]
+    return wp[pad:], ep[pad:]
+
+
+def _check_history(n: int, spec: SarimaSpec, params: SarimaParams):
+    """Raise unless ``n`` differenced observations cover the burn-in."""
+    params.check_lengths(spec)
+    if n < spec.burn_in + 1:
+        raise ValueError(f"need at least {spec.burn_in + 1} observations, got {n}")
 
 
 def css_residuals(w, spec: SarimaSpec, params: SarimaParams) -> tuple[np.ndarray, float]:
     """One-step residuals over the evaluated range t = burn_in .. n-1 and
     their sum of squares.  Pre-sample residuals are fixed at zero."""
-    eps = _residual_buffer(w, spec, params)
-    tail = eps[spec.burn_in:].copy()
+    w = np.asarray(w, dtype=np.float64)
+    _check_history(len(w), spec, params)
+    _, eps = _arma_pass(w, np.zeros(len(w)), len(w), spec.burn_in, spec, params)
+    tail = eps[spec.burn_in:]
     return tail, float(tail @ tail)
 
 
@@ -287,39 +303,12 @@ def forecast(fitted: SarimaFit, history, horizon: int) -> np.ndarray:
     history = np.asarray(history, dtype=np.float64)
     spec, params = fitted.spec, fitted.params
     w, ctx = difference(history, spec.d, spec.D, spec.s)
-    eps = _residual_buffer(w, spec, params)
+    _check_history(len(w), spec, params)
     if horizon == 0:
         return np.empty(0)
-
-    alpha = np.asarray(params.alpha)
-    theta = np.asarray(params.theta)
-    phi = np.asarray(params.phi)
-    eta = np.asarray(params.eta)
-    p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
-    w_ext = np.concatenate([w, np.zeros(horizon)])
-    eps_ext = np.concatenate([eps, np.zeros(horizon)])  # future residuals := 0
-    n = len(w)
-    for k in range(horizon):
-        t = n + k
-        acc = params.c
-        if p:
-            acc += alpha @ w_ext[t - p:t][::-1]
-        if q:
-            window = eps_ext[max(0, t - q):t][::-1]
-            acc += theta[:len(window)] @ window
-        if P:
-            idx = t - s * np.arange(1, P + 1)
-            ok = idx >= 0
-            if ok.any():
-                acc += phi[ok] @ w_ext[idx[ok]]
-        if Q:
-            idx = t - s * np.arange(1, Q + 1)
-            ok = idx >= 0
-            if ok.any():
-                acc += eta[ok] @ eps_ext[idx[ok]]
-        w_ext[t] = acc
-    restored = invert_difference(w_ext, ctx)
-    return restored[-horizon:]
+    w_ext, _ = _arma_pass(np.concatenate([w, np.zeros(horizon)]), np.zeros(len(w) + horizon),
+                          len(w), spec.burn_in, spec, params)
+    return invert_difference(w_ext, ctx)[-horizon:]
 
 
 def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
@@ -332,12 +321,13 @@ def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
     test = np.asarray(test, dtype=np.float64)
     if len(test) == 0:
         raise ValueError("test segment is empty")
-    history = list(train)
-    errors = np.empty(len(test))
-    for i, actual in enumerate(test):
-        pred = forecast(fitted, np.asarray(history), 1)[0]
-        errors[i] = pred - actual
-        history.append(actual)
+    spec, params = fitted.spec, fitted.params
+    w, _ = difference(np.concatenate([train, test]), spec.d, spec.D, spec.s)
+    n_train = len(w) - len(test)
+    _check_history(n_train, spec, params)
+    # every past value is observed, so a test day's one-step error is -eps
+    _, eps = _arma_pass(w, np.zeros(len(w)), len(w), spec.burn_in, spec, params)
+    errors = -eps[n_train:]
     return float(np.sqrt(np.mean(errors ** 2)))
 
 
@@ -478,41 +468,11 @@ def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:
     params.check_lengths(spec)
     if n < 1:
         raise ValueError("n must be >= 1")
-    alpha = np.asarray(params.alpha)
-    theta = np.asarray(params.theta)
-    phi = np.asarray(params.phi)
-    eta = np.asarray(params.eta)
-    p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
     eps = rng.normal(0.0, np.sqrt(params.sigma2), n) if params.sigma2 > 0 else np.zeros(n)
-    w = np.zeros(n)
-    for t in range(n):
-        acc = params.c
-        if p:
-            window = w[max(0, t - p):t][::-1]
-            acc += alpha[:len(window)] @ window
-        if q:
-            window = eps[max(0, t - q):t][::-1]
-            acc += theta[:len(window)] @ window
-        if P:
-            idx = t - s * np.arange(1, P + 1)
-            ok = idx >= 0
-            if ok.any():
-                acc += phi[ok] @ w[idx[ok]]
-        if Q:
-            idx = t - s * np.arange(1, Q + 1)
-            ok = idx >= 0
-            if ok.any():
-                acc += eta[ok] @ eps[idx[ok]]
-        w[t] = acc + eps[t]
-    # integrate: seasonal passes first (they were applied last when differencing)
-    for _ in range(spec.D):
-        out = np.empty(n)
-        for t in range(n):
-            out[t] = w[t] + (out[t - s] if t >= s else 0.0)
-        w = out
-    for _ in range(spec.d):
-        w = np.cumsum(w)
-    return w
+    w, _ = _arma_pass(np.zeros(n), eps, 0, 0, spec, params)
+    zero_start = DifferencingContext(spec.d, spec.D, spec.s, stages=(
+        ((1, np.zeros(1)),) * spec.d + ((spec.s, np.zeros(spec.s)),) * spec.D))
+    return invert_difference(w, zero_start)[-n:]
 
 
 def to_json(spec: SarimaSpec, params: SarimaParams) -> str:

@@ -83,6 +83,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
 
+    def test_repeated_forecaster_kind_rejected(self, tmp_path):
+        path = write_config(tmp_path, {
+            "synthetic": {"kind": "ar1", "n": 60},
+            "forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}},
+                            {"kind": "sarima", "grid": {"p": [0, 1]}}]})
+        with pytest.raises(ConfigError, match="forecaster kind listed more than once: sarima"):
+            load_config(path)
+
+    def test_repeated_metric_and_leaning_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
+                                       "metrics": ["post_count", "post_count"]})
+        with pytest.raises(ConfigError, match="metric listed more than once"):
+            load_config(path)
+        path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
+                                       "leanings": ["left", "right", "left"]})
+        with pytest.raises(ConfigError, match="leaning listed more than once: left"):
+            load_config(path)
+
     def test_valid_config_accepted(self, tmp_path):
         path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
                                        "metrics": ["post_count"],
@@ -208,6 +226,25 @@ class TestRunCommand:
         assert main(["run", "--config", config, "--preset", "twitter-posts",
                      "--out", str(out)]) == 0
 
+    def test_repeated_kind_fails_before_any_fit(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = synth_run_config(tmp_path, forecasters=[
+            {"kind": "sarima", "spec": {"order": [1, 0, 0]}},
+            {"kind": "sarima", "spec": {"order": [0, 0, 1]}}])
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert "listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sentiment_mean_rejected_before_reading_posts(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "posts_csv": str(tmp_path / "missing.csv"), "bias_csv": BIAS,
+            "metrics": ["sentiment_mean"],
+            "forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}}]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert "sentiment_mean" in capsys.readouterr().err
+        assert not (out / "models").exists()
+
     def test_no_forecasters_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, {"synthetic": {"kind": "ar1", "n": 30}})
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 1
@@ -237,6 +274,26 @@ class TestGridsearchCommand:
         assert main(["gridsearch", "--config", config,
                      "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_no_fittable_candidate_is_an_error(self, tmp_path, capsys):
+        # 12 days split 0.7 leave 8 train days, 6 after the holdout: below
+        # every candidate's identifiability floor
+        config = write_config(tmp_path, {
+            "synthetic": {"kind": "ar1", "n": 12, "alpha": 0.5, "sigma": 1.0},
+            "forecasters": [{"kind": "sarima", "grid": {"p": [0, 1], "q": 0}}]})
+        assert main(["gridsearch", "--config", config,
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "error: no grid candidate could be fitted" in capsys.readouterr().err
+
+    def test_sentiment_mean_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "posts_csv": POSTS, "bias_csv": BIAS, "window": JAN_WINDOW,
+            "metrics": ["post_count", "sentiment_mean"],
+            "forecasters": [{"kind": "sarima", "grid": {"p": [0, 1]}}]})
+        out = tmp_path / "out"
+        assert main(["gridsearch", "--config", config, "--out", str(out)]) == 1
+        assert "sentiment_mean" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_exactly_one_grid_entry_required(self, tmp_path, capsys):
         config = write_config(tmp_path, {

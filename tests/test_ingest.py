@@ -296,6 +296,11 @@ class TestBiasCsv:
         t = read_bias_csv(io.StringIO("domain,leaning\ncnn.com,left\nwsj.com,right_leaning\n"))
         assert len(t) == 2
 
+    def test_caller_handle_stays_open(self):
+        handle = io.StringIO("domain,leaning\ncnn.com,left\n")
+        read_bias_csv(handle)
+        assert not handle.closed
+
     def test_unknown_leaning_names_the_row(self):
         with pytest.raises(ValueError, match="row 3"):
             read_bias_csv(io.StringIO("domain,leaning\ncnn.com,left\nx.com,centrist\n"))

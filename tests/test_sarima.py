@@ -27,6 +27,160 @@ def manual_fit(spec, params, train_rmse=0.0):
                      sse=0.0, converged=True, train_rmse=train_rmse)
 
 
+def oracle_residuals(w, spec, params):
+    """The per-step residual loop the shared recursion replaced."""
+    alpha, theta = np.asarray(params.alpha), np.asarray(params.theta)
+    phi, eta = np.asarray(params.phi), np.asarray(params.eta)
+    p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
+    eps = np.zeros(len(w))
+    for t in range(spec.burn_in, len(w)):
+        acc = params.c
+        if p:
+            acc += alpha @ w[t - p:t][::-1]
+        if q:
+            window = eps[max(0, t - q):t][::-1]
+            acc += theta[:len(window)] @ window
+        if P:
+            acc += phi @ w[t - s * np.arange(1, P + 1)]
+        if Q:
+            idx = t - s * np.arange(1, Q + 1)
+            ok = idx >= 0
+            if ok.any():
+                acc += eta[ok] @ eps[idx[ok]]
+        eps[t] = w[t] - acc
+    return eps
+
+
+def _masked_seasonal(coefs, values, t, s):
+    idx = t - s * np.arange(1, len(coefs) + 1)
+    ok = idx >= 0
+    return coefs[ok] @ values[idx[ok]] if ok.any() else 0.0
+
+
+def oracle_forecast(spec, params, history, horizon):
+    """The forecast loop the shared recursion replaced."""
+    w, ctx = difference(history, spec.d, spec.D, spec.s)
+    eps = oracle_residuals(w, spec, params)
+    if horizon == 0:
+        return np.empty(0)
+    alpha, theta = np.asarray(params.alpha), np.asarray(params.theta)
+    phi, eta = np.asarray(params.phi), np.asarray(params.eta)
+    p, q, s = spec.p, spec.q, spec.s
+    w_ext = np.concatenate([w, np.zeros(horizon)])
+    eps_ext = np.concatenate([eps, np.zeros(horizon)])
+    for t in range(len(w), len(w) + horizon):
+        acc = params.c
+        if p:
+            acc += alpha @ w_ext[t - p:t][::-1]
+        if q:
+            window = eps_ext[max(0, t - q):t][::-1]
+            acc += theta[:len(window)] @ window
+        if spec.P:
+            acc += _masked_seasonal(phi, w_ext, t, s)
+        if spec.Q:
+            acc += _masked_seasonal(eta, eps_ext, t, s)
+        w_ext[t] = acc
+    return invert_difference(w_ext, ctx)[-horizon:]
+
+
+def oracle_simulate(spec, params, n, rng):
+    """The simulation loop and integration loops the shared recursion replaced."""
+    alpha, theta = np.asarray(params.alpha), np.asarray(params.theta)
+    phi, eta = np.asarray(params.phi), np.asarray(params.eta)
+    p, q, s = spec.p, spec.q, spec.s
+    eps = rng.normal(0.0, np.sqrt(params.sigma2), n)
+    w = np.zeros(n)
+    for t in range(n):
+        acc = params.c
+        if p:
+            window = w[max(0, t - p):t][::-1]
+            acc += alpha[:len(window)] @ window
+        if q:
+            window = eps[max(0, t - q):t][::-1]
+            acc += theta[:len(window)] @ window
+        if spec.P:
+            acc += _masked_seasonal(phi, w, t, s)
+        if spec.Q:
+            acc += _masked_seasonal(eta, eps, t, s)
+        w[t] = acc + eps[t]
+    for _ in range(spec.D):
+        out = np.empty(n)
+        for t in range(n):
+            out[t] = w[t] + (out[t - s] if t >= s else 0.0)
+        w = out
+    for _ in range(spec.d):
+        w = np.cumsum(w)
+    return w
+
+
+def oracle_rolling_rmse(spec, params, train, test):
+    """One forecast per test day on the growing true history."""
+    history = list(train)
+    errors = np.empty(len(test))
+    for i, actual in enumerate(test):
+        errors[i] = oracle_forecast(spec, params, np.asarray(history), 1)[0] - actual
+        history.append(actual)
+    return float(np.sqrt(np.mean(errors ** 2)))
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+
+def random_params(spec, rng):
+    draw = lambda k: rng.uniform(-0.6, 0.6, k)
+    return SarimaParams(c=rng.normal(), alpha=draw(spec.p), theta=draw(spec.q),
+                        phi=draw(spec.P), eta=draw(spec.Q), sigma2=rng.uniform(0.5, 2.0))
+
+
+# AR, MA, seasonal AR and MA alone and together, with and without d and D
+ORACLE_SPECS = [
+    SarimaSpec(1, 0, 0, 0, 0, 0, 0),
+    SarimaSpec(0, 0, 3, 0, 0, 0, 0),
+    SarimaSpec(2, 1, 2, 0, 0, 0, 0),
+    SarimaSpec(0, 1, 0, 2, 0, 0, 4),
+    SarimaSpec(0, 0, 0, 0, 1, 2, 3),
+    SarimaSpec(3, 0, 0, 2, 0, 1, 5),
+    SarimaSpec(2, 1, 2, 1, 1, 1, 7),
+    SarimaSpec(2, 2, 1, 3, 1, 2, 3),
+    SarimaSpec(9, 0, 10, 2, 1, 1, 12),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda sp: str(sp.as_tuple()))
+def test_shared_recursion_matches_the_loops_it_replaced(spec):
+    rng = np.random.default_rng(sum(spec.as_tuple()))
+    span = spec.d + spec.D * spec.s
+    for _ in range(3):
+        params = random_params(spec, rng)
+        # the shortest history leaves the MA lags reaching before the start
+        for n in (span + spec.burn_in + 1, span + spec.burn_in + 4, span + 60):
+            values = rng.normal(size=n)
+            w, _ = difference(values, spec.d, spec.D, spec.s)
+            want = oracle_residuals(w, spec, params)[spec.burn_in:]
+            eps, sse = css_residuals(w, spec, params)
+            assert_bitwise(eps, want)
+            assert sse == float(want @ want)
+            model = manual_fit(spec, params)
+            for h in (0, 1, 3, 20):
+                assert_bitwise(forecast(model, values, h),
+                               oracle_forecast(spec, params, values, h))
+            for n_test in (1, 7):
+                test = rng.normal(size=n_test)
+                got = rolling_test_rmse(model, values, test)
+                want_rmse = oracle_rolling_rmse(spec, params, values, test)
+                if span == 0:
+                    assert got == want_rmse
+                else:
+                    npt.assert_allclose(got, want_rmse, rtol=1e-12, atol=0)
+        for n in (1, 5, 40):
+            seed = int(rng.integers(1 << 30))
+            assert_bitwise(simulate(spec, params, n, np.random.default_rng(seed)),
+                           oracle_simulate(spec, params, n, np.random.default_rng(seed)))
+
+
 class TestSpec:
     def test_seasonal_orders_need_period(self):
         with pytest.raises(ValueError):
@@ -213,6 +367,15 @@ class TestRollingTestRmse:
         f = manual_fit(NONSEASONAL, zero_params(NONSEASONAL))
         with pytest.raises(ValueError):
             rolling_test_rmse(f, np.zeros(10), np.array([]))
+
+    def test_train_shorter_than_burn_in_rejected(self):
+        # differenced train length 2 < burn_in + 1 = 3, as forecast(train) rejects
+        spec = SarimaSpec(2, 1, 0, 0, 0, 0, 0)
+        f = manual_fit(spec, zero_params(spec))
+        with pytest.raises(ValueError, match="need at least 3"):
+            forecast(f, np.arange(3.0), 1)
+        with pytest.raises(ValueError, match="need at least 3"):
+            rolling_test_rmse(f, np.arange(3.0), np.arange(5.0))
 
 
 class TestGridSearch:
