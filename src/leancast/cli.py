@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import evaluation, forecasters, ingest, presets, sarima, svgplot
 from .evaluation import EvalRow, ReportTable
 from .forecasters import default_network_config, fit_forecaster, forecaster_to_json
@@ -74,12 +72,24 @@ def load_config(path: str) -> dict:
     if "window" in doc:
         _reject_unknown(doc["window"], {"start", "end"}, "window")
     ratio = doc.get("split_ratio", 0.7)
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
+        raise ConfigError(f"split_ratio must be a number, got {ratio!r}")
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split_ratio must lie in (0, 1), got {ratio}")
+    for key in ("forecasters", "metrics", "leanings"):
+        if not isinstance(doc.get(key, []), list):
+            raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
     for entry in doc.get("forecasters", []):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"each forecaster must be an object, got {entry!r}")
         _reject_unknown(entry, _FORECASTER_KEYS, "forecaster")
         if entry.get("kind") not in forecasters.KINDS:
             raise ConfigError(f"unknown forecaster kind {entry.get('kind')!r}")
+        if entry["kind"] != "sarima":
+            try:
+                _resolve_forecaster_config(entry, None, None, 0)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"forecaster {entry['kind']}: {exc}") from None
     for metric in doc.get("metrics", []):
         if metric not in ("post_count", "likes_sum", "sentiment_mean"):
             raise ConfigError(f"unknown metric {metric!r}")
@@ -240,6 +250,7 @@ def cmd_run(args) -> int:
             tag = f"{kind}/{leaning or 'series'}/{metric}"
             kind_seed = derive_seed(seed, tag)
             try:
+                evaluation.require_test_points(kind, len(split.test.values))
                 config = _resolve_forecaster_config(entry, bundle, leaning, kind_seed)
                 model = fit_forecaster(kind, split, config, seed=kind_seed)
                 row = evaluation.evaluate(model, split, leaning=leaning, metric=metric)

@@ -6,6 +6,10 @@ conditions on its own test predictions).  The multistep model instead
 slides complete 14-in/5-out windows across the test half and reports one
 RMSE per step ahead plus their pooled value.  All RMSEs are on the
 original data scale.
+
+Each neural model is scored in one batched pass (one forward over all
+windows, or one per step of a multistep decode), which equals the per-day
+loop within 1e-12 relative: batched products only sum in another order.
 """
 
 from __future__ import annotations
@@ -67,13 +71,18 @@ def rmse(predicted, true) -> float:
 
 
 def rolling_one_step_predictions(model: TrainedForecaster, split: SplitPair) -> np.ndarray:
-    """Predict every test day from true history (train plus earlier test)."""
+    """Predict every test day from true history (train plus earlier test):
+    neural kinds in one batched forward, SARIMA day by day."""
     history = np.concatenate([split.train.values, split.test.values])
     n_train = len(split.train.values)
-    preds = np.empty(len(split.test.values))
-    for i in range(len(preds)):
-        preds[i] = predict_next(model, history[:n_train + i])
-    return preds
+    if model.kind == "sarima":
+        return np.array([predict_next(model, history[:n_train + i])
+                         for i in range(len(split.test.values))], dtype=np.float64)
+    lookback = model.lookback
+    if n_train < lookback:
+        raise ValueError(f"training half has {n_train} values; need at least {lookback}")
+    windows = make_windows(model.scaler.apply(history[n_train - lookback:]), lookback, 1)
+    return model.scaler.invert(forecasters._last_step_outputs(model.model, windows.inputs))
 
 
 def multistep_window_predictions(model: TrainedForecaster, test_values: np.ndarray):
@@ -87,10 +96,16 @@ def multistep_window_predictions(model: TrainedForecaster, test_values: np.ndarr
         raise ValueError(
             f"test half has {len(test_values)} points; multistep evaluation "
             f"needs at least {lookback + horizon}")
-    preds = np.empty_like(windows.targets)
-    for i in range(windows.count):
-        preds[i] = forecast_multistep(model, windows.inputs[i])
-    return preds, windows.targets
+    return forecast_multistep(model, windows.inputs), windows.targets
+
+
+def require_test_points(kind: str, n_test: int):
+    """Raise unless a test half of ``n_test`` points holds one complete
+    lookback + horizon window (SARIMA needs none); checked before fitting."""
+    min_test = forecasters.kind_lookback(kind) + forecasters.kind_horizon(kind)
+    if kind != "sarima" and n_test < min_test:
+        raise ValueError(
+            f"test half has {n_test} points; kind {kind!r} needs at least {min_test}")
 
 
 def evaluate(model: TrainedForecaster, split: SplitPair,
@@ -98,11 +113,7 @@ def evaluate(model: TrainedForecaster, split: SplitPair,
     """Score one fitted model on its split; see the module docstring for
     the per-kind protocol."""
     metric = metric if metric is not None else split.train.metric
-    min_test = model.lookback + model.horizon
-    if model.kind != "sarima" and len(split.test.values) < min_test:
-        raise ValueError(
-            f"test half has {len(split.test.values)} points; kind "
-            f"{model.kind!r} needs at least {min_test}")
+    require_test_points(model.kind, len(split.test.values))
 
     if model.kind == "multistep_14_5":
         preds, targets = multistep_window_predictions(model, split.test.values)
@@ -117,21 +128,13 @@ def evaluate(model: TrainedForecaster, split: SplitPair,
         return EvalRow(model.kind, leaning, metric, train_rmse, test_rmse)
 
     # neural one-step kinds: in-sample windows for train, rolling for test
-    scaled_train = model.scaler.apply(split.train.values)
-    windows = make_windows(scaled_train, model.lookback, 1)
+    windows = make_windows(model.scaler.apply(split.train.values), model.lookback, 1)
     if windows.count == 0:
         raise ValueError("training half too short to window")
-    net = model.model
-    if net.config.input_size == model.lookback:
-        x = windows.inputs[:, None, :]
-    else:
-        x = windows.inputs[:, :, None]
-    outputs, _ = net.forward(x)
-    train_preds = model.scaler.invert(outputs[:, -1, 0])
-    train_true = model.scaler.invert(windows.targets[:, 0])
-    train_rmse = rmse(train_preds, train_true)
-    test_preds = rolling_one_step_predictions(model, split)
-    test_rmse = rmse(test_preds, split.test.values)
+    outputs = forecasters._last_step_outputs(model.model, windows.inputs)
+    train_rmse = rmse(model.scaler.invert(outputs),
+                      model.scaler.invert(windows.targets[:, 0]))
+    test_rmse = rmse(rolling_one_step_predictions(model, split), split.test.values)
     return EvalRow(model.kind, leaning, metric, train_rmse, test_rmse)
 
 
@@ -142,17 +145,22 @@ def _cell(value) -> str:
     return "" if value is None else f"{value:.2f}"
 
 
+def _row_cells(table, blank: str) -> list:
+    """Two-decimal cells per row in stable order, ``blank`` for absent values."""
+    out = []
+    for row in sorted(table.rows, key=lambda r: (r.model, r.leaning or "")):
+        values = (row.train_rmse, row.test_rmse) + (row.per_step_rmse or (None,) * 5)
+        out.append([row.model, row.leaning or blank, row.metric]
+                   + [_cell(v) or blank for v in values])
+    return out
+
+
 def render_report_csv(tables) -> str:
     """Two-decimal CSV, one line per row, stable row order."""
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
+    lines = [",".join(CSV_COLUMNS)]
     for table in tables:
-        for row in sorted(table.rows, key=lambda r: (r.model, r.leaning or "")):
-            steps = row.per_step_rmse or (None,) * 5
-            cells = [row.model, row.leaning or "", row.metric,
-                     _cell(row.train_rmse), _cell(row.test_rmse)] + [_cell(v) for v in steps]
-            out.write(",".join(cells) + "\n")
-    return out.getvalue()
+        lines += [",".join(cells) for cells in _row_cells(table, "")]
+    return "\n".join(lines) + "\n"
 
 
 def render_report_text(tables) -> str:
@@ -160,15 +168,8 @@ def render_report_text(tables) -> str:
     lines = []
     for table in tables:
         lines.append(f"== {table.platform} / {table.metric} ==")
-        widths = [len(c) for c in CSV_COLUMNS]
-        rendered = []
-        for row in sorted(table.rows, key=lambda r: (r.model, r.leaning or "")):
-            steps = row.per_step_rmse or (None,) * 5
-            cells = [row.model, row.leaning or "-", row.metric,
-                     _cell(row.train_rmse) or "-", _cell(row.test_rmse)]
-            cells += [_cell(v) or "-" for v in steps]
-            rendered.append(cells)
-            widths = [max(w, len(c)) for w, c in zip(widths, cells)]
+        rendered = _row_cells(table, "-")
+        widths = [max(map(len, column)) for column in zip(CSV_COLUMNS, *rendered)]
         lines.append("  ".join(c.ljust(w) for c, w in zip(CSV_COLUMNS, widths)))
         for cells in rendered:
             lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))

@@ -147,16 +147,18 @@ def predict_next(model: TrainedForecaster, history) -> float:
     if len(history) < lookback:
         raise ValueError(f"history has {len(history)} values; need at least {lookback}")
     scaled = model.scaler.apply(history[-lookback:])
-    net = model.model
-    if model.kind == "multistep_14_5":
-        preds, _ = decode_multistep(net, scaled, 1)
-        return float(model.scaler.invert(preds)[0])
-    if net.config.input_size == lookback:
-        x = scaled[None, None, :]
+    return float(model.scaler.invert(_last_step_outputs(model.model, scaled[None]))[0])
+
+
+def _last_step_outputs(net: RecurrentNetwork, scaled_inputs: np.ndarray) -> np.ndarray:
+    """Last-step output for each row of (N, lookback) scaled windows from
+    one forward, fed flat when input_size equals the lookback, else as a
+    sequence; the forward cache is dropped at once."""
+    if net.config.input_size == scaled_inputs.shape[1]:
+        x = scaled_inputs[:, None, :]
     else:
-        x = scaled[None, :, None]
-    outputs, _ = net.forward(x)
-    return float(model.scaler.invert(outputs[:, -1, 0])[0])
+        x = scaled_inputs[:, :, None]
+    return net.forward(x)[0][:, -1, 0]
 
 
 # -- teacher-forced multistep -------------------------------------------
@@ -255,31 +257,31 @@ def train_multistep_teacher_forced(config: NetworkConfig, windows: WindowSet):
 def decode_multistep(net: RecurrentNetwork, scaled_values: np.ndarray, horizon: int):
     """Autoregressive decoding in scaled space.
 
-    Re-runs the full forward pass each step, appending the model's own
-    previous prediction to the input sequence (no ground truth involved).
-    Returns (predictions, input sequence as finally consumed) so callers
-    can verify what the decoder was fed.
+    ``scaled_values`` is one window (L,) or a batch (..., L); each step
+    re-runs one forward over the whole batch, appending the model's own
+    previous prediction (no ground truth involved).  Returns (predictions
+    (..., horizon), input sequence as finally consumed (..., L+horizon-1))
+    so callers can verify what the decoder was fed.
     """
-    seq = list(np.asarray(scaled_values, dtype=np.float64))
-    lookback = len(seq)
-    preds = []
-    for _ in range(horizon):
-        x = np.array(seq)[None, :, None]
-        outputs, _ = net.forward(x)
-        nxt = float(outputs[0, -1, 0])
-        preds.append(nxt)
-        seq.append(nxt)
-    return np.array(preds), np.array(seq[:lookback + horizon - 1])
+    values = np.asarray(scaled_values, dtype=np.float64)
+    lead, lookback = values.shape[:-1], values.shape[-1]
+    seq = np.empty((int(np.prod(lead)), lookback + horizon))
+    seq[:, :lookback] = values.reshape(-1, lookback)
+    for k in range(horizon):
+        outputs = net.forward(seq[:, :lookback + k, None])[0]
+        seq[:, lookback + k] = outputs[:, -1, 0]
+    return (seq[:, lookback:].reshape(lead + (horizon,)),
+            seq[:, :-1].reshape(lead + (lookback + horizon - 1,)))
 
 
 def forecast_multistep(model: TrainedForecaster, last_values) -> np.ndarray:
-    """Predict the kind's full horizon from exactly one lookback window."""
+    """Predict the kind's full horizon from one lookback window (L,) or each row of (N, L)."""
     if model.kind != "multistep_14_5":
         raise ValueError(f"forecast_multistep needs a multistep model, got {model.kind!r}")
     values = np.asarray(last_values, dtype=np.float64)
     lookback, horizon = model.lookback, model.horizon
-    if values.shape != (lookback,):
-        raise ValueError(f"expected exactly {lookback} values, got shape {values.shape}")
+    if values.ndim not in (1, 2) or values.shape[-1] != lookback:
+        raise ValueError(f"expected {lookback} values per window, got shape {values.shape}")
     scaled = model.scaler.apply(values)
     preds, _ = decode_multistep(model.model, scaled, horizon)
     return model.scaler.invert(preds)

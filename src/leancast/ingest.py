@@ -358,33 +358,35 @@ def write_series_csv(series_by_leaning: dict, path) -> None:
             handle.write(",".join(cells) + "\n")
 
 
-def read_series_csv(source, platform: str = "unknown", metric: str = "post_count") -> dict:
+def _read_dated_columns(source, header: list, what: str):
+    """(dates, float columns) of a CSV of consecutive ISO dates; empty cells read NaN."""
     with _open_source(source) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != SERIES_HEADER:
-            raise ValueError(f"series CSV header must be {','.join(SERIES_HEADER)}, "
-                             f"got {header}")
-        dates = []
-        columns = {leaning: [] for leaning in LEANINGS}
+        got = next(reader, None)
+        if got != header:
+            raise ValueError(f"{what} header must be {','.join(header)}, got {got}")
+        dates, rows = [], []
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
                 continue
-            if len(cells) != len(SERIES_HEADER):
+            if len(cells) != len(header):
                 raise ValueError(f"series row {line_no}: expected "
-                                 f"{len(SERIES_HEADER)} fields, got {len(cells)}")
+                                 f"{len(header)} fields, got {len(cells)}")
             dates.append(dt.date.fromisoformat(cells[0]))
-            for leaning, cell in zip(LEANINGS, cells[1:]):
-                columns[leaning].append(float(cell) if cell.strip() else float("nan"))
-        if not dates:
-            raise ValueError("series CSV has no data rows")
-        for i in range(1, len(dates)):
-            if (dates[i] - dates[i - 1]).days != 1:
-                raise ValueError(f"series dates must be consecutive; gap before {dates[i]}")
-        return {leaning: DailySeries(start_date=dates[0],
-                                     values=np.array(columns[leaning]),
-                                     platform=platform, leaning=leaning, metric=metric)
-                for leaning in LEANINGS}
+            rows.append([float(c) if c.strip() else float("nan") for c in cells[1:]])
+    if not dates:
+        raise ValueError(f"{what} has no data rows")
+    for i in range(1, len(dates)):
+        if (dates[i] - dates[i - 1]).days != 1:
+            raise ValueError(f"series dates must be consecutive; gap before {dates[i]}")
+    return dates, [np.array(column) for column in zip(*rows)]
+
+
+def read_series_csv(source, platform: str = "unknown", metric: str = "post_count") -> dict:
+    dates, columns = _read_dated_columns(source, SERIES_HEADER, "series CSV")
+    return {leaning: DailySeries(start_date=dates[0], values=values,
+                                 platform=platform, leaning=leaning, metric=metric)
+            for leaning, values in zip(LEANINGS, columns)}
 
 
 def write_value_series_csv(series: DailySeries, path) -> None:
@@ -396,22 +398,5 @@ def write_value_series_csv(series: DailySeries, path) -> None:
 
 
 def read_value_series_csv(source, metric: str = "synthetic") -> DailySeries:
-    with _open_source(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["date", "value"]:
-            raise ValueError(f"value series header must be date,value, got {header}")
-        dates, values = [], []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise ValueError(f"series row {line_no}: expected 2 fields, got {len(cells)}")
-            dates.append(dt.date.fromisoformat(cells[0]))
-            values.append(float(cells[1]) if cells[1].strip() else float("nan"))
-        if not dates:
-            raise ValueError("value series CSV has no data rows")
-        for i in range(1, len(dates)):
-            if (dates[i] - dates[i - 1]).days != 1:
-                raise ValueError(f"series dates must be consecutive; gap before {dates[i]}")
-        return DailySeries(start_date=dates[0], values=np.array(values), metric=metric)
+    dates, (values,) = _read_dated_columns(source, ["date", "value"], "value series CSV")
+    return DailySeries(start_date=dates[0], values=values, metric=metric)

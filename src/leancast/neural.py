@@ -71,6 +71,10 @@ class NetworkConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 means full batch)")
         if self.optimizer not in ("rmsprop", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

@@ -53,9 +53,6 @@ class DailySeries:
     def dates(self) -> list[dt.date]:
         return [self.start_date + dt.timedelta(days=i) for i in range(len(self.values))]
 
-    def with_values(self, values) -> "DailySeries":
-        return replace(self, values=np.asarray(values, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class SplitPair:

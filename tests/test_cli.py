@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from leancast import ingest
+from leancast import cli, ingest
 from leancast.cli import ConfigError, load_config, main
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +100,51 @@ class TestLoadConfig:
                                        "leanings": ["left", "right", "left"]})
         with pytest.raises(ConfigError, match="leaning listed more than once: left"):
             load_config(path)
+
+    def test_split_ratio_must_be_a_number(self, tmp_path, capsys):
+        for ratio in ("0.5", True, None):
+            path = write_config(tmp_path, {"synthetic": {"kind": "ar1", "n": 10},
+                                           "split_ratio": ratio})
+            with pytest.raises(ConfigError, match="split_ratio must be a number"):
+                load_config(path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert "split_ratio must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("forecasters", "lstm_1day"),
+        ("forecasters", {"kind": "lstm_1day"}),
+        ("metrics", "post_count"),
+        ("leanings", "left"),
+    ])
+    def test_list_fields_must_be_lists(self, tmp_path, key, value):
+        path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
+                                       key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be a list"):
+            load_config(path)
+
+    def test_forecaster_entries_must_be_objects(self, tmp_path):
+        path = write_config(tmp_path, {"synthetic": {"kind": "ar1", "n": 10},
+                                       "forecasters": ["lstm_1day"]})
+        with pytest.raises(ConfigError, match="must be an object"):
+            load_config(path)
+
+    @pytest.mark.parametrize("override,message", [
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"epochs": 3, "batch_size": -2}, "batch_size must be >= 0"),
+        ({"epochs": "3"}, "lstm_14day"),
+    ])
+    def test_network_overrides_checked_before_reading_series(self, tmp_path, capsys,
+                                                             override, message):
+        # the posts file does not exist: the override must be rejected first
+        path = write_config(tmp_path, {
+            "posts_csv": str(tmp_path / "missing.csv"), "bias_csv": BIAS,
+            "forecasters": [{"kind": "lstm_14day", **override}]})
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert "error: forecaster lstm_14day" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_valid_config_accepted(self, tmp_path):
         path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
@@ -216,6 +261,21 @@ class TestRunCommand:
         assert "19" in (out / "failures.txt").read_text()
         assert len((out / "report.csv").read_text().splitlines()) == 1
         assert "failed" in capsys.readouterr().err
+
+    def test_short_test_half_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
+        # 50 days at split 0.7 leave 15 test days; multistep scoring needs 19
+        fitted = []
+        monkeypatch.setattr(cli, "fit_forecaster",
+                            lambda *args, **kwargs: fitted.append(args))
+        out = tmp_path / "out"
+        config = synth_run_config(tmp_path, n=50,
+                                  forecasters=[{"kind": "multistep_14_5", "epochs": 60}])
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert fitted == []
+        failures = (out / "failures.txt").read_text()
+        assert "test half has 15 points" in failures and "19" in failures
+        assert list((out / "models").iterdir()) == []
+        assert "1 fit(s) failed" in capsys.readouterr().err
 
     def test_preset_bundle_is_accepted(self, tmp_path):
         out = tmp_path / "out"

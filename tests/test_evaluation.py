@@ -11,11 +11,12 @@ from leancast.evaluation import (CSV_COLUMNS, EvalRow, ReportTable, evaluate,
                                  render_report, render_report_csv,
                                  render_report_text,
                                  rolling_one_step_predictions, rmse)
-from leancast.forecasters import TrainedForecaster
+from leancast.forecasters import TrainedForecaster, predict_next
 from leancast.neural import RecurrentNetwork
 from leancast.forecasters import default_network_config
 from leancast.sarima import SarimaFit, SarimaParams, SarimaSpec
-from leancast.series import DailySeries, IDENTITY_SCALER, chronological_split
+from leancast.series import (DailySeries, IDENTITY_SCALER, chronological_split,
+                             fit_scaler, generate_synthetic, make_windows)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -172,6 +173,11 @@ class TestRollingPredictions:
         preds = rolling_one_step_predictions(model, split_of(np.arange(10.0)))
         npt.assert_allclose(preds, np.full(3, 2.0), rtol=1e-12)
 
+    def test_neural_kind_needs_a_lookback_of_training_history(self):
+        split = split_of(np.arange(30.0), ratio=0.4)
+        with pytest.raises(ValueError, match="need at least 14"):
+            rolling_one_step_predictions(zero_net_forecaster("lstm_14day"), split)
+
 
 class TestEvaluate:
     def test_sarima_row_uses_stored_train_rmse(self):
@@ -236,3 +242,113 @@ class TestMultistepWindows:
         with pytest.raises(ValueError, match="19"):
             multistep_window_predictions(zero_net_forecaster("multistep_14_5"),
                                          np.arange(10.0))
+
+
+# -- batched evaluation against the per-row loops it replaced --------------
+
+
+def random_net_forecaster(kind, split, **over):
+    """Untrained but randomly initialised network: nontrivial outputs."""
+    over.setdefault("layers", 2)
+    over.setdefault("hidden", 5)
+    cfg = default_network_config(kind, seed=17, epochs=1, **over)
+    return TrainedForecaster(kind, RecurrentNetwork(cfg), fit_scaler(split.train.values), {})
+
+
+def per_row_outputs(net, scaled_window):
+    """One batch-1 forward, laid out flat or as a sequence."""
+    if net.config.input_size == len(scaled_window):
+        x = scaled_window[None, None, :]
+    else:
+        x = scaled_window[None, :, None]
+    outputs, _ = net.forward(x)
+    return float(outputs[0, -1, 0])
+
+
+def oracle_rolling(model, split):
+    """Each test day predicted on its own from the true history before it."""
+    history = np.concatenate([split.train.values, split.test.values])
+    n_train = len(split.train.values)
+    preds = np.empty(len(split.test.values))
+    for i in range(len(preds)):
+        tail = model.scaler.apply(history[:n_train + i][-model.lookback:])
+        preds[i] = model.scaler.invert(np.array([per_row_outputs(model.model, tail)]))[0]
+    return preds
+
+
+def oracle_decode(net, scaled_window, horizon):
+    """Batch-1 autoregressive decoding, one window at a time."""
+    seq = list(scaled_window)
+    for _ in range(horizon):
+        outputs, _ = net.forward(np.array(seq)[None, :, None])
+        seq.append(float(outputs[0, -1, 0]))
+    return np.array(seq[len(scaled_window):])
+
+
+def oracle_multistep(model, test_values):
+    windows = make_windows(test_values, model.lookback, model.horizon)
+    preds = np.stack([
+        model.scaler.invert(oracle_decode(model.model, model.scaler.apply(row),
+                                          model.horizon))
+        for row in windows.inputs])
+    return preds, windows.targets
+
+
+def sine_split(n=90):
+    values = generate_synthetic("sine", n, seed=5, period=7, amplitude=10.0,
+                                noise_sigma=2.0).values + 20.0
+    return split_of(values, ratio=0.6)
+
+
+ONE_STEP_CASES = [
+    ("lstm_1day", {}),
+    ("lstm_14day", {}),
+    ("gru_14day", {}),
+    ("lstm_14day", {"input_size": 1}),
+    ("gru_14day", {"input_size": 1}),
+    ("gru_14day", {"layers": 4, "dropout": 0.4}),
+]
+
+
+class TestBatchedEvaluationMatchesPerRowLoops:
+    @pytest.mark.parametrize("kind,over", ONE_STEP_CASES)
+    def test_rolling_predictions(self, kind, over):
+        split = sine_split()
+        model = random_net_forecaster(kind, split, **over)
+        batched = rolling_one_step_predictions(model, split)
+        oracle = oracle_rolling(model, split)
+        assert batched.shape == oracle.shape == (36,)
+        npt.assert_allclose(batched, oracle, rtol=1e-12, atol=0)
+        assert np.ptp(oracle) > 0.0
+
+    @pytest.mark.parametrize("kind,over", ONE_STEP_CASES)
+    def test_evaluate_rmses(self, kind, over):
+        split = sine_split()
+        model = random_net_forecaster(kind, split, **over)
+        row = evaluate(model, split)
+        train = split.train.values
+        train_preds = [model.scaler.invert(np.array([per_row_outputs(
+            model.model, model.scaler.apply(train[i:i + model.lookback]))]))[0]
+            for i in range(len(train) - model.lookback)]
+        assert row.train_rmse == pytest.approx(
+            rmse(train_preds, train[model.lookback:]), rel=1e-12, abs=0)
+        assert row.test_rmse == pytest.approx(
+            rmse(oracle_rolling(model, split), split.test.values), rel=1e-12, abs=0)
+
+    def test_predict_next_is_the_last_rolling_step(self):
+        split = sine_split()
+        model = random_net_forecaster("lstm_14day", split, input_size=1)
+        history = np.concatenate([split.train.values, split.test.values[:-1]])
+        assert predict_next(model, history) == pytest.approx(
+            rolling_one_step_predictions(model, split)[-1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("layers", [1, 8])
+    def test_multistep_windows(self, layers):
+        split = sine_split(n=120)
+        model = random_net_forecaster("multistep_14_5", split, layers=layers, hidden=8)
+        preds, targets = multistep_window_predictions(model, split.test.values)
+        oracle_preds, oracle_targets = oracle_multistep(model, split.test.values)
+        assert preds.shape == (30, 5)
+        npt.assert_array_equal(targets, oracle_targets)
+        npt.assert_allclose(preds, oracle_preds, rtol=1e-12, atol=0)
+        assert np.ptp(oracle_preds) > 0.0

@@ -235,6 +235,28 @@ class TestDecodeMultistep:
         assert not np.allclose(preds, 0.0)
 
 
+    def test_one_window_matches_row_zero_of_a_batch(self):
+        cfg = tiny_config("multistep_14_5", layers=3, hidden=6)
+        net = RecurrentNetwork(cfg)
+        batch = np.random.default_rng(4).uniform(0.0, 1.0, (9, 14))
+        preds, seq = decode_multistep(net, batch, 5)
+        assert preds.shape == (9, 5) and seq.shape == (9, 18)
+        one_preds, one_seq = decode_multistep(net, batch[0], 5)
+        assert one_preds.shape == (5,) and one_seq.shape == (18,)
+        npt.assert_allclose(one_preds, preds[0], rtol=1e-12, atol=0)
+        npt.assert_allclose(one_seq, seq[0], rtol=1e-12, atol=0)
+        npt.assert_array_equal(seq[:, :14], batch)
+        npt.assert_array_equal(seq[:, 14:], preds[:, :4])
+
+    def test_leading_axes_are_kept(self):
+        net = RecurrentNetwork(tiny_config("multistep_14_5"))
+        batch = np.random.default_rng(5).uniform(0.0, 1.0, (2, 3, 14))
+        preds, seq = decode_multistep(net, batch, 4)
+        assert preds.shape == (2, 3, 4) and seq.shape == (2, 3, 17)
+        flat_preds, _ = decode_multistep(net, batch.reshape(6, 14), 4)
+        npt.assert_array_equal(preds.reshape(6, 4), flat_preds)
+
+
 class TestForecastMultistep:
     def test_requires_multistep_kind(self):
         with pytest.raises(ValueError):
@@ -258,6 +280,18 @@ class TestForecastMultistep:
         net = RecurrentNetwork(tiny_config("multistep_14_5"), init="zeros")
         model = TrainedForecaster("multistep_14_5", net, IDENTITY_SCALER, {})
         assert forecast_multistep(model, np.arange(14.0)).shape == (5,)
+
+    def test_batch_of_windows_forecasts_each_row(self):
+        net = RecurrentNetwork(tiny_config("multistep_14_5"))
+        model = TrainedForecaster("multistep_14_5", net, ScalerState(0.0, 40.0), {})
+        rows = np.stack([np.arange(14.0) + k for k in range(4)])
+        batched = forecast_multistep(model, rows)
+        assert batched.shape == (4, 5)
+        for k in range(4):
+            npt.assert_allclose(batched[k], forecast_multistep(model, rows[k]),
+                                rtol=1e-12, atol=0)
+        with pytest.raises(ValueError):
+            forecast_multistep(model, rows[:, :13])
 
 
 class TestScaleInvariance:

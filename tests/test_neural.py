@@ -325,6 +325,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(**over)
 
+    @pytest.mark.parametrize("over,message", [
+        (dict(epochs=0), "epochs"),
+        (dict(epochs=-1), "epochs"),
+        (dict(batch_size=-2), "batch_size"),
+    ])
+    def test_schedules_that_train_nothing_rejected(self, over, message):
+        # zero epochs, or a negative batch stride, would take no optimizer
+        # step and leave the network at its initial weights
+        with pytest.raises(ValueError, match=message):
+            small_config(**over)
+
+    def test_one_epoch_full_batch_accepted(self):
+        cfg = small_config(epochs=1, batch_size=0)
+        assert (cfg.epochs, cfg.batch_size) == (1, 0)
+
 
 class TestSerialization:
     def test_round_trip_preserves_weights_and_outputs(self):
