@@ -68,7 +68,15 @@ def load_config(path: str) -> dict:
     if has_files and not ("posts_csv" in doc and "bias_csv" in doc):
         raise ConfigError("posts_csv and bias_csv must be given together")
     if has_synth:
-        _reject_unknown(doc["synthetic"], _SYNTH_KEYS, "synthetic")
+        synth = doc["synthetic"]
+        if not isinstance(synth, dict):
+            raise ConfigError(f"synthetic must be an object, got {synth!r}")
+        _reject_unknown(synth, _SYNTH_KEYS, "synthetic")
+        missing = [key for key in ("kind", "n") if key not in synth]
+        if missing:
+            raise ConfigError(f"synthetic block must name {' and '.join(missing)}")
+        if isinstance(synth["n"], bool) or not isinstance(synth["n"], int):
+            raise ConfigError(f"synthetic n must be an integer, got {synth['n']!r}")
     if "window" in doc:
         _reject_unknown(doc["window"], {"start", "end"}, "window")
     ratio = doc.get("split_ratio", 0.7)
@@ -85,11 +93,15 @@ def load_config(path: str) -> dict:
         _reject_unknown(entry, _FORECASTER_KEYS, "forecaster")
         if entry.get("kind") not in forecasters.KINDS:
             raise ConfigError(f"unknown forecaster kind {entry.get('kind')!r}")
-        if entry["kind"] != "sarima":
-            try:
+        try:
+            if entry["kind"] == "sarima":
+                # gridsearch reads the grid even when a spec is also given
+                _spec_from_doc(entry.get("spec", {}))
+                GridSpec.from_json(entry.get("grid", {}))
+            else:
                 _resolve_forecaster_config(entry, None, None, 0)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"forecaster {entry['kind']}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"forecaster {entry['kind']}: {exc}") from None
     for metric in doc.get("metrics", []):
         if metric not in ("post_count", "likes_sum", "sentiment_mean"):
             raise ConfigError(f"unknown metric {metric!r}")
@@ -111,8 +123,15 @@ def _config_window(doc: dict):
 
 
 def _spec_from_doc(doc: dict) -> SarimaSpec:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"spec must be an object, got {doc!r}")
+    _reject_unknown(doc, {"order", "seasonal"}, "spec")
     order = doc.get("order", [0, 0, 0])
     seasonal = doc.get("seasonal", [0, 0, 0, 0])
+    if not isinstance(order, list) or len(order) != 3:
+        raise ConfigError(f"spec order must be [p, d, q], got {order!r}")
+    if not isinstance(seasonal, list) or len(seasonal) != 4:
+        raise ConfigError(f"spec seasonal must be [P, D, Q, s], got {seasonal!r}")
     return SarimaSpec(p=order[0], d=order[1], q=order[2],
                       P=seasonal[0], D=seasonal[1], Q=seasonal[2], s=seasonal[3])
 

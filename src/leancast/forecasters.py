@@ -23,13 +23,13 @@ to a 14-step sequence presentation instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import neural, optim, sarima
-from .neural import NetworkConfig, RecurrentNetwork, TrainingDivergedError
-from .rng import derive_rng, derive_seed
+from . import neural, sarima
+from .neural import NetworkConfig, RecurrentNetwork
+from .neural import MultistepEpochLoss, multistep_loss  # noqa: F401  (re-exported)
 from .series import (IDENTITY_SCALER, ScalerState, SplitPair, WindowSet,
                      fit_scaler, make_windows)
 
@@ -152,22 +152,11 @@ def predict_next(model: TrainedForecaster, history) -> float:
 
 def _last_step_outputs(net: RecurrentNetwork, scaled_inputs: np.ndarray) -> np.ndarray:
     """Last-step output for each row of (N, lookback) scaled windows from
-    one forward, fed flat when input_size equals the lookback, else as a
-    sequence; the forward cache is dropped at once."""
-    if net.config.input_size == scaled_inputs.shape[1]:
-        x = scaled_inputs[:, None, :]
-    else:
-        x = scaled_inputs[:, :, None]
-    return net.forward(x)[0][:, -1, 0]
+    one forward in the training layout; the forward cache is dropped at once."""
+    return net.forward(neural.layout_windows(scaled_inputs, net.config.input_size))[0][:, -1, 0]
 
 
 # -- teacher-forced multistep -------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultistepEpochLoss:
-    total: float
-    per_step: tuple
 
 
 def teacher_forced_inputs(windows: WindowSet) -> np.ndarray:
@@ -189,69 +178,24 @@ def multistep_positions(lookback: int, horizon: int) -> list:
     return [lookback - 1 + k for k in range(horizon)]
 
 
-def multistep_loss(preds: np.ndarray, targets: np.ndarray):
-    """Sum over steps of per-step MSE; returns (total, per-step terms)."""
-    err = preds - targets
-    per_step = [float(np.mean(err[:, k] * err[:, k])) for k in range(err.shape[1])]
-    return float(sum(per_step)), tuple(per_step)
-
-
 def train_multistep_teacher_forced(config: NetworkConfig, windows: WindowSet):
-    """Train one shared stacked network on all 5 steps at once.
+    """Train one shared stacked network on all H steps at once.
 
     The network is unrolled over lookback + horizon - 1 time steps per
     window; during training the decoder positions see ground truth (teacher
-    forcing), and the loss is the sum of the per-step MSEs.  Returns the
-    network and a per-epoch list of MultistepEpochLoss.
+    forcing), and the loss is the sum of the per-step MSEs.  This is
+    ``neural.train_at_positions`` read out at the H decoder positions; it
+    returns the network and a per-epoch list of MultistepEpochLoss.
     """
-    if windows.count == 0:
-        raise ValueError("cannot train on an empty window set")
     if config.input_size != 1:
         raise ValueError("teacher-forced training is sequence mode; input_size must be 1")
     if config.output_size != 1:
         raise ValueError("output_size must be 1; the horizon is unrolled over time")
-    lookback, horizon = windows.lookback, windows.horizon
-    if horizon < 2:
-        raise ValueError(f"horizon {horizon} leaves nothing to teacher-force; need >= 2")
-    x_all = teacher_forced_inputs(windows)
-    t_all = windows.targets
-    positions = multistep_positions(lookback, horizon)
-
-    net = RecurrentNetwork(config)
-    params = net.parameters()
-    state = optim.init_optimizer(config.optimizer, params)
-    shuffle_rng = derive_rng(config.seed, "shuffle")
-    dropout_rng = derive_rng(config.seed, "dropout")
-    n = windows.count
-    batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
-
-    history = []
-    last_finite = float("nan")
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            x = x_all[idx]
-            target = t_all[idx]
-            outputs, cache = net.forward(x, training=True, dropout_rng=dropout_rng)
-            preds = outputs[:, positions, 0]
-            total, per_step = multistep_loss(preds, target)
-            if not np.isfinite(total):
-                raise TrainingDivergedError(epoch, last_finite)
-            last_finite = total
-            epoch_losses.append(MultistepEpochLoss(total, per_step))
-            d_outputs = np.zeros_like(outputs)
-            d_outputs[:, positions, 0] = 2.0 * (preds - target) / len(idx)
-            grads = net.backward(cache, d_outputs)
-            grads = optim.clip_global_norm(grads, neural.GRAD_CLIP_NORM)
-            params = net.parameters()
-            params, state = optim.optimizer_step(params, grads, state, config.learning_rate)
-            net.set_parameters(params)
-        history.append(MultistepEpochLoss(
-            float(np.mean([e.total for e in epoch_losses])),
-            tuple(np.mean([e.per_step for e in epoch_losses], axis=0).tolist())))
-    return net, history
+    if windows.horizon < 2:
+        raise ValueError(f"horizon {windows.horizon} leaves nothing to teacher-force; need >= 2")
+    return neural.train_at_positions(config, teacher_forced_inputs(windows),
+                                     windows.targets[:, :, None],
+                                     multistep_positions(windows.lookback, windows.horizon))
 
 
 def decode_multistep(net: RecurrentNetwork, scaled_values: np.ndarray, horizon: int):

@@ -1,5 +1,7 @@
 """Recurrent network core: LSTM and GRU cells, stacked forward pass,
-backpropagation through time, and the mini-batch training loop.
+backpropagation through time, and the one mini-batch training loop,
+:func:`train_at_positions`: every neural kind trains through it, scored at
+its readout positions (the final step, or the teacher-forced decoder steps).
 
 The LSTM gates act on the concatenation [h_{t-1}, x_t]:
 
@@ -65,6 +67,10 @@ class NetworkConfig:
     def __post_init__(self):
         if self.cell not in ("lstm", "gru"):
             raise ValueError(f"unknown cell {self.cell!r}")
+        for name in ("layers", "hidden", "input_size", "output_size", "epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.layers < 1 or self.hidden < 1 or self.input_size < 1 or self.output_size < 1:
             raise ValueError("layers, hidden, input_size and output_size must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -73,7 +79,7 @@ class NetworkConfig:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 0:
+        if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 means full batch)")
         if self.optimizer not in ("rmsprop", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -421,44 +427,53 @@ class RecurrentNetwork:
         return net
 
 
-def windows_to_batches(windows, input_size: int):
-    """Lay a WindowSet out for the network.
-
-    When ``input_size`` equals the lookback the whole window becomes one flat
-    input vector consumed in a single step; when it is 1 the window is fed as
-    a sequence of scalar steps.
-    """
-    if input_size == windows.lookback:
-        x = windows.inputs[:, None, :]
-    elif input_size == 1:
-        x = windows.inputs[:, :, None]
-    else:
-        raise ValueError(
-            f"input_size {input_size} fits neither flat ({windows.lookback}) nor "
-            f"sequence (1) presentation of lookback {windows.lookback}")
-    return x, windows.targets
+def layout_windows(inputs: np.ndarray, input_size: int) -> np.ndarray:
+    """Lay (N, lookback) windows out as (N, time, input_size) network input:
+    one flat step when ``input_size`` equals the lookback, scalar steps when
+    it is 1.  Training and inference both use this layout."""
+    lookback = inputs.shape[1]
+    if input_size == lookback:
+        return inputs[:, None, :]
+    if input_size == 1:
+        return inputs[:, :, None]
+    raise ValueError(
+        f"input_size {input_size} fits neither flat ({lookback}) nor "
+        f"sequence (1) presentation of lookback {lookback}")
 
 
-def train(config: NetworkConfig, windows) -> tuple[RecurrentNetwork, list[float]]:
-    """Mini-batch training against MSE at the final step.
+@dataclass(frozen=True)
+class MultistepEpochLoss:
+    total: float
+    per_step: tuple
+
+
+def multistep_loss(preds: np.ndarray, targets: np.ndarray):
+    """Sum over readout positions (axis 1) of the MSE at each; returns
+    (total, per-position terms)."""
+    err = preds - targets
+    per_step = [float(np.mean(err[:, k] * err[:, k])) for k in range(err.shape[1])]
+    return float(sum(per_step)), tuple(per_step)
+
+
+def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.ndarray,
+                       positions: list) -> tuple[RecurrentNetwork, list]:
+    """Mini-batch training against :func:`multistep_loss` at the readout
+    ``positions`` of (count, time, input_size) ``inputs``; ``targets`` is
+    (count, len(positions), output_size).
 
     Weight init, batch shuffling and dropout all derive from ``config.seed``;
-    identical (config, windows) reruns give identical loss histories.
-    Divergence (non-finite loss) raises :class:`TrainingDivergedError`.
+    identical reruns give identical histories.  Divergence (non-finite loss)
+    raises :class:`TrainingDivergedError`.  Returns the network and each
+    epoch's batch-mean :class:`MultistepEpochLoss`.
     """
-    if windows.count == 0:
+    n = len(inputs)
+    if n == 0:
         raise ValueError("cannot train on an empty window set")
-    if windows.horizon != config.output_size:
-        raise ValueError(
-            f"window horizon {windows.horizon} != network output_size {config.output_size}")
-    x_all, t_all = windows_to_batches(windows, config.input_size)
     net = RecurrentNetwork(config)
-    params = net.parameters()
-    state = optim.init_optimizer(config.optimizer, params)
+    state = optim.init_optimizer(config.optimizer, net.parameters())
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
-    n = windows.count
-    batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
+    batch = min(config.batch_size or n, n)
 
     history = []
     last_finite = float("nan")
@@ -467,22 +482,33 @@ def train(config: NetworkConfig, windows) -> tuple[RecurrentNetwork, list[float]
         batch_losses = []
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            x = x_all[idx]
-            target = t_all[idx]
-            outputs, cache = net.forward(x, training=True, dropout_rng=dropout_rng)
-            pred = outputs[:, -1, :]
-            err = pred - target
-            loss = float(np.mean(err * err))
-            if not np.isfinite(loss):
+            outputs, cache = net.forward(inputs[idx], training=True, dropout_rng=dropout_rng)
+            preds = outputs[:, positions, :]
+            target = targets[idx]
+            total, per_step = multistep_loss(preds, target)
+            if not np.isfinite(total):
                 raise TrainingDivergedError(epoch, last_finite)
-            last_finite = loss
-            batch_losses.append(loss)
+            last_finite = total
+            batch_losses.append(MultistepEpochLoss(total, per_step))
             d_outputs = np.zeros_like(outputs)
-            d_outputs[:, -1, :] = 2.0 * err / err.size
-            grads = net.backward(cache, d_outputs)
-            grads = optim.clip_global_norm(grads, GRAD_CLIP_NORM)
-            params = net.parameters()
-            params, state = optim.optimizer_step(params, grads, state, config.learning_rate)
+            # each position's MSE averages over the batch and output columns
+            d_outputs[:, positions, :] = 2.0 * (preds - target) / target[:, 0].size
+            grads = optim.clip_global_norm(net.backward(cache, d_outputs), GRAD_CLIP_NORM)
+            params, state = optim.optimizer_step(net.parameters(), grads, state,
+                                                 config.learning_rate)
             net.set_parameters(params)
-        history.append(float(np.mean(batch_losses)))
+        history.append(MultistepEpochLoss(
+            float(np.mean([e.total for e in batch_losses])),
+            tuple(np.mean([e.per_step for e in batch_losses], axis=0).tolist())))
     return net, history
+
+
+def train(config: NetworkConfig, windows) -> tuple[RecurrentNetwork, list[float]]:
+    """Train against MSE at the final step; returns the network and the
+    per-epoch mean batch loss."""
+    if windows.horizon != config.output_size:
+        raise ValueError(
+            f"window horizon {windows.horizon} != network output_size {config.output_size}")
+    net, history = train_at_positions(config, layout_windows(windows.inputs, config.input_size),
+                                      windows.targets[:, None, :], [-1])
+    return net, [epoch.total for epoch in history]

@@ -367,7 +367,7 @@ class GridSpec:
         for name, val in obj.items():
             if name not in ("p", "d", "q", "P", "D", "Q", "s"):
                 raise ValueError(f"unknown grid key {name!r}")
-            if isinstance(val, dict):
+            if isinstance(val, dict) and set(val) == {"values"}:
                 fields[name] = tuple(val["values"])
             elif isinstance(val, (list, tuple)) and len(val) == 2:
                 lo, hi = int(val[0]), int(val[1])

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,8 @@ class TestLoadConfig:
         ({"epochs": 0}, "epochs must be >= 1"),
         ({"epochs": 3, "batch_size": -2}, "batch_size must be >= 0"),
         ({"epochs": "3"}, "lstm_14day"),
+        ({"layers": 1.5}, "layers must be an integer"),
+        ({"batch_size": None}, "batch_size must be an integer"),
     ])
     def test_network_overrides_checked_before_reading_series(self, tmp_path, capsys,
                                                              override, message):
@@ -144,6 +147,38 @@ class TestLoadConfig:
         out = tmp_path / "out"
         assert main(["run", "--config", path, "--out", str(out)]) == 1
         assert "error: forecaster lstm_14day" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "gridsearch"])
+    @pytest.mark.parametrize("doc,message", [
+        ({"synthetic": {"kind": "ar1", "alpha": 0.5}}, "synthetic block must name n"),
+        ({"synthetic": {"n": 40}}, "synthetic block must name kind"),
+        ({"synthetic": {"kind": "ar1", "n": "40"}}, "synthetic n must be an integer"),
+        ({"synthetic": ["ar1", 40]}, "synthetic must be an object"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0]}}]},
+         "forecaster sarima: spec order must be"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"seasonal": [1, 0, 0]}}]},
+         "forecaster sarima: spec seasonal must be"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"order": [1.5, 0, 0]}}]},
+         "order p must be a nonnegative integer"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"orders": [1, 0, 0]}}]},
+         "unknown spec keys: orders"),
+        ({"forecasters": [{"kind": "sarima", "spec": "110"}]}, "spec must be an object"),
+        ({"forecasters": [{"kind": "sarima", "grid": {"p": {"vals": 1}}}]},
+         "grid entry for p"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]},
+                           "grid": {"q": "all"}}]}, "grid entry for q"),
+    ])
+    def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
+                                                command):
+        doc = {"synthetic": {"kind": "ar1", "n": 40}, **doc}
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
     def test_valid_config_accepted(self, tmp_path):

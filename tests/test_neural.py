@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from leancast.neural import (CellState, GruLayerWeights, LstmLayerWeights,
                              NetworkConfig, RecurrentNetwork,
                              TrainingDivergedError, dropout_masks, gru_step,
-                             lstm_step, sigmoid, train, windows_to_batches,
+                             layout_windows, lstm_step, sigmoid, train,
                              zero_gru_weights, zero_lstm_weights)
 from leancast.series import make_windows, generate_synthetic
 
@@ -244,21 +244,20 @@ class TestDropoutMasks:
 class TestBatchLayout:
     def test_flat_layout_single_step(self):
         w = make_windows(np.arange(10.0), 4, 2)
-        x, targets = windows_to_batches(w, input_size=4)
+        x = layout_windows(w.inputs, input_size=4)
         assert x.shape == (5, 1, 4)
         npt.assert_array_equal(x[0, 0], [0, 1, 2, 3])
-        npt.assert_array_equal(targets[0], [4, 5])
 
     def test_sequence_layout_scalar_steps(self):
         w = make_windows(np.arange(10.0), 4, 2)
-        x, _ = windows_to_batches(w, input_size=1)
+        x = layout_windows(w.inputs, input_size=1)
         assert x.shape == (5, 4, 1)
         npt.assert_array_equal(x[2, :, 0], [2, 3, 4, 5])
 
     def test_incompatible_input_size_rejected(self):
         w = make_windows(np.arange(10.0), 4, 2)
         with pytest.raises(ValueError):
-            windows_to_batches(w, input_size=3)
+            layout_windows(w.inputs, input_size=3)
 
 
 class TestTrain:
@@ -320,6 +319,12 @@ class TestConfigValidation:
         dict(dropout=-0.1),
         dict(learning_rate=0.0),
         dict(optimizer="sgd"),
+        dict(layers=1.5),
+        dict(hidden=True),
+        dict(input_size=None),
+        dict(output_size="1"),
+        dict(epochs=2.0),
+        dict(batch_size=None),
     ])
     def test_bad_fields_rejected(self, over):
         with pytest.raises(ValueError):
