@@ -246,13 +246,14 @@ def cmd_ingest(args) -> int:
 def cmd_run(args) -> int:
     doc = _require_config(args)
     seed = _global_seed(args, doc)
-    out = _out_dir(args, doc)
     preset_name = args.preset or doc.get("preset")
     bundle = presets.get_preset(preset_name) if preset_name else None
     entries = doc.get("forecasters")
     if not entries:
         raise ConfigError("config names no forecasters")
+    # build the series before creating anything, so a failure writes nothing
     series_list, platform = _gather_series(doc, seed)
+    out = _out_dir(args, doc)
     ratio = doc.get("split_ratio", 0.7)
 
     models_dir = os.path.join(out, "models")
@@ -340,7 +341,6 @@ def _rows_from_json(text: str):
 def cmd_gridsearch(args) -> int:
     doc = _require_config(args)
     seed = _global_seed(args, doc)
-    out = _out_dir(args, doc)
     grid_entries = [e for e in doc.get("forecasters", [])
                     if e["kind"] == "sarima" and "grid" in e]
     if len(grid_entries) != 1:
@@ -348,6 +348,7 @@ def cmd_gridsearch(args) -> int:
                           'kind "sarima" with a "grid"')
     grid = GridSpec.from_json(grid_entries[0]["grid"])
     series_list, _ = _gather_series(doc, seed)
+    out = _out_dir(args, doc)
     ratio = doc.get("split_ratio", 0.7)
     for metric, leaning, series in series_list:
         split = chronological_split(series, ratio)

@@ -15,6 +15,14 @@ The GRU keeps separate input and recurrent matrices:
     hcand = tanh(W_h x + U_h (r * h) + b_h)
     h_t = (1 - z) * h + z * hcand
 
+All parameters live in one float64 vector, ``RecurrentNetwork.theta``, each
+array raveled in this order: per layer ``W_i W_f W_g W_o b_i b_f b_g b_o``
+(LSTM) or ``W_z W_r W_h U_z U_r U_h b_z b_r b_h`` (GRU), then ``out.W out.b``.
+``parameters()``, ``layers[k]``, ``W_out`` and ``b_out`` are views into it,
+and ``backward`` fills a gradient vector of the same layout.  A layer's
+W (and U, b) blocks are adjacent, so its gates are fused (Appleyard et al.
+2016): one GEMM per step for all LSTM gates, and for the GRU's inputs.
+
 All math is float64 numpy; gradients are exact reverse-mode derivatives of
 the forward recursion (checked against finite differences in the tests).
 """
@@ -22,7 +30,8 @@ the forward recursion (checked against finite differences in the tests).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+import math
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -137,24 +146,18 @@ class CellState:
 
 
 def zero_lstm_weights(input_size: int, hidden: int) -> LstmLayerWeights:
-    gate = lambda: np.zeros((hidden, hidden + input_size))
-    bias = lambda: np.zeros(hidden)
-    return LstmLayerWeights(gate(), gate(), gate(), gate(), bias(), bias(), bias(), bias())
+    config = NetworkConfig("lstm", hidden=hidden, input_size=input_size)
+    return RecurrentNetwork(config, init="zeros").layers[0]
 
 
 def zero_gru_weights(input_size: int, hidden: int) -> GruLayerWeights:
-    return GruLayerWeights(
-        np.zeros((hidden, input_size)), np.zeros((hidden, input_size)),
-        np.zeros((hidden, input_size)), np.zeros((hidden, hidden)),
-        np.zeros((hidden, hidden)), np.zeros((hidden, hidden)),
-        np.zeros(hidden), np.zeros(hidden), np.zeros(hidden))
+    config = NetworkConfig("gru", hidden=hidden, input_size=input_size)
+    return RecurrentNetwork(config, init="zeros").layers[0]
 
 
 def lstm_step(x, state: CellState, w: LstmLayerWeights) -> CellState:
     """One LSTM cell update on plain vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(state.h, dtype=np.float64)
-    c = np.asarray(state.c, dtype=np.float64)
+    x, h, c = (np.asarray(v, dtype=np.float64) for v in (x, state.h, state.c))
     if x.shape != (w.input_size,) or h.shape != (w.hidden,) or c.shape != (w.hidden,):
         raise ValueError(
             f"shape mismatch: x {x.shape}, h {h.shape}, c {c.shape} for "
@@ -170,8 +173,7 @@ def lstm_step(x, state: CellState, w: LstmLayerWeights) -> CellState:
 
 def gru_step(x, h, w: GruLayerWeights) -> np.ndarray:
     """One GRU cell update on plain vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
+    x, h = np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64)
     if x.shape != (w.input_size,) or h.shape != (w.hidden,):
         raise ValueError(
             f"shape mismatch: x {x.shape}, h {h.shape} for "
@@ -182,111 +184,105 @@ def gru_step(x, h, w: GruLayerWeights) -> np.ndarray:
     return (1.0 - z) * h + z * hcand
 
 
-def _lstm_layer_forward(x_seq, w: LstmLayerWeights):
+def _gates(a, count):
+    """The ``count`` per-gate column views of a fused (n, count*H) array."""
+    return a.reshape(len(a), count, -1).swapaxes(0, 1)
+
+
+def _lstm_layer_forward(x_seq, W, b):
+    """W is [W_i; W_f; W_g; W_o] as one (4H, H+I) block: one GEMM per step."""
     n, steps, _ = x_seq.shape
-    hidden = w.hidden
-    h = np.zeros((n, hidden))
-    c = np.zeros((n, hidden))
+    hidden = len(b) // 4
+    h = c = np.zeros((n, hidden))
     hs = np.empty((n, steps, hidden))
     caches = []
     for t in range(steps):
         zcat = np.concatenate([h, x_seq[:, t, :]], axis=1)
-        i = sigmoid(zcat @ w.W_i.T + w.b_i)
-        f = sigmoid(zcat @ w.W_f.T + w.b_f)
-        g = np.tanh(zcat @ w.W_g.T + w.b_g)
-        o = sigmoid(zcat @ w.W_o.T + w.b_o)
+        a = zcat @ W.T + b
+        gates = sigmoid(a)
+        gates[:, 2 * hidden:3 * hidden] = np.tanh(a[:, 2 * hidden:3 * hidden])
+        i, f, g, o = _gates(gates, 4)
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h = o * tc
         hs[:, t, :] = h
-        caches.append((zcat, i, f, g, o, c, tc))
+        caches.append((zcat, gates, c, tc))
         c = c_new
     return hs, caches
 
 
-def _lstm_layer_backward(dh_seq, w: LstmLayerWeights, caches, input_size: int):
+def _lstm_layer_backward(dh_seq, caches, weights, grads):
+    """Accumulates into the (dW, db) blocks ``grads``; returns d(input)."""
+    (W, _), (dW, db) = weights, grads
     n, steps, hidden = dh_seq.shape
-    grads = {name: np.zeros_like(getattr(w, name)) for name in w.FIELDS}
-    dx_seq = np.empty((n, steps, input_size))
-    dh_next = np.zeros((n, hidden))
-    dc_next = np.zeros((n, hidden))
+    dx_seq = np.empty((n, steps, W.shape[1] - hidden))
+    dh_next = dc_next = np.zeros((n, hidden))
+    da = np.empty((n, 4 * hidden))
+    da_i, da_f, da_g, da_o = _gates(da, 4)
     for t in reversed(range(steps)):
-        zcat, i, f, g, o, c_prev, tc = caches[t]
+        zcat, gates, c_prev, tc = caches[t]
+        i, f, g, o = _gates(gates, 4)
         dh = dh_seq[:, t, :] + dh_next
-        do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
         dc_next = dc * f
-        da_i = di * i * (1.0 - i)
-        da_f = df * f * (1.0 - f)
-        da_g = dg * (1.0 - g * g)
-        da_o = do * o * (1.0 - o)
-        grads["W_i"] += da_i.T @ zcat
-        grads["W_f"] += da_f.T @ zcat
-        grads["W_g"] += da_g.T @ zcat
-        grads["W_o"] += da_o.T @ zcat
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_g"] += da_g.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-        dzcat = da_i @ w.W_i + da_f @ w.W_f + da_g @ w.W_g + da_o @ w.W_o
+        da_i[...] = dc * g * i * (1.0 - i)
+        da_f[...] = dc * c_prev * f * (1.0 - f)
+        da_g[...] = dc * i * (1.0 - g * g)
+        da_o[...] = dh * tc * o * (1.0 - o)
+        dW += da.T @ zcat
+        db += da.sum(axis=0)
+        dzcat = da @ W
         dh_next = dzcat[:, :hidden]
         dx_seq[:, t, :] = dzcat[:, hidden:]
-    return dx_seq, grads
+    return dx_seq
 
 
-def _gru_layer_forward(x_seq, w: GruLayerWeights):
+def _gru_layer_forward(x_seq, W, U, b):
+    """W is [W_z; W_r; W_h] (3H, I) and U is [U_z; U_r; U_h] (3H, H): one
+    input GEMM for all three gates and one recurrent GEMM for z and r."""
     n, steps, _ = x_seq.shape
-    hidden = w.hidden
+    hidden = len(b) // 3
+    U_zr, U_h, b_zr, b_h = U[:2 * hidden], U[2 * hidden:], b[:2 * hidden], b[2 * hidden:]
     h = np.zeros((n, hidden))
     hs = np.empty((n, steps, hidden))
     caches = []
     for t in range(steps):
         x = x_seq[:, t, :]
-        z = sigmoid(x @ w.W_z.T + h @ w.U_z.T + w.b_z)
-        r = sigmoid(x @ w.W_r.T + h @ w.U_r.T + w.b_r)
+        ax = x @ W.T
+        zr = sigmoid(ax[:, :2 * hidden] + h @ U_zr.T + b_zr)
+        z, r = _gates(zr, 2)
         rh = r * h
-        hcand = np.tanh(x @ w.W_h.T + rh @ w.U_h.T + w.b_h)
-        h_new = (1.0 - z) * h + z * hcand
-        caches.append((x, h, z, r, rh, hcand))
-        hs[:, t, :] = h_new
-        h = h_new
+        hcand = np.tanh(ax[:, 2 * hidden:] + rh @ U_h.T + b_h)
+        caches.append((x, h, zr, rh, hcand))
+        h = (1.0 - z) * h + z * hcand
+        hs[:, t, :] = h
     return hs, caches
 
 
-def _gru_layer_backward(dh_seq, w: GruLayerWeights, caches, input_size: int):
+def _gru_layer_backward(dh_seq, caches, weights, grads):
+    """Accumulates into the (dW, dU, db) blocks ``grads``; returns d(input)."""
+    (W, U, _), (dW, dU, db) = weights, grads
     n, steps, hidden = dh_seq.shape
-    grads = {name: np.zeros_like(getattr(w, name)) for name in w.FIELDS}
-    dx_seq = np.empty((n, steps, input_size))
+    dx_seq = np.empty((n, steps, W.shape[1]))
     dh_next = np.zeros((n, hidden))
+    da = np.empty((n, 3 * hidden))
+    da_z, da_r, da_h = _gates(da, 3)
+    da_zr = da[:, :2 * hidden]
     for t in reversed(range(steps)):
-        x, h_prev, z, r, rh, hcand = caches[t]
+        x, h_prev, zr, rh, hcand = caches[t]
+        z, r = _gates(zr, 2)
         dh = dh_seq[:, t, :] + dh_next
-        dz = dh * (hcand - h_prev)
-        dhcand = dh * z
-        dh_prev = dh * (1.0 - z)
-        da_h = dhcand * (1.0 - hcand * hcand)
-        grads["W_h"] += da_h.T @ x
-        grads["U_h"] += da_h.T @ rh
-        grads["b_h"] += da_h.sum(axis=0)
-        drh = da_h @ w.U_h
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-        da_r = dr * r * (1.0 - r)
-        grads["W_r"] += da_r.T @ x
-        grads["U_r"] += da_r.T @ h_prev
-        grads["b_r"] += da_r.sum(axis=0)
-        dh_prev = dh_prev + da_r @ w.U_r
-        da_z = dz * z * (1.0 - z)
-        grads["W_z"] += da_z.T @ x
-        grads["U_z"] += da_z.T @ h_prev
-        grads["b_z"] += da_z.sum(axis=0)
-        dh_prev = dh_prev + da_z @ w.U_z
-        dx_seq[:, t, :] = da_h @ w.W_h + da_r @ w.W_r + da_z @ w.W_z
-        dh_next = dh_prev
-    return dx_seq, grads
+        da_h[...] = dh * z * (1.0 - hcand * hcand)
+        drh = da_h @ U[2 * hidden:]
+        da_r[...] = drh * h_prev * r * (1.0 - r)
+        da_z[...] = dh * (hcand - h_prev) * z * (1.0 - z)
+        dW += da.T @ x
+        dU[:2 * hidden] += da_zr.T @ h_prev
+        dU[2 * hidden:] += da_h.T @ rh
+        db += da.sum(axis=0)
+        dh_next = dh * (1.0 - z) + drh * r + da_zr @ U[:2 * hidden]
+        dx_seq[:, t, :] = da @ W
+    return dx_seq
 
 
 def dropout_masks(rng, shape, rate: float) -> np.ndarray:
@@ -296,58 +292,68 @@ def dropout_masks(rng, shape, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+class FlatParameters(dict):
+    """Name -> array views into one zeroed float64 ``vector`` in the module
+    docstring's order; ``blocks`` holds each layer's fused (W, b) or
+    (W, U, b) blocks, then the readout's (W, b)."""
+
+    def __init__(self, config: NetworkConfig):
+        super().__init__()
+        lstm, hidden, out = config.cell == "lstm", config.hidden, config.output_size
+        fields = (LstmLayerWeights if lstm else GruLayerWeights).FIELDS
+        groups = []    # (prefix, fields, shape of each): one fused block each
+        for k in range(config.layers):
+            inp = config.input_size if k == 0 else hidden
+            shape = {"W": (hidden, hidden + inp) if lstm else (hidden, inp),
+                     "U": (hidden, hidden), "b": (hidden,)}
+            groups += [(f"layer{k}", [f for f in fields if f[0] == letter], shape[letter])
+                       for letter in ("Wb" if lstm else "WUb")]
+        groups += [("out", ["W"], (out, hidden)), ("out", ["b"], (out,))]
+        self.vector = np.zeros(sum(len(names) * math.prod(shape) for _, names, shape in groups))
+        blocks, start = {}, 0
+        for prefix, names, (rows, *cols) in groups:
+            size = len(names) * rows * math.prod(cols)
+            block = self.vector[start:start + size].reshape(-1, *cols)
+            start += size
+            blocks.setdefault(prefix, []).append(block)
+            self.update((f"{prefix}.{name}", block[j * rows:(j + 1) * rows])
+                        for j, name in enumerate(names))
+        self.blocks = list(blocks.values())
+
+
 class RecurrentNetwork:
     """Stacked LSTM or GRU layers and a linear readout applied at each step.
 
     Input is (batch, time, input_size); the first layer sees the raw input,
     deeper layers see the layer below (with inverted dropout between layers
     while training).  ``forward`` returns the readout at every time step so
-    callers pick the positions they train on.
+    callers pick the positions they train on.  The optimizer updates
+    ``theta`` in place.
     """
 
     def __init__(self, config: NetworkConfig, init: str = "uniform"):
         self.config = config
-        rng = derive_rng(config.seed, "weights")
-        self.layers = []
-        for layer_idx in range(config.layers):
-            in_size = config.input_size if layer_idx == 0 else config.hidden
-            if config.cell == "lstm":
-                weights = zero_lstm_weights(in_size, config.hidden)
-            else:
-                weights = zero_gru_weights(in_size, config.hidden)
-            if init == "uniform":
-                for name in weights.FIELDS:
-                    mat = getattr(weights, name)
-                    if mat.ndim == 2:
-                        limit = 1.0 / np.sqrt(mat.shape[1])
-                        setattr(weights, name, rng.uniform(-limit, limit, mat.shape))
-            self.layers.append(weights)
+        self._params = FlatParameters(config)
+        self.theta = self._params.vector
+        cls = LstmLayerWeights if config.cell == "lstm" else GruLayerWeights
+        self.layers = [cls(*(self._params[f"layer{k}.{name}"] for name in cls.FIELDS))
+                       for k in range(config.layers)]
+        self.W_out, self.b_out = self._params["out.W"], self._params["out.b"]
         if init == "uniform":
-            limit = 1.0 / np.sqrt(config.hidden)
-            self.W_out = rng.uniform(-limit, limit, (config.output_size, config.hidden))
-        else:
-            self.W_out = np.zeros((config.output_size, config.hidden))
-        self.b_out = np.zeros(config.output_size)
+            rng = derive_rng(config.seed, "weights")
+            for mat in self._params.values():
+                if mat.ndim == 2:
+                    limit = 1.0 / np.sqrt(mat.shape[1])
+                    mat[...] = rng.uniform(-limit, limit, mat.shape)
 
-    # -- parameter plumbing ------------------------------------------------
-
-    def parameters(self) -> dict:
-        out = {}
-        for idx, weights in enumerate(self.layers):
-            for name in weights.FIELDS:
-                out[f"layer{idx}.{name}"] = getattr(weights, name)
-        out["out.W"] = self.W_out
-        out["out.b"] = self.b_out
-        return out
+    def parameters(self) -> FlatParameters:
+        """Name -> view into ``theta``, in storage order."""
+        return self._params
 
     def set_parameters(self, params: dict):
-        for idx, weights in enumerate(self.layers):
-            for name in weights.FIELDS:
-                setattr(weights, name, np.asarray(params[f"layer{idx}.{name}"], dtype=np.float64))
-        self.W_out = np.asarray(params["out.W"], dtype=np.float64)
-        self.b_out = np.asarray(params["out.b"], dtype=np.float64)
-
-    # -- forward / backward --------------------------------------------
+        """Copy each named array into its slot of ``theta``."""
+        for name, view in self._params.items():
+            view[...] = np.reshape(params[name], view.shape)
 
     def forward(self, x, training: bool = False, dropout_rng=None, masks=None):
         """Run the stack over (batch, time, input_size) input.
@@ -360,56 +366,37 @@ class RecurrentNetwork:
             raise ValueError(
                 f"input must be (batch, time, {self.config.input_size}), got {x.shape}")
         rate = self.config.dropout
-        layer_caches = []
-        used_masks = []
-        cur = x
-        for layer_idx, weights in enumerate(self.layers):
-            if self.config.cell == "lstm":
-                hs, cache = _lstm_layer_forward(cur, weights)
-            else:
-                hs, cache = _gru_layer_forward(cur, weights)
-            layer_caches.append((cache, cur.shape[2]))
+        layer_forward = _lstm_layer_forward if self.config.cell == "lstm" else _gru_layer_forward
+        layer_caches, used_masks, cur = [], [], x
+        for layer_idx, blocks in enumerate(self._params.blocks[:-1]):
+            hs, cache = layer_forward(cur, *blocks)
+            layer_caches.append(cache)
+            mask = None
             if layer_idx < len(self.layers) - 1 and training and rate > 0.0:
-                if masks is not None:
-                    mask = masks[layer_idx]
-                else:
-                    if dropout_rng is None:
-                        dropout_rng = derive_rng(self.config.seed, "dropout")
-                    mask = dropout_masks(dropout_rng, hs.shape, rate)
-                used_masks.append(mask)
-                cur = hs * mask
-            else:
-                used_masks.append(None)
-                cur = hs
+                dropout_rng = dropout_rng or derive_rng(self.config.seed, "dropout")
+                mask = (dropout_masks(dropout_rng, hs.shape, rate) if masks is None
+                        else masks[layer_idx])
+            used_masks.append(mask)
+            cur = hs if mask is None else hs * mask
         outputs = cur @ self.W_out.T + self.b_out
-        cache = {"top": cur, "layers": layer_caches, "masks": used_masks}
-        return outputs, cache
+        return outputs, {"top": cur, "layers": layer_caches, "masks": used_masks}
 
-    def backward(self, cache, d_outputs) -> dict:
-        """Exact BPTT gradients for every parameter given d(loss)/d(outputs)."""
+    def backward(self, cache, d_outputs) -> FlatParameters:
+        """Exact BPTT gradients given d(loss)/d(outputs), laid out like
+        ``theta``: views by name into one gradient ``vector``."""
         d_outputs = np.asarray(d_outputs, dtype=np.float64)
-        top = cache["top"]
-        grads = {
-            "out.W": np.einsum("nto,nth->oh", d_outputs, top),
-            "out.b": d_outputs.sum(axis=(0, 1)),
-        }
+        grads = FlatParameters(self.config)
+        grads["out.W"][...] = np.einsum("nto,nth->oh", d_outputs, cache["top"])
+        grads["out.b"][...] = d_outputs.sum(axis=(0, 1))
+        kernel = _lstm_layer_backward if self.config.cell == "lstm" else _gru_layer_backward
         dh_seq = d_outputs @ self.W_out
         for layer_idx in reversed(range(len(self.layers))):
-            weights = self.layers[layer_idx]
-            layer_cache, in_size = cache["layers"][layer_idx]
             mask = cache["masks"][layer_idx]
             if mask is not None:
                 dh_seq = dh_seq * mask
-            if self.config.cell == "lstm":
-                dx_seq, wgrads = _lstm_layer_backward(dh_seq, weights, layer_cache, in_size)
-            else:
-                dx_seq, wgrads = _gru_layer_backward(dh_seq, weights, layer_cache, in_size)
-            for name, grad in wgrads.items():
-                grads[f"layer{layer_idx}.{name}"] = grad
-            dh_seq = dx_seq
+            dh_seq = kernel(dh_seq, cache["layers"][layer_idx],
+                            self._params.blocks[layer_idx], grads.blocks[layer_idx])
         return grads
-
-    # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
         doc = {"config": asdict(self.config), "weights": {
@@ -421,9 +408,7 @@ class RecurrentNetwork:
     def from_json(cls, text: str) -> "RecurrentNetwork":
         doc = json.loads(text)
         net = cls(NetworkConfig(**doc["config"]), init="zeros")
-        params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                  for name, entry in doc["weights"].items()}
-        net.set_parameters(params)
+        net.set_parameters({name: entry["data"] for name, entry in doc["weights"].items()})
         return net
 
 
@@ -470,13 +455,12 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
     if n == 0:
         raise ValueError("cannot train on an empty window set")
     net = RecurrentNetwork(config)
-    state = optim.init_optimizer(config.optimizer, net.parameters())
+    state = optim.init_optimizer(config.optimizer, net.theta)
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
     batch = min(config.batch_size or n, n)
 
-    history = []
-    last_finite = float("nan")
+    history, last_finite = [], float("nan")
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         batch_losses = []
@@ -493,10 +477,8 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
             d_outputs = np.zeros_like(outputs)
             # each position's MSE averages over the batch and output columns
             d_outputs[:, positions, :] = 2.0 * (preds - target) / target[:, 0].size
-            grads = optim.clip_global_norm(net.backward(cache, d_outputs), GRAD_CLIP_NORM)
-            params, state = optim.optimizer_step(net.parameters(), grads, state,
-                                                 config.learning_rate)
-            net.set_parameters(params)
+            grad = optim.clip_global_norm(net.backward(cache, d_outputs).vector, GRAD_CLIP_NORM)
+            optim.optimizer_step(net.theta, grad, state, config.learning_rate)
         history.append(MultistepEpochLoss(
             float(np.mean([e.total for e in batch_losses])),
             tuple(np.mean([e.per_step for e in batch_losses], axis=0).tolist())))

@@ -1,12 +1,11 @@
-"""RMSProp and Adam parameter updates.
-
-Parameters and gradients travel as name -> ndarray dicts.  Updates are
-functional: the returned dicts hold fresh arrays, the inputs are untouched.
+"""RMSProp and Adam updates and global-norm clipping on the flat parameter
+and gradient vectors of ``neural`` (layout in its docstring): each is a few
+whole-vector operations, and steps update ``theta`` and the state in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,58 +18,47 @@ EPSILON = 1e-8
 @dataclass
 class OptimizerState:
     kind: str                      # "rmsprop" | "adam"
-    accumulators: dict = field(default_factory=dict)
-    t: int = 0                     # adam step counter
+    v: np.ndarray                  # running mean of g^2 (RMSProp's s, Adam's v)
+    m: np.ndarray | None = None    # Adam's running mean of g
+    t: int = 0                     # steps taken
 
 
-def init_optimizer(kind: str, params: dict) -> OptimizerState:
+def init_optimizer(kind: str, theta: np.ndarray) -> OptimizerState:
     if kind not in ("rmsprop", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    acc = {}
-    for name, value in params.items():
-        acc[name] = {"s": np.zeros_like(value)} if kind == "rmsprop" else {
-            "m": np.zeros_like(value), "v": np.zeros_like(value)}
-    return OptimizerState(kind=kind, accumulators=acc)
+    return OptimizerState(kind, np.zeros_like(theta),
+                          np.zeros_like(theta) if kind == "adam" else None)
 
 
-def rmsprop_step(params: dict, grads: dict, state: OptimizerState,
-                 learning_rate: float) -> tuple[dict, OptimizerState]:
+def rmsprop_step(theta, grad, state: OptimizerState, learning_rate: float) -> None:
     """s <- rho*s + (1-rho)*g^2 ;  theta <- theta - lr * g / sqrt(s + eps)."""
-    new_params, new_acc = {}, {}
-    for name, theta in params.items():
-        g = grads[name]
-        s = RMSPROP_RHO * state.accumulators[name]["s"] + (1.0 - RMSPROP_RHO) * g * g
-        new_params[name] = theta - learning_rate * g / np.sqrt(s + EPSILON)
-        new_acc[name] = {"s": s}
-    return new_params, OptimizerState(kind="rmsprop", accumulators=new_acc, t=state.t + 1)
+    state.t += 1
+    state.v *= RMSPROP_RHO
+    state.v += (1.0 - RMSPROP_RHO) * grad * grad
+    theta -= learning_rate * grad / np.sqrt(state.v + EPSILON)
 
 
-def adam_step(params: dict, grads: dict, state: OptimizerState,
-              learning_rate: float) -> tuple[dict, OptimizerState]:
+def adam_step(theta, grad, state: OptimizerState, learning_rate: float) -> None:
     """Bias-corrected first/second moment update."""
-    t = state.t + 1
-    new_params, new_acc = {}, {}
-    for name, theta in params.items():
-        g = grads[name]
-        m = ADAM_BETA1 * state.accumulators[name]["m"] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.accumulators[name]["v"] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        new_params[name] = theta - learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
-        new_acc[name] = {"m": m, "v": v}
-    return new_params, OptimizerState(kind="adam", accumulators=new_acc, t=t)
+    state.t += 1
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    theta -= learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
-def optimizer_step(params, grads, state, learning_rate):
-    step = rmsprop_step if state.kind == "rmsprop" else adam_step
-    return step(params, grads, state, learning_rate)
+def optimizer_step(theta, grad, state: OptimizerState, learning_rate: float) -> None:
+    (rmsprop_step if state.kind == "rmsprop" else adam_step)(theta, grad, state, learning_rate)
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> dict:
-    """Scale all gradients down together when their joint L2 norm exceeds
-    ``max_norm``; keeps long-unroll training from diverging."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """``grad`` itself when its L2 norm is within ``max_norm``, else a new
+    vector scaled down to that norm; keeps long-unroll training from
+    diverging."""
+    total = np.sqrt(float(grad @ grad))
     if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}
+        return grad
+    return grad * (max_norm / total)

@@ -8,7 +8,7 @@ no published SARIMA order (the two Gab *_leaning series) are left out of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .forecasters import default_network_config
 from .neural import NetworkConfig
@@ -26,25 +26,12 @@ class PresetBundle:
     lstm_epochs: int
     gru_epochs: int
     multistep_epochs: int
-    lstm_layers: int = 4
-    hidden: int = 32
-    multistep_layers: int = 8
-    multistep_hidden: int = 8
 
     def network_config(self, kind: str, seed: int = 0, **overrides) -> NetworkConfig:
-        """Kind defaults specialized by this bundle's epochs and layout."""
-        base = {}
-        if kind in ("lstm_1day", "lstm_14day"):
-            base = dict(layers=self.lstm_layers, hidden=self.hidden,
-                        epochs=self.lstm_epochs)
-        elif kind == "gru_14day":
-            base = dict(layers=self.lstm_layers, hidden=self.hidden,
-                        epochs=self.gru_epochs)
-        elif kind == "multistep_14_5":
-            base = dict(layers=self.multistep_layers, hidden=self.multistep_hidden,
-                        epochs=self.multistep_epochs)
-        base.update(overrides)
-        return default_network_config(kind, seed=seed, **base)
+        """Kind defaults (``default_network_config``) with this bundle's epochs."""
+        epochs = {"gru_14day": self.gru_epochs,
+                  "multistep_14_5": self.multistep_epochs}.get(kind, self.lstm_epochs)
+        return default_network_config(kind, seed=seed, **{"epochs": epochs, **overrides})
 
     def sarima_spec(self, leaning: str):
         """Published order for the leaning, or None (grid-search fallback)."""

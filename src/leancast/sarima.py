@@ -53,7 +53,7 @@ class SarimaSpec:
     def __post_init__(self):
         for name in ("p", "d", "q", "P", "D", "Q", "s"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValueError(f"order {name} must be a nonnegative integer, got {v!r}")
         if (self.P > 0 or self.D > 0 or self.Q > 0) and self.s < 2:
             raise ValueError(f"seasonal orders require s >= 2, got s={self.s}")
@@ -331,6 +331,13 @@ def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
     return float(np.sqrt(np.mean(errors ** 2)))
 
 
+def _grid_value(name: str, v) -> int:
+    # a float or bool order would be truncated or read as 0/1 without notice
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ValueError(f"grid value for {name} must be a nonnegative integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate values for each order, plus the selection rule."""
@@ -346,7 +353,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("p", "d", "q", "P", "D", "Q", "s"):
-            vals = tuple(int(v) for v in getattr(self, name))
+            vals = tuple(_grid_value(name, v) for v in getattr(self, name))
             if not vals:
                 raise ValueError(f"grid range for {name} is empty")
             object.__setattr__(self, name, vals)
@@ -370,7 +377,7 @@ class GridSpec:
             if isinstance(val, dict) and set(val) == {"values"}:
                 fields[name] = tuple(val["values"])
             elif isinstance(val, (list, tuple)) and len(val) == 2:
-                lo, hi = int(val[0]), int(val[1])
+                lo, hi = _grid_value(name, val[0]), _grid_value(name, val[1])
                 if hi < lo:
                     raise ValueError(f"grid interval for {name} is empty: {val}")
                 fields[name] = tuple(range(lo, hi + 1))

@@ -168,6 +168,16 @@ class TestLoadConfig:
          "grid entry for p"),
         ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]},
                            "grid": {"q": "all"}}]}, "grid entry for q"),
+        ({"forecasters": [{"kind": "sarima", "grid": {"p": {"values": [1.5]}}}]},
+         "grid value for p must be a nonnegative integer, got 1.5"),
+        ({"forecasters": [{"kind": "sarima", "grid": {"p": [0.5, 2.7]}}]},
+         "grid value for p must be a nonnegative integer, got 0.5"),
+        ({"forecasters": [{"kind": "sarima", "grid": {"p": True}}]},
+         "grid value for p must be a nonnegative integer, got True"),
+        ({"forecasters": [{"kind": "sarima", "grid": {"p": [-1, 1]}}]},
+         "grid value for p must be a nonnegative integer, got -1"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"order": [True, 0, 0]}}]},
+         "order p must be a nonnegative integer, got True"),
     ])
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
                                                 command):
@@ -175,6 +185,23 @@ class TestLoadConfig:
         path = write_config(tmp_path, doc)
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "gridsearch"])
+    @pytest.mark.parametrize("synthetic,message", [
+        ({"kind": "ar1", "n": 0}, "n must be >= 1"),
+        ({"kind": "arma", "n": 40}, "unknown synthetic kind 'arma'"),
+    ])
+    def test_series_failure_writes_nothing(self, tmp_path, capsys, synthetic, message,
+                                           command):
+        # load_config accepts these; only building the series fails
+        path = write_config(tmp_path, {"synthetic": synthetic, "forecasters": [
+            {"kind": "sarima", "grid": {"p": [0, 1]}}]})
+        load_config(path)
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -388,7 +415,7 @@ class TestGridsearchCommand:
         out = tmp_path / "out"
         assert main(["gridsearch", "--config", config, "--out", str(out)]) == 1
         assert "sentiment_mean" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_exactly_one_grid_entry_required(self, tmp_path, capsys):
         config = write_config(tmp_path, {

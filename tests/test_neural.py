@@ -9,6 +9,7 @@ from leancast.neural import (CellState, GruLayerWeights, LstmLayerWeights,
                              TrainingDivergedError, dropout_masks, gru_step,
                              layout_windows, lstm_step, sigmoid, train,
                              zero_gru_weights, zero_lstm_weights)
+from leancast.rng import derive_rng
 from leancast.series import make_windows, generate_synthetic
 
 
@@ -359,3 +360,32 @@ class TestSerialization:
         cfg = small_config(dropout=0.25, optimizer="adam", batch_size=16)
         clone = RecurrentNetwork.from_json(RecurrentNetwork(cfg).to_json())
         assert clone.config == cfg
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_theta_holds_every_parameter_in_storage_order(self, cell):
+        cfg = small_config(cell=cell, layers=2, hidden=3, input_size=2, output_size=2, seed=4)
+        net = RecurrentNetwork(cfg)
+        params = net.parameters()
+        fields = (LstmLayerWeights if cell == "lstm" else GruLayerWeights).FIELDS
+        assert list(params) == [f"layer{k}.{f}" for k in range(2) for f in fields] + [
+            "out.W", "out.b"]
+        npt.assert_array_equal(np.concatenate([a.ravel() for a in params.values()]),
+                               net.theta)
+        # the former per-array init: each 2-D array, in order, drew its own
+        # U(-1/sqrt(columns), 1/sqrt(columns)); biases start at zero
+        rng = derive_rng(4, "weights")
+        for name, arr in params.items():
+            expected = (rng.uniform(-1 / np.sqrt(arr.shape[1]), 1 / np.sqrt(arr.shape[1]),
+                                    arr.shape) if arr.ndim == 2 else np.zeros(arr.shape))
+            npt.assert_array_equal(arr, expected, err_msg=name)
+        # layer weights, the readout and backward's mapping are all views
+        views = [getattr(w, name) for w in net.layers for name in fields]
+        assert all(np.shares_memory(v, net.theta)
+                   for v in [*views, *params.values(), net.W_out, net.b_out])
+        _, cache = net.forward(np.ones((2, 3, 2)))
+        grads = net.backward(cache, np.ones((2, 3, 2)))
+        assert all(np.shares_memory(g, grads.vector) for g in grads.values())
+        npt.assert_array_equal(np.concatenate([g.ravel() for g in grads.values()]),
+                               grads.vector)

@@ -3,8 +3,10 @@ loops it replaced.
 
 ``_oracle_final_step`` and ``_oracle_teacher_forced`` are the former
 ``neural.train`` and ``forecasters.train_multistep_teacher_forced`` bodies,
-kept verbatim as references.  The merged path does the same arithmetic in
-the same order, so histories and weights must match bit for bit.
+kept as references; only their optimizer calls follow the flat-vector API
+(clip and step on ``net.theta`` and the gradient vector).  The merged path
+does the same arithmetic in the same order, so histories and weights must
+match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -39,8 +41,7 @@ def _oracle_final_step(config, windows):
         raise ValueError("horizon mismatch")
     x_all, t_all = _oracle_windows_to_batches(windows, config.input_size)
     net = RecurrentNetwork(config)
-    params = net.parameters()
-    state = optim.init_optimizer(config.optimizer, params)
+    state = optim.init_optimizer(config.optimizer, net.theta)
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
     n = windows.count
@@ -66,10 +67,8 @@ def _oracle_final_step(config, windows):
             d_outputs = np.zeros_like(outputs)
             d_outputs[:, -1, :] = 2.0 * err / err.size
             grads = net.backward(cache, d_outputs)
-            grads = optim.clip_global_norm(grads, neural.GRAD_CLIP_NORM)
-            params = net.parameters()
-            params, state = optim.optimizer_step(params, grads, state, config.learning_rate)
-            net.set_parameters(params)
+            grads = optim.clip_global_norm(grads.vector, neural.GRAD_CLIP_NORM)
+            optim.optimizer_step(net.theta, grads, state, config.learning_rate)
         history.append(float(np.mean(batch_losses)))
     return net, history
 
@@ -95,8 +94,7 @@ def _oracle_teacher_forced(config, windows):
     positions = multistep_positions(lookback, horizon)
 
     net = RecurrentNetwork(config)
-    params = net.parameters()
-    state = optim.init_optimizer(config.optimizer, params)
+    state = optim.init_optimizer(config.optimizer, net.theta)
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
     n = windows.count
@@ -121,10 +119,8 @@ def _oracle_teacher_forced(config, windows):
             d_outputs = np.zeros_like(outputs)
             d_outputs[:, positions, 0] = 2.0 * (preds - target) / len(idx)
             grads = net.backward(cache, d_outputs)
-            grads = optim.clip_global_norm(grads, neural.GRAD_CLIP_NORM)
-            params = net.parameters()
-            params, state = optim.optimizer_step(params, grads, state, config.learning_rate)
-            net.set_parameters(params)
+            grads = optim.clip_global_norm(grads.vector, neural.GRAD_CLIP_NORM)
+            optim.optimizer_step(net.theta, grads, state, config.learning_rate)
         history.append(_OracleEpochLoss(
             float(np.mean([e.total for e in epoch_losses])),
             tuple(np.mean([e.per_step for e in epoch_losses], axis=0).tolist())))
