@@ -65,6 +65,7 @@ from .ingest import (
     IngestSummary,
     extract_domain,
     label_post,
+    aggregate,
     aggregate_daily,
     daily_mean_sentiment,
     score_sentiment_lexicon,

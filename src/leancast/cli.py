@@ -22,7 +22,7 @@ from .rng import derive_seed
 from .sarima import GridSpec, SarimaSpec
 from .series import chronological_split, generate_synthetic
 
-DEFAULT_WINDOW = (dt.date(2018, 1, 1), dt.date(2018, 4, 30))
+DEFAULT_WINDOW = {"start": "2018-01-01", "end": "2018-04-30"}
 
 _TOP_KEYS = {"posts_csv", "bias_csv", "synthetic", "window", "platform",
              "metrics", "leanings", "forecasters", "preset", "split_ratio",
@@ -77,8 +77,14 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"synthetic block must name {' and '.join(missing)}")
         if isinstance(synth["n"], bool) or not isinstance(synth["n"], int):
             raise ConfigError(f"synthetic n must be an integer, got {synth['n']!r}")
-    if "window" in doc:
-        _reject_unknown(doc["window"], {"start", "end"}, "window")
+    _config_window(doc)
+    seed = doc.get("seed", 0)
+    # a negative seed would fail later, in numpy's seed sequence
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if "platform" in doc and doc["platform"] not in ingest.PLATFORMS:
+        raise ConfigError(f"unknown platform {doc['platform']!r}; "
+                          f"expected one of {', '.join(ingest.PLATFORMS)}")
     ratio = doc.get("split_ratio", 0.7)
     if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
         raise ConfigError(f"split_ratio must be a number, got {ratio!r}")
@@ -103,7 +109,7 @@ def load_config(path: str) -> dict:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"forecaster {entry['kind']}: {exc}") from None
     for metric in doc.get("metrics", []):
-        if metric not in ("post_count", "likes_sum", "sentiment_mean"):
+        if metric not in ingest.INGEST_METRICS:
             raise ConfigError(f"unknown metric {metric!r}")
     for leaning in doc.get("leanings", []):
         if leaning not in ingest.LEANINGS:
@@ -116,10 +122,18 @@ def load_config(path: str) -> dict:
 
 
 def _config_window(doc: dict):
-    win = doc.get("window")
-    if not win:
-        return DEFAULT_WINDOW
-    return (dt.date.fromisoformat(win["start"]), dt.date.fromisoformat(win["end"]))
+    """The (start, end) dates of the config's window, checked."""
+    win = doc.get("window", DEFAULT_WINDOW)
+    if not isinstance(win, dict):
+        raise ConfigError(f"window must be an object with start and end dates, got {win!r}")
+    _reject_unknown(win, {"start", "end"}, "window")
+    try:
+        start, end = (dt.date.fromisoformat(win.get(key)) for key in ("start", "end"))
+    except (TypeError, ValueError):
+        raise ConfigError(f"window needs ISO dates start and end, got {win!r}") from None
+    if start > end:
+        raise ConfigError(f"empty date window: {start} > {end}")
+    return start, end
 
 
 def _spec_from_doc(doc: dict) -> SarimaSpec:
@@ -150,26 +164,16 @@ def _build_synthetic(doc: dict, seed: int):
 
 
 def _ingest_posts(doc: dict):
-    """Read the posts and bias table, apply the platform filter and
-    aggregate each configured metric.
-
-    Returns (posts, table, {metric: {leaning: DailySeries}}).
-    """
+    """(summary, platform, {metric: {leaning: DailySeries}}) of the config's
+    posts after the platform filter, from one labelling pass."""
     posts = ingest.read_posts_csv(doc["posts_csv"])
     table = ingest.read_bias_csv(doc["bias_csv"])
-    platform = doc.get("platform")
-    if platform:
-        posts = [p for p in posts if p.platform == platform]
+    if "platform" in doc:
+        posts = [p for p in posts if p.platform == doc["platform"]]
     if not posts:
         raise ConfigError("no posts to ingest (empty file or platform filter)")
-    window = _config_window(doc)
-    by_metric = {}
-    for metric in doc.get("metrics", ["post_count"]):
-        if metric == "sentiment_mean":
-            by_metric[metric] = ingest.daily_mean_sentiment(posts, table, window)
-        else:
-            by_metric[metric] = ingest.aggregate_daily(posts, table, metric, window)
-    return posts, table, by_metric
+    return ingest.aggregate(posts, table, _config_window(doc),
+                            doc.get("metrics", ["post_count"]))
 
 
 def _gather_series(doc: dict, seed: int):
@@ -180,11 +184,11 @@ def _gather_series(doc: dict, seed: int):
     if "sentiment_mean" in doc.get("metrics", []):
         raise ConfigError("metric sentiment_mean is undefined on days without posts, "
                           "so it cannot be fitted; only ingest writes it")
-    posts, _, by_metric = _ingest_posts(doc)
+    _, platform, by_metric = _ingest_posts(doc)
     leanings = doc.get("leanings", list(ingest.LEANINGS))
     out = [(metric, leaning, by_leaning[leaning])
            for metric, by_leaning in by_metric.items() for leaning in leanings]
-    return out, doc.get("platform") or ingest._posts_platform(posts)
+    return out, platform
 
 
 def _resolve_forecaster_config(entry: dict, bundle, leaning, kind_seed: int):
@@ -206,9 +210,7 @@ def _resolve_forecaster_config(entry: dict, bundle, leaning, kind_seed: int):
 
 
 def _global_seed(args, doc: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(doc.get("seed", 0))
+    return args.seed if args.seed is not None else doc.get("seed", 0)
 
 
 def _out_dir(args, doc: dict) -> str:
@@ -231,8 +233,7 @@ def cmd_ingest(args) -> int:
     if "synthetic" in doc:
         raise ConfigError("ingest needs posts_csv and bias_csv, not a synthetic spec")
     # compute everything first so a failure writes nothing
-    posts, table, outputs = _ingest_posts(doc)
-    summary = ingest.summarize(posts, table)
+    summary, _, outputs = _ingest_posts(doc)
     out = _out_dir(args, doc)
     for metric, by_leaning in outputs.items():
         ingest.write_series_csv(by_leaning, os.path.join(out, f"series_{metric}.csv"))

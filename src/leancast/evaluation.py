@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecasters, sarima
-from .forecasters import TrainedForecaster, forecast_multistep, predict_next
+from .forecasters import TrainedForecaster, forecast_multistep
 from .series import SplitPair, make_windows
 
 CSV_COLUMNS = ("model", "leaning", "metric", "train_rmse", "test_rmse",
@@ -71,13 +71,13 @@ def rmse(predicted, true) -> float:
 
 
 def rolling_one_step_predictions(model: TrainedForecaster, split: SplitPair) -> np.ndarray:
-    """Predict every test day from true history (train plus earlier test):
-    neural kinds in one batched forward, SARIMA day by day."""
+    """Predict every test day of a neural one-step model from true history
+    (train plus earlier test) in one batched forward."""
+    if model.kind == "sarima":
+        raise ValueError("rolling one-step predictions are for neural kinds; "
+                         "score SARIMA with sarima.rolling_test_rmse")
     history = np.concatenate([split.train.values, split.test.values])
     n_train = len(split.train.values)
-    if model.kind == "sarima":
-        return np.array([predict_next(model, history[:n_train + i])
-                         for i in range(len(split.test.values))], dtype=np.float64)
     lookback = model.lookback
     if n_train < lookback:
         raise ValueError(f"training half has {n_train} values; need at least {lookback}")

@@ -3,9 +3,12 @@ with a political leaning by its news domain, and aggregate daily series.
 
 A post is labeled by the registrable domain of the URL it shares; posts
 whose domain is not in the bias table stay unlabeled and are excluded from
-the series (the summary reports how many).  Count and likes series are
-zero-filled on empty days; mean-sentiment series carry NaN on days with no
-posts, since a mean over nothing is undefined rather than zero.
+the series (the summary reports how many).  :func:`aggregate` labels every
+post once and reads its UTC day, likes and sentiment into arrays; the
+summary and every metric's series then come from those arrays, each series
+as one ``np.bincount`` over (leaning, day) cells.  Count and likes series
+are zero-filled on empty days; mean-sentiment series carry NaN on days with
+no posts, since a mean over nothing is undefined rather than zero.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .series import DailySeries
 
 LEANINGS = ("left", "left_leaning", "center", "right_leaning", "right")
 PLATFORMS = ("twitter", "gab")
+INGEST_METRICS = ("post_count", "likes_sum", "sentiment_mean")
 
 POSTS_HEADER = ["post_id", "timestamp", "platform", "url_or_domain", "likes", "sentiment"]
 BIAS_HEADER = ["domain", "leaning"]
@@ -156,91 +160,83 @@ class IngestSummary:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def summarize(posts, table: BiasTable) -> IngestSummary:
-    per_leaning = {leaning: 0 for leaning in LEANINGS}
-    labeled = 0
-    dates = []
-    for post in posts:
-        dates.append(post.utc_date)
-        leaning = label_post(post, table)
-        if leaning is not None:
-            labeled += 1
-            per_leaning[leaning] += 1
-    total = len(dates)
-    return IngestSummary(
-        total_posts=total, labeled_posts=labeled, unlabeled_posts=total - labeled,
-        per_leaning_counts=per_leaning,
-        date_range=(min(dates), max(dates)) if dates else None)
+def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
+    """Label each post once; return ``(summary, platform, {metric: {leaning:
+    DailySeries}})`` with one series per leaning over the window (inclusive).
 
-
-def _window_days(window) -> tuple:
+    Series drop unlabeled posts and posts outside the window.  "post_count"
+    adds 1 per post, "likes_sum" its likes, and "sentiment_mean" averages
+    its sentiment, which each kept post must then carry.  Each series is
+    one ``np.bincount`` over ``leaning * n_days + day``, adding in post order.
+    """
+    for metric in metrics:
+        if metric not in INGEST_METRICS:
+            raise ValueError(f"unknown aggregation metric {metric!r}")
     start, end = window
     if start > end:
         raise ValueError(f"empty date window: {start} > {end}")
-    return start, end, (end - start).days + 1
+    posts = list(posts)
+    code_of = {**{leaning: code for code, leaning in enumerate(LEANINGS)}, None: -1}
+    codes = np.array([code_of[label_post(p, table)] for p in posts], dtype=np.intp)
+    days = np.array([p.utc_date.toordinal() for p in posts], dtype=np.intp)
+    likes = np.array([p.likes for p in posts], dtype=np.float64)
+    sentiment = np.array([np.nan if p.sentiment is None else p.sentiment for p in posts],
+                         dtype=np.float64)
 
-
-def _posts_platform(posts) -> str:
+    labeled = codes >= 0
+    n_total, n_labeled = len(posts), int(labeled.sum())
+    per_leaning = np.bincount(codes[labeled], minlength=len(LEANINGS)).tolist()
+    summary = IngestSummary(
+        total_posts=n_total, labeled_posts=n_labeled, unlabeled_posts=n_total - n_labeled,
+        per_leaning_counts=dict(zip(LEANINGS, per_leaning)),
+        date_range=(dt.date.fromordinal(int(days.min())),
+                    dt.date.fromordinal(int(days.max()))) if posts else None)
     platforms = {p.platform for p in posts}
-    if len(platforms) == 1:
-        return platforms.pop()
-    return "mixed" if platforms else "unknown"
+    platform = (platforms.pop() if len(platforms) == 1
+                else "mixed" if platforms else "unknown")
+
+    n_days = (end - start).days + 1
+    day = days - start.toordinal()
+    kept = labeled & (day >= 0) & (day < n_days)
+    cell = codes[kept] * n_days + day[kept]
+
+    def daily_sums(weights=None):
+        return np.bincount(cell, weights, minlength=len(LEANINGS) * n_days).astype(np.float64)
+
+    def series_of(metric):
+        if metric == "post_count":
+            values = daily_sums()
+        elif metric == "likes_sum":
+            values = daily_sums(likes[kept])
+        else:
+            missing = kept & np.isnan(sentiment)
+            if missing.any():
+                ids = sorted(p.post_id for p, m in zip(posts, missing) if m)
+                raise ValueError(f"posts missing sentiment: {', '.join(ids)}")
+            counts = daily_sums()
+            values = np.where(counts > 0,
+                              daily_sums(sentiment[kept]) / np.maximum(counts, 1), np.nan)
+        return {leaning: DailySeries(start_date=start, values=row, platform=platform,
+                                     leaning=leaning, metric=metric)
+                for leaning, row in zip(LEANINGS, values.reshape(len(LEANINGS), n_days))}
+
+    return summary, platform, {metric: series_of(metric) for metric in metrics}
+
+
+def summarize(posts, table: BiasTable) -> IngestSummary:
+    return aggregate(posts, table, (dt.date.min, dt.date.min), ())[0]   # no series: any window
 
 
 def aggregate_daily(posts, table: BiasTable, metric: str, window) -> dict:
-    """One zero-filled DailySeries per leaning over the window (inclusive).
-
-    metric "post_count" adds 1 per labeled post, "likes_sum" adds the likes
-    field; posts outside the window or without a label are dropped.
-    """
+    """The "post_count" or "likes_sum" series of :func:`aggregate`."""
     if metric not in ("post_count", "likes_sum"):
         raise ValueError(f"unknown aggregation metric {metric!r}")
-    start, end, n_days = _window_days(window)
-    totals = {leaning: np.zeros(n_days) for leaning in LEANINGS}
-    for post in posts:
-        leaning = label_post(post, table)
-        if leaning is None:
-            continue
-        day = post.utc_date
-        if day < start or day > end:
-            continue
-        totals[leaning][(day - start).days] += 1 if metric == "post_count" else post.likes
-    platform = _posts_platform(posts)
-    return {leaning: DailySeries(start_date=start, values=totals[leaning],
-                                 platform=platform, leaning=leaning, metric=metric)
-            for leaning in LEANINGS}
+    return aggregate(posts, table, window, (metric,))[2][metric]
 
 
 def daily_mean_sentiment(posts, table: BiasTable, window) -> dict:
     """Per-leaning daily mean of sentiment; NaN marks days with no posts."""
-    start, end, n_days = _window_days(window)
-    sums = {leaning: np.zeros(n_days) for leaning in LEANINGS}
-    counts = {leaning: np.zeros(n_days) for leaning in LEANINGS}
-    missing = []
-    for post in posts:
-        leaning = label_post(post, table)
-        if leaning is None:
-            continue
-        day = post.utc_date
-        if day < start or day > end:
-            continue
-        if post.sentiment is None:
-            missing.append(post.post_id)
-            continue
-        idx = (day - start).days
-        sums[leaning][idx] += post.sentiment
-        counts[leaning][idx] += 1
-    if missing:
-        raise ValueError(f"posts missing sentiment: {', '.join(sorted(missing))}")
-    platform = _posts_platform(posts)
-    out = {}
-    for leaning in LEANINGS:
-        with np.errstate(invalid="ignore"):
-            means = np.where(counts[leaning] > 0,
-                             sums[leaning] / np.maximum(counts[leaning], 1), np.nan)
-        out[leaning] = DailySeries(start_date=start, values=means, platform=platform,
-                                   leaning=leaning, metric="sentiment_mean")
-    return out
+    return aggregate(posts, table, window, ("sentiment_mean",))[2]["sentiment_mean"]
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")

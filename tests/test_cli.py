@@ -178,6 +178,18 @@ class TestLoadConfig:
          "grid value for p must be a nonnegative integer, got -1"),
         ({"forecasters": [{"kind": "sarima", "spec": {"order": [True, 0, 0]}}]},
          "order p must be a nonnegative integer, got True"),
+        ({"window": {"start": "2018-01-01"}},
+         "window needs ISO dates start and end, got {'start': '2018-01-01'}"),
+        ({"window": "2018-01-01"}, "window must be an object with start and end dates"),
+        ({"window": {"start": "2018-01-01", "end": "Jan 20"}},
+         "window needs ISO dates start and end, got {'start': '2018-01-01', 'end': 'Jan 20'}"),
+        ({"window": {"start": "2018-02-01", "end": "2018-01-01"}},
+         "empty date window: 2018-02-01 > 2018-01-01"),
+        ({"seed": 1.7}, "seed must be a nonnegative integer, got 1.7"),
+        ({"seed": "abc"}, "seed must be a nonnegative integer, got 'abc'"),
+        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+        ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+        ({"platform": "facebook"}, "unknown platform 'facebook'; expected one of twitter, gab"),
     ])
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
                                                 command):
@@ -261,6 +273,35 @@ class TestIngestCommand:
         back = ingest.read_series_csv(out / "series_post_count.csv")
         assert back["left"].values.sum() == 25
         assert "ingested 100 posts" in capsys.readouterr().out
+
+    def test_each_post_is_labelled_once(self, tmp_path, monkeypatch):
+        calls = []
+        label_post = ingest.label_post
+
+        def counting(post, table):
+            calls.append(post.post_id)
+            return label_post(post, table)
+
+        monkeypatch.setattr(ingest, "label_post", counting)
+        config = write_config(tmp_path, {
+            "posts_csv": POSTS, "bias_csv": BIAS, "window": JAN_WINDOW,
+            "metrics": ["post_count", "likes_sum", "sentiment_mean"]})
+        assert main(["ingest", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        post_ids = [p.post_id for p in ingest.read_posts_csv(POSTS)]
+        assert len(post_ids) == 100
+        assert sorted(calls) == sorted(post_ids)
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_bad_window_fails_before_reading_posts(self, tmp_path, capsys, command):
+        # the posts file does not exist: the window must be rejected first
+        config = write_config(tmp_path, {
+            "posts_csv": str(tmp_path / "missing.csv"), "bias_csv": BIAS,
+            "window": {"start": "2018-01-01"},
+            "forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}}]})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: window needs ISO dates")
+        assert not out.exists()
 
     def test_empty_posts_writes_nothing(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -14,7 +14,7 @@ from leancast.evaluation import (CSV_COLUMNS, EvalRow, ReportTable, evaluate,
 from leancast.forecasters import TrainedForecaster, predict_next
 from leancast.neural import RecurrentNetwork
 from leancast.forecasters import default_network_config
-from leancast.sarima import SarimaFit, SarimaParams, SarimaSpec
+from leancast.sarima import SarimaFit, SarimaParams, SarimaSpec, rolling_test_rmse
 from leancast.series import (DailySeries, IDENTITY_SCALER, chronological_split,
                              fit_scaler, generate_synthetic, make_windows)
 
@@ -159,19 +159,28 @@ class TestParseCsv:
 
 
 class TestRollingPredictions:
+    # SARIMA is scored by sarima.rolling_test_rmse, which evaluate calls
     def test_random_walk_tracks_true_history(self):
         # alpha=1 predicts the previous observed value, so the rolling
-        # evaluation must feed each test day the true day before it
+        # evaluation must feed each test day the true day before it: its
+        # RMSE is the persistence RMSE
         model = manual_sarima(SarimaSpec(1, 0, 0, 0, 0, 0, 0), alpha=(1.0,))
         split = split_of(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0]))
-        preds = rolling_one_step_predictions(model, split)
-        expected = np.concatenate([[split.train.values[-1]], split.test.values[:-1]])
-        npt.assert_allclose(preds, expected, rtol=1e-12)
+        persistence = np.concatenate([[split.train.values[-1]], split.test.values[:-1]])
+        got = rolling_test_rmse(model.model, split.train.values, split.test.values)
+        assert got == pytest.approx(rmse(persistence, split.test.values), rel=1e-12)
+        assert got > 0.0
 
     def test_constant_model_is_flat(self):
         model = manual_sarima(SarimaSpec(0, 0, 0, 0, 0, 0, 0), c=2.0)
-        preds = rolling_one_step_predictions(model, split_of(np.arange(10.0)))
-        npt.assert_allclose(preds, np.full(3, 2.0), rtol=1e-12)
+        split = split_of(np.arange(10.0))
+        got = rolling_test_rmse(model.model, split.train.values, split.test.values)
+        assert got == pytest.approx(rmse(np.full(3, 2.0), split.test.values), rel=1e-12)
+
+    def test_sarima_kind_rejected(self):
+        model = manual_sarima(SarimaSpec(0, 0, 0, 0, 0, 0, 0), c=2.0)
+        with pytest.raises(ValueError, match="rolling_test_rmse"):
+            rolling_one_step_predictions(model, split_of(np.arange(10.0)))
 
     def test_neural_kind_needs_a_lookback_of_training_history(self):
         split = split_of(np.arange(30.0), ratio=0.4)

@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import json
+import random
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leancast.ingest import (BiasTable, DomainParseError, IngestSummary,
-                             PostRecord, aggregate_daily, daily_mean_sentiment,
+from leancast.ingest import (LEANINGS, BiasTable, DomainParseError, IngestSummary,
+                             PostRecord, aggregate, aggregate_daily,
+                             daily_mean_sentiment,
                              extract_domain, label_post, read_bias_csv,
                              read_posts_csv, read_series_csv,
                              read_value_series_csv, score_sentiment_lexicon,
@@ -257,6 +259,240 @@ class TestSummarize:
         with pytest.raises(ValueError):
             IngestSummary(total_posts=2, labeled_posts=2, unlabeled_posts=0,
                           per_leaning_counts={"left": 1}, date_range=None)
+
+
+# -- the per-metric loops that aggregate replaced, kept as oracles ---------
+
+
+def oracle_summarize(posts, table: BiasTable) -> IngestSummary:
+    per_leaning = {leaning: 0 for leaning in LEANINGS}
+    labeled = 0
+    dates = []
+    for post in posts:
+        dates.append(post.utc_date)
+        leaning = label_post(post, table)
+        if leaning is not None:
+            labeled += 1
+            per_leaning[leaning] += 1
+    total = len(dates)
+    return IngestSummary(
+        total_posts=total, labeled_posts=labeled, unlabeled_posts=total - labeled,
+        per_leaning_counts=per_leaning,
+        date_range=(min(dates), max(dates)) if dates else None)
+
+
+def _window_days(window) -> tuple:
+    start, end = window
+    if start > end:
+        raise ValueError(f"empty date window: {start} > {end}")
+    return start, end, (end - start).days + 1
+
+
+def _posts_platform(posts) -> str:
+    platforms = {p.platform for p in posts}
+    if len(platforms) == 1:
+        return platforms.pop()
+    return "mixed" if platforms else "unknown"
+
+
+def oracle_aggregate_daily(posts, table: BiasTable, metric: str, window) -> dict:
+    if metric not in ("post_count", "likes_sum"):
+        raise ValueError(f"unknown aggregation metric {metric!r}")
+    start, end, n_days = _window_days(window)
+    totals = {leaning: np.zeros(n_days) for leaning in LEANINGS}
+    for post in posts:
+        leaning = label_post(post, table)
+        if leaning is None:
+            continue
+        day = post.utc_date
+        if day < start or day > end:
+            continue
+        totals[leaning][(day - start).days] += 1 if metric == "post_count" else post.likes
+    platform = _posts_platform(posts)
+    return {leaning: DailySeries(start_date=start, values=totals[leaning],
+                                 platform=platform, leaning=leaning, metric=metric)
+            for leaning in LEANINGS}
+
+
+def oracle_daily_mean_sentiment(posts, table: BiasTable, window) -> dict:
+    start, end, n_days = _window_days(window)
+    sums = {leaning: np.zeros(n_days) for leaning in LEANINGS}
+    counts = {leaning: np.zeros(n_days) for leaning in LEANINGS}
+    missing = []
+    for post in posts:
+        leaning = label_post(post, table)
+        if leaning is None:
+            continue
+        day = post.utc_date
+        if day < start or day > end:
+            continue
+        if post.sentiment is None:
+            missing.append(post.post_id)
+            continue
+        idx = (day - start).days
+        sums[leaning][idx] += post.sentiment
+        counts[leaning][idx] += 1
+    if missing:
+        raise ValueError(f"posts missing sentiment: {', '.join(sorted(missing))}")
+    platform = _posts_platform(posts)
+    out = {}
+    for leaning in LEANINGS:
+        with np.errstate(invalid="ignore"):
+            means = np.where(counts[leaning] > 0,
+                             sums[leaning] / np.maximum(counts[leaning], 1), np.nan)
+        out[leaning] = DailySeries(start_date=start, values=means, platform=platform,
+                                   leaning=leaning, metric="sentiment_mean")
+    return out
+
+
+def oracle_series(posts, table, metric, window) -> dict:
+    if metric == "sentiment_mean":
+        return oracle_daily_mean_sentiment(posts, table, window)
+    return oracle_aggregate_daily(posts, table, metric, window)
+
+
+JAN_1_5 = (dt.date(2018, 1, 1), dt.date(2018, 1, 5))
+# (id, timestamp, platform, url, likes, sentiment); UTC days in the comments
+ORACLE_POSTS = [
+    ("n1", "2018-01-01T00:00:00", "twitter", "https://cnn.com/a", 3, 0.1),       # 01
+    ("n2", "2018-01-01T12:00:00", "twitter", "www.cnn.com/b", 5, 0.2),           # 01
+    ("n3", "2018-01-01T18:00:00", "gab", "http://edition.cnn.com/c", 11, 0.7),   # 01
+    ("z1", "2018-01-01T23:30:00-05:00", "twitter", "cnn.com", 2, -0.3),          # 02
+    ("z2", "2018-01-03T01:00:00+03:00", "gab", "https://foxnews.com/x", 7, 0.6),  # 02
+    ("z3", "2018-01-02T08:15:00Z", "gab", "foxnews.com/y", 1, 0.3),              # 02
+    ("z4", "2018-01-02T20:00:00+01:00", "twitter", "https://wsj.com/z", 4, -0.9),  # 02
+    ("n4", "2018-01-03T10:00:00", "twitter", "reuters.com", 0, 0.0),             # 03
+    ("n5", "2018-01-05T23:59:59", "gab", "https://nytimes.com/q", 9, 0.45),      # 05
+    ("z5", "2018-01-05T20:00:00-03:00", "twitter", "cnn.com/late", 6, 0.15),     # 05
+    ("u1", "2018-01-02T09:00:00", "twitter", "https://example.org/p", 8, 0.5),   # unlabeled
+    ("u2", "2018-01-03T09:00:00", "gab", "example.org", 4, None),                # unlabeled
+    # just outside the window, one of them without a sentiment
+    ("o1", "2017-12-31T23:59:59", "twitter", "cnn.com", 13, 0.9),
+    ("o2", "2018-01-01T02:00:00+05:00", "gab", "cnn.com", 17, -0.8),             # 12-31
+    ("o3", "2018-01-06T00:00:00Z", "twitter", "foxnews.com", 19, None),
+    ("o4", "2018-01-05T22:00:00-03:00", "gab", "wsj.com", 23, 0.25),             # 06
+]
+ORACLE_TABLE = [("cnn.com", "left"), ("nytimes.com", "left_leaning"),
+                ("reuters.com", "center"), ("wsj.com", "right_leaning"),
+                ("foxnews.com", "right")]
+
+
+def oracle_corpus():
+    return [PostRecord(post_id=pid, timestamp=dt.datetime.fromisoformat(
+        ts.replace("Z", "+00:00")), platform=platform, url_or_domain=url, likes=likes,
+        sentiment=sentiment) for pid, ts, platform, url, likes, sentiment in ORACLE_POSTS]
+
+
+def random_corpus(seed: int, n: int = 400):
+    """Posts spread over the window and two days either side, with random
+    offsets, platforms, unlabeled domains and fractional sentiments."""
+    rng = random.Random(seed)
+    domains = [d for d, _ in ORACLE_TABLE] + ["example.org", "blog.example.net"]
+    posts = []
+    for i in range(n):
+        stamp = dt.datetime(2017, 12, 30) + dt.timedelta(seconds=rng.randrange(9 * 86400))
+        if rng.random() < 0.6:
+            stamp = stamp.replace(tzinfo=dt.timezone(dt.timedelta(hours=rng.randint(-11, 13))))
+        domain = rng.choice(domains)
+        labeled = domain not in ("example.org", "blog.example.net")
+        sentiment = None if not labeled and rng.random() < 0.5 else round(rng.uniform(-1, 1), 3)
+        posts.append(PostRecord(post_id=f"r{i}", timestamp=stamp,
+                                platform=rng.choice(["twitter", "gab"]),
+                                url_or_domain=f"https://{domain}/{i}",
+                                likes=rng.randrange(1000), sentiment=sentiment))
+    return posts
+
+
+def assert_same_bytes(got: dict, want: dict):
+    assert list(got) == list(want) == list(LEANINGS)
+    for leaning in LEANINGS:
+        g, w = got[leaning], want[leaning]
+        assert (g.start_date, g.platform, g.leaning, g.metric) == \
+            (w.start_date, w.platform, w.leaning, w.metric)
+        assert g.values.dtype == w.values.dtype == np.float64
+        assert g.values.tobytes() == w.values.tobytes()
+
+
+METRIC_NAMES = ("post_count", "likes_sum", "sentiment_mean")
+
+
+class TestAggregateMatchesPerMetricLoops:
+    def test_corpus_covers_the_edge_cases(self):
+        posts, table = oracle_corpus(), BiasTable.from_pairs(ORACLE_TABLE)
+        counts = oracle_aggregate_daily(posts, table, "post_count", JAN_1_5)
+        assert counts["left"].values[0] == 3 and counts["right"].values[1] == 2
+        sentiment = oracle_daily_mean_sentiment(posts, table, JAN_1_5)
+        assert np.isnan(sentiment["center"].values).sum() == 4
+        summary = oracle_summarize(posts, table)
+        assert summary.unlabeled_posts == 2
+        assert summary.date_range == (dt.date(2017, 12, 31), dt.date(2018, 1, 6))
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_each_metric(self, metric):
+        posts, table = oracle_corpus(), BiasTable.from_pairs(ORACLE_TABLE)
+        want = oracle_series(posts, table, metric, JAN_1_5)
+        got = (daily_mean_sentiment(posts, table, JAN_1_5) if metric == "sentiment_mean"
+               else aggregate_daily(posts, table, metric, JAN_1_5))
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("platform", [None, "twitter", "gab"])
+    def test_one_pass_for_everything(self, seed, platform):
+        posts = [p for p in oracle_corpus() + random_corpus(seed)
+                 if platform in (None, p.platform)]
+        table = BiasTable.from_pairs(ORACLE_TABLE)
+        summary, got_platform, by_metric = aggregate(posts, table, JAN_1_5, METRIC_NAMES)
+        assert summary == oracle_summarize(posts, table)
+        assert summary.to_json() == oracle_summarize(posts, table).to_json()
+        assert got_platform == _posts_platform(posts) == (platform or "mixed")
+        assert list(by_metric) == list(METRIC_NAMES)
+        for metric in METRIC_NAMES:
+            assert_same_bytes(by_metric[metric], oracle_series(posts, table, metric, JAN_1_5))
+
+    def test_windows_shorter_and_longer_than_the_corpus(self):
+        posts, table = oracle_corpus() + random_corpus(9), BiasTable.from_pairs(ORACLE_TABLE)
+        for window in [(dt.date(2018, 1, 3), dt.date(2018, 1, 3)),
+                       (dt.date(2017, 12, 1), dt.date(2018, 2, 1)),
+                       (dt.date(2019, 1, 1), dt.date(2019, 1, 2))]:
+            _, _, by_metric = aggregate(posts, table, window, ("post_count", "likes_sum"))
+            for metric in ("post_count", "likes_sum"):
+                assert_same_bytes(by_metric[metric], oracle_series(posts, table, metric, window))
+        # the long window takes in o3, which has a label but no sentiment
+        long_window = (dt.date(2017, 12, 1), dt.date(2018, 2, 1))
+        with pytest.raises(ValueError, match="posts missing sentiment: o3$"):
+            oracle_daily_mean_sentiment(posts, table, long_window)
+        with pytest.raises(ValueError, match="posts missing sentiment: o3$"):
+            aggregate(posts, table, long_window, METRIC_NAMES)
+        for window in [(dt.date(2018, 1, 3), dt.date(2018, 1, 3)),
+                       (dt.date(2019, 1, 1), dt.date(2019, 1, 2))]:
+            _, _, by_metric = aggregate(posts, table, window, ("sentiment_mean",))
+            assert_same_bytes(by_metric["sentiment_mean"],
+                              oracle_daily_mean_sentiment(posts, table, window))
+
+    def test_summary_of_no_posts(self):
+        table = BiasTable.from_pairs(ORACLE_TABLE)
+        assert summarize([], table) == oracle_summarize([], table)
+        _, platform, by_metric = aggregate([], table, JAN_1_5, METRIC_NAMES)
+        assert platform == "unknown"
+        for metric in METRIC_NAMES:
+            assert_same_bytes(by_metric[metric], oracle_series([], table, metric, JAN_1_5))
+
+    def test_missing_sentiment_fails_only_for_sentiment_mean(self):
+        posts = oracle_corpus() + [post(pid="m2", url="cnn.com", ts="2018-01-04T10:00:00"),
+                                   post(pid="m1", url="wsj.com", ts="2018-01-02T10:00:00")]
+        table = BiasTable.from_pairs(ORACLE_TABLE)
+        _, _, by_metric = aggregate(posts, table, JAN_1_5, ("post_count", "likes_sum"))
+        assert_same_bytes(by_metric["likes_sum"],
+                          oracle_series(posts, table, "likes_sum", JAN_1_5))
+        with pytest.raises(ValueError) as want:
+            oracle_daily_mean_sentiment(posts, table, JAN_1_5)
+        with pytest.raises(ValueError) as got:
+            aggregate(posts, table, JAN_1_5, ("post_count", "sentiment_mean"))
+        assert str(got.value) == str(want.value) == "posts missing sentiment: m1, m2"
+
+    def test_unknown_metric_rejected(self, table):
+        with pytest.raises(ValueError, match="unknown aggregation metric 'likes'"):
+            aggregate([post()], table, JAN_1_3, ("post_count", "likes"))
 
 
 POSTS_CSV = """post_id,timestamp,platform,url_or_domain,likes,sentiment
