@@ -1,19 +1,22 @@
 """Command-line entry point.
 
-Subcommands: ingest, run, gridsearch, simulate, report.  Every command is
-a pure function of its config file and inputs plus the global seed, so
-reruns produce byte-identical outputs.  Per-model randomness is derived
-from the global seed and a stable "kind/leaning/metric" tag, which keeps
-individual fits reproducible in isolation too.
+Subcommands: ingest, run, gridsearch, simulate, report.  ``load_config``
+resolves a config and the ``--seed``/``--preset``/``--out`` flags into one
+frozen :class:`Plan`, rejecting up front what could not run; the commands
+only execute it, so reruns produce byte-identical outputs.  Per-model
+randomness is derived from the global seed and a stable "kind/leaning/metric"
+tag, which keeps individual fits reproducible in isolation too.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import itertools
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import evaluation, forecasters, ingest, presets, sarima, svgplot
 from .evaluation import EvalRow, ReportTable
@@ -29,15 +32,42 @@ _TOP_KEYS = {"posts_csv", "bias_csv", "synthetic", "window", "platform",
              "seed", "out_dir"}
 _SYNTH_KEYS = {"kind", "n", "alpha", "sigma", "period", "amplitude",
                "noise_sigma", "model", "start_date"}
-_FORECASTER_KEYS = {"kind", "spec", "grid", "epochs", "layers", "hidden",
-                    "learning_rate", "batch_size", "dropout", "optimizer",
-                    "input_size"}
+_SYNTH_NUMBERS = ("alpha", "sigma", "period", "amplitude", "noise_sigma")
 _NET_OVERRIDE_KEYS = ("epochs", "layers", "hidden", "learning_rate",
                       "batch_size", "dropout", "optimizer", "input_size")
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class PlannedFit:
+    """One (metric, leaning, kind) cell of ``run``, ready to fit."""
+    metric: str
+    leaning: str | None
+    kind: str
+    tag: str                # "kind/leaning/metric", the seed's derivation tag
+    seed: int
+    config: object          # SarimaSpec or GridSpec (sarima), else NetworkConfig
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A config resolved with the command-line flags; see :func:`load_config`."""
+    synthetic: dict | None  # generate_synthetic keyword arguments but the seed
+    posts_csv: str | None
+    bias_csv: str | None
+    window: tuple           # inclusive (start, end) dates
+    platform: str | None    # None keeps every platform's posts
+    metrics: list
+    leanings: list
+    series: tuple           # (metric, leaning) per series, in run order
+    split_ratio: float
+    seed: int
+    out_dir: str
+    grid: GridSpec | None   # the sarima entry's grid, which gridsearch searches
+    fits: tuple             # PlannedFit per series and forecaster, in run order
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str):
@@ -52,7 +82,25 @@ def _reject_repeats(values, what: str):
         raise ConfigError(f"{what} listed more than once: {', '.join(map(str, repeated))}")
 
 
-def load_config(path: str) -> dict:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _setting(doc: dict, key: str, flag: str, flag_value, default, ok, expected: str):
+    """Flag over config key over default; a given value must satisfy ``ok``."""
+    if key in doc and not ok(doc[key]):
+        raise ConfigError(f"{key} must be {expected}, got {doc[key]!r}")
+    if flag_value is None:
+        return doc.get(key, default)
+    if not ok(flag_value):
+        raise ConfigError(f"{flag} must be {expected}, got {flag_value!r}")
+    return flag_value
+
+
+def load_config(path: str, seed: int | None = None, preset: str | None = None,
+                out: str | None = None) -> Plan:
+    """The config at ``path`` resolved into a :class:`Plan`, or ConfigError.
+    ``seed``, ``preset`` and ``out`` are the flags, None when not given."""
     with open(path) as handle:
         try:
             doc = json.load(handle)
@@ -62,63 +110,120 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
     has_files = "posts_csv" in doc or "bias_csv" in doc
-    has_synth = "synthetic" in doc
-    if has_files and has_synth:
-        raise ConfigError("config must name input files or a synthetic spec, not both")
+    if has_files == ("synthetic" in doc):
+        raise ConfigError("config must name input files or a synthetic spec, "
+                          "one but not both")
     if has_files and not ("posts_csv" in doc and "bias_csv" in doc):
         raise ConfigError("posts_csv and bias_csv must be given together")
-    if has_synth:
-        synth = doc["synthetic"]
-        if not isinstance(synth, dict):
-            raise ConfigError(f"synthetic must be an object, got {synth!r}")
-        _reject_unknown(synth, _SYNTH_KEYS, "synthetic")
-        missing = [key for key in ("kind", "n") if key not in synth]
-        if missing:
-            raise ConfigError(f"synthetic block must name {' and '.join(missing)}")
-        if isinstance(synth["n"], bool) or not isinstance(synth["n"], int):
-            raise ConfigError(f"synthetic n must be an integer, got {synth['n']!r}")
-    _config_window(doc)
-    seed = doc.get("seed", 0)
-    # a negative seed would fail later, in numpy's seed sequence
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    for key in ("posts_csv", "bias_csv"):
+        if key in doc and (not isinstance(doc[key], str) or not doc[key]):
+            raise ConfigError(f"{key} must be a file path, got {doc[key]!r}")
+    synthetic = None if has_files else _synthetic_args(doc["synthetic"])
+    window = _config_window(doc)
+    seed = _setting(doc, "seed", "--seed", seed, 0,
+                    lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+                    "a nonnegative integer")
+    preset = _setting(doc, "preset", "--preset", preset, None,
+                      lambda v: isinstance(v, str) and v in presets.PRESETS,
+                      f"one of {', '.join(sorted(presets.PRESETS))}")
+    out_dir = _setting(doc, "out_dir", "--out", out, "leancast_out",
+                       lambda v: isinstance(v, str) and v != "", "a nonempty path")
     if "platform" in doc and doc["platform"] not in ingest.PLATFORMS:
         raise ConfigError(f"unknown platform {doc['platform']!r}; "
                           f"expected one of {', '.join(ingest.PLATFORMS)}")
     ratio = doc.get("split_ratio", 0.7)
-    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)):
+    if not _is_number(ratio):
         raise ConfigError(f"split_ratio must be a number, got {ratio!r}")
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split_ratio must lie in (0, 1), got {ratio}")
     for key in ("forecasters", "metrics", "leanings"):
         if not isinstance(doc.get(key, []), list):
             raise ConfigError(f"{key} must be a list, got {doc[key]!r}")
+    metrics = doc.get("metrics", ["post_count"])
+    leanings = doc.get("leanings", list(ingest.LEANINGS))
+    for what, values, known in (("metric", metrics, ingest.INGEST_METRICS),
+                                ("leaning", leanings, ingest.LEANINGS)):
+        if not values:
+            raise ConfigError(f"{what}s must name at least one {what}")
+        for value in values:
+            if value not in known:
+                raise ConfigError(f"unknown {what} {value!r}")
+        # each (kind, leaning, metric) is one report cell, so none may repeat
+        _reject_repeats(values, what)
+    entries, grid = [], None
     for entry in doc.get("forecasters", []):
         if not isinstance(entry, dict):
             raise ConfigError(f"each forecaster must be an object, got {entry!r}")
-        _reject_unknown(entry, _FORECASTER_KEYS, "forecaster")
-        if entry.get("kind") not in forecasters.KINDS:
-            raise ConfigError(f"unknown forecaster kind {entry.get('kind')!r}")
-        try:
-            if entry["kind"] == "sarima":
+        kind = entry.get("kind")
+        if kind not in forecasters.KINDS:
+            raise ConfigError(f"unknown forecaster kind {kind!r}")
+        # a key the kind never reads would be dropped without a word
+        _reject_unknown(entry, {"kind", "spec", "grid"} if kind == "sarima"
+                        else {"kind", *_NET_OVERRIDE_KEYS}, f"{kind} forecaster")
+        if kind == "sarima":
+            try:
                 # gridsearch reads the grid even when a spec is also given
-                _spec_from_doc(entry.get("spec", {}))
-                GridSpec.from_json(entry.get("grid", {}))
-            else:
-                _resolve_forecaster_config(entry, None, None, 0)
+                grid = GridSpec.from_json(entry["grid"]) if "grid" in entry else None
+                fixed = _spec_from_doc(entry["spec"]) if "spec" in entry else grid
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"forecaster sarima: {exc}") from None
+            entries.append((kind, fixed))
+        else:
+            entries.append((kind, {k: entry[k] for k in _NET_OVERRIDE_KEYS if k in entry}))
+    _reject_repeats([kind for kind, _ in entries], "forecaster kind")
+
+    series = ((("synthetic", None),) if synthetic is not None
+              else tuple(itertools.product(metrics, leanings)))
+    bundle = presets.PRESETS.get(preset)
+    make_network = default_network_config if bundle is None else bundle.network_config
+    fits = []
+    for (metric, leaning), (kind, resolved) in itertools.product(series, entries):
+        tag = f"{kind}/{leaning or 'series'}/{metric}"
+        fit_seed = derive_seed(seed, tag)
+        if kind == "sarima":
+            config = (resolved or (bundle and bundle.sarima_spec(leaning))
+                      or presets.FALLBACK_GRID)
+        else:
+            try:
+                config = make_network(kind, seed=fit_seed, **resolved)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"forecaster {kind}: {exc}") from None
+        fits.append(PlannedFit(metric, leaning, kind, tag, fit_seed, config))
+    return Plan(synthetic=synthetic, posts_csv=doc.get("posts_csv"),
+                bias_csv=doc.get("bias_csv"), window=window,
+                platform=doc.get("platform"), metrics=metrics, leanings=leanings,
+                series=series, split_ratio=ratio, seed=seed, out_dir=out_dir,
+                grid=grid, fits=tuple(fits))
+
+
+def _synthetic_args(synth) -> dict:
+    """generate_synthetic's keyword arguments, but the seed, for the block."""
+    if not isinstance(synth, dict):
+        raise ConfigError(f"synthetic must be an object, got {synth!r}")
+    _reject_unknown(synth, _SYNTH_KEYS, "synthetic")
+    missing = [key for key in ("kind", "n") if key not in synth]
+    if missing:
+        raise ConfigError(f"synthetic block must name {' and '.join(missing)}")
+    if isinstance(synth["n"], bool) or not isinstance(synth["n"], int):
+        raise ConfigError(f"synthetic n must be an integer, got {synth['n']!r}")
+    args = dict(synth)
+    for key in _SYNTH_NUMBERS:
+        if key in args and not _is_number(args[key]):
+            raise ConfigError(f"synthetic {key} must be a number, got {args[key]!r}")
+    if "start_date" in args:
+        try:
+            args["start_date"] = dt.date.fromisoformat(args["start_date"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"synthetic start_date must be an ISO date, "
+                              f"got {args['start_date']!r}") from None
+    if args["kind"] == "seasonal_sarima":
+        if "model" not in args:
+            raise ConfigError("synthetic kind seasonal_sarima needs a model")
+        try:
+            args["spec"], args["params"] = sarima.from_json(json.dumps(args.pop("model")))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"forecaster {entry['kind']}: {exc}") from None
-    for metric in doc.get("metrics", []):
-        if metric not in ingest.INGEST_METRICS:
-            raise ConfigError(f"unknown metric {metric!r}")
-    for leaning in doc.get("leanings", []):
-        if leaning not in ingest.LEANINGS:
-            raise ConfigError(f"unknown leaning {leaning!r}")
-    # each (kind, leaning, metric) is one report cell, so none may repeat
-    _reject_repeats([e["kind"] for e in doc.get("forecasters", [])], "forecaster kind")
-    _reject_repeats(doc.get("metrics", []), "metric")
-    _reject_repeats(doc.get("leanings", []), "leaning")
-    return doc
+            raise ConfigError(f"synthetic model: {exc}") from None
+    return args
 
 
 def _config_window(doc: dict):
@@ -140,101 +245,48 @@ def _spec_from_doc(doc: dict) -> SarimaSpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"spec must be an object, got {doc!r}")
     _reject_unknown(doc, {"order", "seasonal"}, "spec")
-    order = doc.get("order", [0, 0, 0])
-    seasonal = doc.get("seasonal", [0, 0, 0, 0])
-    if not isinstance(order, list) or len(order) != 3:
-        raise ConfigError(f"spec order must be [p, d, q], got {order!r}")
-    if not isinstance(seasonal, list) or len(seasonal) != 4:
-        raise ConfigError(f"spec seasonal must be [P, D, Q, s], got {seasonal!r}")
-    return SarimaSpec(p=order[0], d=order[1], q=order[2],
-                      P=seasonal[0], D=seasonal[1], Q=seasonal[2], s=seasonal[3])
+    return SarimaSpec.from_orders(doc.get("order", [0, 0, 0]),
+                                  doc.get("seasonal", [0, 0, 0, 0]))
 
 
-def _build_synthetic(doc: dict, seed: int):
-    synth = dict(doc["synthetic"])
-    kind = synth.pop("kind")
-    n = synth.pop("n")
-    if "start_date" in synth:
-        synth["start_date"] = dt.date.fromisoformat(synth.pop("start_date"))
-    if kind == "seasonal_sarima":
-        spec, params = sarima.from_json(json.dumps(synth.pop("model")))
-        synth["spec"] = spec
-        synth["params"] = params
-    return generate_synthetic(kind, n, seed, **synth)
-
-
-def _ingest_posts(doc: dict):
-    """(summary, platform, {metric: {leaning: DailySeries}}) of the config's
+def _ingest_posts(plan: Plan):
+    """(summary, platform, {metric: {leaning: DailySeries}}) of the plan's
     posts after the platform filter, from one labelling pass."""
-    posts = ingest.read_posts_csv(doc["posts_csv"])
-    table = ingest.read_bias_csv(doc["bias_csv"])
-    if "platform" in doc:
-        posts = [p for p in posts if p.platform == doc["platform"]]
+    posts = ingest.read_posts_csv(plan.posts_csv)
+    table = ingest.read_bias_csv(plan.bias_csv)
+    if plan.platform is not None:
+        posts = [p for p in posts if p.platform == plan.platform]
     if not posts:
         raise ConfigError("no posts to ingest (empty file or platform filter)")
-    return ingest.aggregate(posts, table, _config_window(doc),
-                            doc.get("metrics", ["post_count"]))
+    return ingest.aggregate(posts, table, plan.window, plan.metrics)
 
 
-def _gather_series(doc: dict, seed: int):
-    """Yield (metric, leaning, DailySeries) for everything the config names."""
-    if "synthetic" in doc:
-        series = _build_synthetic(doc, derive_seed(seed, "synthetic"))
-        return [("synthetic", None, series)], "synthetic"
-    if "sentiment_mean" in doc.get("metrics", []):
+def _gather_series(plan: Plan):
+    """(series, {(metric, leaning): SplitPair}, platform), before any output."""
+    if plan.synthetic is not None:
+        platform = "synthetic"
+        series_list = [("synthetic", None, generate_synthetic(
+            seed=derive_seed(plan.seed, "synthetic"), **plan.synthetic))]
+    elif "sentiment_mean" in plan.metrics:
         raise ConfigError("metric sentiment_mean is undefined on days without posts, "
                           "so it cannot be fitted; only ingest writes it")
-    _, platform, by_metric = _ingest_posts(doc)
-    leanings = doc.get("leanings", list(ingest.LEANINGS))
-    out = [(metric, leaning, by_leaning[leaning])
-           for metric, by_leaning in by_metric.items() for leaning in leanings]
-    return out, platform
-
-
-def _resolve_forecaster_config(entry: dict, bundle, leaning, kind_seed: int):
-    kind = entry["kind"]
-    if kind == "sarima":
-        if "spec" in entry:
-            return _spec_from_doc(entry["spec"])
-        if "grid" in entry:
-            return GridSpec.from_json(entry["grid"])
-        if bundle is not None:
-            spec = bundle.sarima_spec(leaning)
-            if spec is not None:
-                return spec
-        return presets.FALLBACK_GRID
-    overrides = {k: entry[k] for k in _NET_OVERRIDE_KEYS if k in entry}
-    if bundle is not None:
-        return bundle.network_config(kind, seed=kind_seed, **overrides)
-    return default_network_config(kind, seed=kind_seed, **overrides)
-
-
-def _global_seed(args, doc: dict) -> int:
-    return args.seed if args.seed is not None else doc.get("seed", 0)
-
-
-def _out_dir(args, doc: dict) -> str:
-    out = args.out or doc.get("out_dir") or "leancast_out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _require_config(args) -> dict:
-    if not args.config:
-        raise ConfigError("this command needs --config <path>")
-    return load_config(args.config)
+    else:
+        _, platform, by_metric = _ingest_posts(plan)
+        series_list = [(m, l, by_metric[m][l]) for m, l in plan.series]
+    splits = {(m, l): chronological_split(s, plan.split_ratio) for m, l, s in series_list}
+    return series_list, splits, platform
 
 
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    doc = _require_config(args)
-    if "synthetic" in doc:
+def cmd_ingest(plan: Plan, fmt: str) -> int:
+    if plan.synthetic is not None:
         raise ConfigError("ingest needs posts_csv and bias_csv, not a synthetic spec")
     # compute everything first so a failure writes nothing
-    summary, _, outputs = _ingest_posts(doc)
-    out = _out_dir(args, doc)
+    summary, _, outputs = _ingest_posts(plan)
+    out = plan.out_dir
+    os.makedirs(out, exist_ok=True)
     for metric, by_leaning in outputs.items():
         ingest.write_series_csv(by_leaning, os.path.join(out, f"series_{metric}.csv"))
     with open(os.path.join(out, "summary.json"), "w") as handle:
@@ -244,19 +296,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    doc = _require_config(args)
-    seed = _global_seed(args, doc)
-    preset_name = args.preset or doc.get("preset")
-    bundle = presets.get_preset(preset_name) if preset_name else None
-    entries = doc.get("forecasters")
-    if not entries:
+def cmd_run(plan: Plan, fmt: str) -> int:
+    if not plan.fits:
         raise ConfigError("config names no forecasters")
-    # build the series before creating anything, so a failure writes nothing
-    series_list, platform = _gather_series(doc, seed)
-    out = _out_dir(args, doc)
-    ratio = doc.get("split_ratio", 0.7)
-
+    series_list, splits, platform = _gather_series(plan)
+    out = plan.out_dir
     models_dir = os.path.join(out, "models")
     plots_dir = os.path.join(out, "plots")
     os.makedirs(models_dir, exist_ok=True)
@@ -264,24 +308,19 @@ def cmd_run(args) -> int:
 
     rows_by_metric = {}
     failures = []
-    for metric, leaning, series in series_list:
-        split = chronological_split(series, ratio)
-        for entry in entries:
-            kind = entry["kind"]
-            tag = f"{kind}/{leaning or 'series'}/{metric}"
-            kind_seed = derive_seed(seed, tag)
-            try:
-                evaluation.require_test_points(kind, len(split.test.values))
-                config = _resolve_forecaster_config(entry, bundle, leaning, kind_seed)
-                model = fit_forecaster(kind, split, config, seed=kind_seed)
-                row = evaluation.evaluate(model, split, leaning=leaning, metric=metric)
-            except (ValueError, RuntimeError) as exc:
-                failures.append(f"{tag}: {exc}")
-                continue
-            rows_by_metric.setdefault(metric, []).append(row)
-            name = f"{kind}_{leaning or 'series'}_{metric}.json"
-            with open(os.path.join(models_dir, name), "w") as handle:
-                handle.write(forecaster_to_json(model))
+    for fit in plan.fits:
+        split = splits[fit.metric, fit.leaning]
+        try:
+            evaluation.require_test_points(fit.kind, len(split.test.values))
+            model = fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
+            row = evaluation.evaluate(model, split, leaning=fit.leaning, metric=fit.metric)
+        except (ValueError, RuntimeError) as exc:
+            failures.append(f"{fit.tag}: {exc}")
+            continue
+        rows_by_metric.setdefault(fit.metric, []).append(row)
+        name = f"{fit.kind}_{fit.leaning or 'series'}_{fit.metric}.json"
+        with open(os.path.join(models_dir, name), "w") as handle:
+            handle.write(forecaster_to_json(model))
 
     tables = [ReportTable(platform=platform, metric=metric, rows=rows)
               for metric, rows in sorted(rows_by_metric.items())]
@@ -309,7 +348,7 @@ def cmd_run(args) -> int:
         with open(os.path.join(plots_dir, f"series_{metric}.svg"), "w") as handle:
             handle.write(svg)
 
-    print(report_text if args.format == "text" else report_csv, end="")
+    print(report_text if fmt == "text" else report_csv, end="")
     if failures:
         print(f"{len(failures)} fit(s) failed; see failures.txt", file=sys.stderr)
         return 1
@@ -339,27 +378,20 @@ def _rows_from_json(text: str):
     return tables
 
 
-def cmd_gridsearch(args) -> int:
-    doc = _require_config(args)
-    seed = _global_seed(args, doc)
-    grid_entries = [e for e in doc.get("forecasters", [])
-                    if e["kind"] == "sarima" and "grid" in e]
-    if len(grid_entries) != 1:
+def cmd_gridsearch(plan: Plan, fmt: str) -> int:
+    if plan.grid is None:
         raise ConfigError('gridsearch needs exactly one forecaster entry of '
                           'kind "sarima" with a "grid"')
-    grid = GridSpec.from_json(grid_entries[0]["grid"])
-    series_list, _ = _gather_series(doc, seed)
-    out = _out_dir(args, doc)
-    ratio = doc.get("split_ratio", 0.7)
-    for metric, leaning, series in series_list:
-        split = chronological_split(series, ratio)
+    _, splits, _ = _gather_series(plan)
+    os.makedirs(plan.out_dir, exist_ok=True)
+    for (metric, leaning), split in splits.items():
         tag = f"gridsearch/{leaning or 'series'}/{metric}"
-        result = sarima.grid_search(split.train.values, grid,
-                                    seed=derive_seed(seed, tag))
+        result = sarima.grid_search(split.train.values, plan.grid,
+                                    seed=derive_seed(plan.seed, tag))
         base = f"{leaning or 'series'}_{metric}"
-        with open(os.path.join(out, f"gridsearch_{base}.json"), "w") as handle:
+        with open(os.path.join(plan.out_dir, f"gridsearch_{base}.json"), "w") as handle:
             handle.write(sarima.to_json(result.spec, result.fit.params) + "\n")
-        with open(os.path.join(out, f"candidates_{base}.csv"), "w") as handle:
+        with open(os.path.join(plan.out_dir, f"candidates_{base}.csv"), "w") as handle:
             handle.write("p,d,q,P,D,Q,s,score,error\n")
             for cand in result.candidates:
                 spec = cand.spec
@@ -371,22 +403,18 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    doc = _require_config(args)
-    if "synthetic" not in doc:
+def cmd_simulate(plan: Plan, fmt: str) -> int:
+    if plan.synthetic is None:
         raise ConfigError("simulate needs a synthetic spec in the config")
-    seed = _global_seed(args, doc)
-    series = _build_synthetic(doc, seed)
-    out = _out_dir(args, doc)
-    path = os.path.join(out, "simulated.csv")
+    series = generate_synthetic(seed=plan.seed, **plan.synthetic)
+    os.makedirs(plan.out_dir, exist_ok=True)
+    path = os.path.join(plan.out_dir, "simulated.csv")
     ingest.write_value_series_csv(series, path)
     print(f"wrote {len(series)} values to {path}")
     return 0
 
 
 def cmd_report(args) -> int:
-    if not args.config:
-        raise ConfigError("report needs --config pointing at a rows.json file")
     with open(args.config) as handle:
         tables = _rows_from_json(handle.read())
     rendered = evaluation.render_report(tables, args.format)
@@ -430,7 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if not args.config:
+            raise ConfigError(f"{args.command} needs --config <path>")
+        if args.command == "report":
+            return cmd_report(args)
+        return args.func(load_config(args.config, args.seed, args.preset, args.out),
+                         args.format)
     except (ConfigError, ValueError, KeyError, OSError, sarima.GridSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -259,8 +259,7 @@ def forecaster_from_json(text: str) -> TrainedForecaster:
     if kind == "sarima":
         payload = dict(doc["model"])
         spec, params = sarima.from_json(json.dumps(
-            {k: payload[k] for k in ("order", "seasonal", "c", "alpha", "theta",
-                                     "phi", "eta", "sigma2")}))
+            {k: payload[k] for k in sarima.MODEL_KEYS}))
         fit = sarima.SarimaFit(spec=spec, params=params, residuals=np.array([]),
                                sse=payload.get("sse", 0.0),
                                converged=payload.get("converged", True),

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forecasters import default_network_config
+from .ingest import LEANINGS
 from .neural import NetworkConfig
 from .sarima import GridSpec, SarimaSpec
-
-LEANINGS = ("left", "left_leaning", "center", "right_leaning", "right")
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,16 @@ class SarimaSpec:
         if (self.P > 0 or self.D > 0 or self.Q > 0) and self.s < 2:
             raise ValueError(f"seasonal orders require s >= 2, got s={self.s}")
 
+    @classmethod
+    def from_orders(cls, order, seasonal) -> "SarimaSpec":
+        """Spec from ``[p, d, q]`` and ``[P, D, Q, s]`` lists, as configs and
+        model files give them."""
+        if not isinstance(order, list) or len(order) != 3:
+            raise ValueError(f"spec order must be [p, d, q], got {order!r}")
+        if not isinstance(seasonal, list) or len(seasonal) != 4:
+            raise ValueError(f"spec seasonal must be [P, D, Q, s], got {seasonal!r}")
+        return cls(*order, *seasonal)
+
     @property
     def order(self):
         return (self.p, self.d, self.q)
@@ -482,6 +492,10 @@ def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:
     return invert_difference(w, zero_start)[-n:]
 
 
+# the keys of a model JSON, all of which to_json writes
+MODEL_KEYS = ("order", "seasonal", "c", "alpha", "theta", "phi", "eta", "sigma2")
+
+
 def to_json(spec: SarimaSpec, params: SarimaParams) -> str:
     return json.dumps({
         "order": list(spec.order),
@@ -497,16 +511,12 @@ def to_json(spec: SarimaSpec, params: SarimaParams) -> str:
 
 def from_json(text: str) -> tuple[SarimaSpec, SarimaParams]:
     obj = json.loads(text)
-    p, d, q = obj["order"]
-    P, D, Q, s = obj["seasonal"]
-    spec = SarimaSpec(p=p, d=d, q=q, P=P, D=D, Q=Q, s=s)
-    params = SarimaParams(
-        c=obj.get("c", 0.0),
-        alpha=obj.get("alpha", ()),
-        theta=obj.get("theta", ()),
-        phi=obj.get("phi", ()),
-        eta=obj.get("eta", ()),
-        sigma2=obj.get("sigma2", 0.0),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError(f"a SARIMA model must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(MODEL_KEYS))
+    if unknown:
+        raise ValueError(f"unknown SARIMA model keys: {', '.join(unknown)}")
+    spec = SarimaSpec.from_orders(obj.get("order"), obj.get("seasonal"))
+    params = SarimaParams(**{k: obj[k] for k in MODEL_KEYS[2:] if k in obj})
     params.check_lengths(spec)
     return spec, params

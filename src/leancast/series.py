@@ -14,6 +14,11 @@ import numpy as np
 
 METRICS = ("post_count", "likes_sum", "sentiment_mean", "synthetic")
 
+# synthetic kind -> the keyword parameters it reads
+SYNTHETIC_PARAMS = {"ar1": ("alpha", "sigma"),
+                    "sine": ("period", "amplitude", "noise_sigma"),
+                    "seasonal_sarima": ("spec", "params")}
+
 
 @dataclass(frozen=True)
 class DailySeries:
@@ -169,9 +174,15 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
 
     Noise comes from ``numpy.random.default_rng`` (PCG64), so one (kind, n,
     seed) triple always reproduces bit-identical output within this package.
+    A parameter the kind does not read is an error, not ignored.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not isinstance(kind, str) or kind not in SYNTHETIC_PARAMS:
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    unread = sorted(set(params) - set(SYNTHETIC_PARAMS[kind]))
+    if unread:
+        raise ValueError(f"synthetic kind {kind} does not read {', '.join(unread)}")
     rng = np.random.default_rng(seed)
     if kind == "ar1":
         alpha = float(params.get("alpha", 0.0))
@@ -192,12 +203,8 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         values = amplitude * np.sin(2.0 * np.pi * t / period)
         if noise_sigma > 0:
             values = values + rng.normal(0.0, noise_sigma, n)
-    elif kind == "seasonal_sarima":
+    else:
         from . import sarima as _sarima
 
-        spec = params["spec"]
-        model = params["params"]
-        values = _sarima.simulate(spec, model, n, rng)
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+        values = _sarima.simulate(params["spec"], params["params"], n, rng)
     return DailySeries(start_date=start_date, values=values, platform="synthetic", leaning=None, metric="synthetic")

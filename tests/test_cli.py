@@ -9,6 +9,9 @@ import pytest
 
 from leancast import cli, ingest
 from leancast.cli import ConfigError, load_config, main
+from leancast.forecasters import default_network_config
+from leancast.presets import FALLBACK_GRID, get_preset
+from leancast.rng import derive_seed
 
 DATA = Path(__file__).parent / "data"
 POSTS = str(DATA / "posts_100.csv")
@@ -190,6 +193,33 @@ class TestLoadConfig:
         ({"seed": True}, "seed must be a nonnegative integer, got True"),
         ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
         ({"platform": "facebook"}, "unknown platform 'facebook'; expected one of twitter, gab"),
+        ({"out_dir": 5}, "out_dir must be a nonempty path, got 5"),
+        ({"out_dir": ["a"]}, "out_dir must be a nonempty path, got ['a']"),
+        ({"preset": "nope"}, "preset must be one of gab-likes, gab-posts, twitter-likes, "
+                             "twitter-posts, got 'nope'"),
+        ({"metrics": []}, "metrics must name at least one metric"),
+        ({"leanings": []}, "leanings must name at least one leaning"),
+        ({"synthetic": {"kind": "ar1", "n": 40, "start_date": 5}},
+         "synthetic start_date must be an ISO date, got 5"),
+        ({"synthetic": {"kind": "ar1", "n": 40, "alpha": [0.5]}},
+         "synthetic alpha must be a number, got [0.5]"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 40}},
+         "synthetic kind seasonal_sarima needs a model"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 40,
+                        "model": {"order": [1, 0], "seasonal": [0, 0, 0, 0]}}},
+         "synthetic model: spec order must be [p, d, q], got [1, 0]"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 40,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": [0.5, 0.1]}}},
+         "synthetic model: alpha has 2 coefficients, spec requires 1"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 40,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "beta": [0.5]}}},
+         "synthetic model: unknown SARIMA model keys: beta"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}, "epochs": 3}]},
+         "unknown sarima forecaster keys: epochs"),
+        ({"forecasters": [{"kind": "lstm_1day", "grid": {"p": [0, 1]}}]},
+         "unknown lstm_1day forecaster keys: grid"),
     ])
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
                                                 command):
@@ -202,6 +232,70 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+        (["--preset", "nope"], "--preset must be one of gab-likes"),
+        (["--out", ""], "--out must be a nonempty path, got ''"),
+    ])
+    def test_bad_flag_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                              flags, message, command):
+        monkeypatch.chdir(tmp_path)
+        path = synth_run_config(tmp_path, n=40, out_dir=str(tmp_path / "out"))
+        assert main([command, "--config", path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"posts_csv": 5, "bias_csv": BIAS}, "posts_csv must be a file path, got 5"),
+        ({"posts_csv": POSTS, "bias_csv": None}, "bias_csv must be a file path, got None"),
+        ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}}]},
+         "config must name input files or a synthetic spec, one but not both"),
+    ])
+    def test_bad_source_rejected(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, doc))
+
+    def test_flag_over_config_key_over_default(self, tmp_path):
+        bare = load_config(synth_run_config(tmp_path))
+        assert (bare.seed, bare.out_dir) == (0, "leancast_out")
+        path = synth_run_config(tmp_path, seed=3, out_dir="from_config",
+                                preset="twitter-likes")
+        keyed = load_config(path)
+        assert (keyed.seed, keyed.out_dir) == (3, "from_config")
+        flagged = load_config(path, seed=5, preset="gab-posts", out="from_flag")
+        assert (flagged.seed, flagged.out_dir) == (5, "from_flag")
+        # the preset only sets epochs the entry leaves out; the entry's 3 wins
+        entry = {"kind": "lstm_1day", "layers": 1, "hidden": 4}
+        path = synth_run_config(tmp_path, forecasters=[entry], preset="twitter-likes")
+        assert load_config(path).fits[0].config.epochs == 100
+        assert load_config(path, preset="gab-posts").fits[0].config.epochs == 200
+        path = synth_run_config(tmp_path, forecasters=[{**entry, "epochs": 3}],
+                                preset="gab-posts")
+        assert load_config(path).fits[0].config.epochs == 3
+
+    def test_plan_resolves_each_fit_with_its_tag_seed(self, tmp_path):
+        path = write_config(tmp_path, {
+            "posts_csv": POSTS, "bias_csv": BIAS, "seed": 4,
+            "metrics": ["post_count", "likes_sum"], "leanings": ["left", "center"],
+            "forecasters": [{"kind": "sarima"}, {"kind": "lstm_1day", "epochs": 2}]})
+        plan = load_config(path, preset="gab-posts")
+        assert [(f.metric, f.leaning, f.kind) for f in plan.fits] == [
+            (m, l, k) for m in ("post_count", "likes_sum") for l in ("left", "center")
+            for k in ("sarima", "lstm_1day")]
+        for fit in plan.fits:
+            assert fit.tag == f"{fit.kind}/{fit.leaning}/{fit.metric}"
+            assert fit.seed == derive_seed(4, fit.tag)
+            if fit.kind == "sarima":
+                assert fit.config == get_preset("gab-posts").sarima_spec(fit.leaning)
+            else:
+                assert fit.config == default_network_config(
+                    "lstm_1day", seed=fit.seed, epochs=2)
+        assert plan.grid is None
+        # without a preset, an order-less sarima entry falls back to the grid
+        assert load_config(path).fits[0].config is FALLBACK_GRID
 
     @pytest.mark.parametrize("command", ["run", "gridsearch"])
     @pytest.mark.parametrize("synthetic,message", [
@@ -224,7 +318,7 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
                                        "metrics": ["post_count"],
                                        "leanings": ["left", "right"]})
-        assert load_config(path)["metrics"] == ["post_count"]
+        assert load_config(path).metrics == ["post_count"]
 
 
 class TestFixtureCorpus:
@@ -488,6 +582,15 @@ class TestSimulateCommand:
                      "--out", str(out_b)]) == 0
         assert (out_a / "simulated.csv").read_text() != \
             (out_b / "simulated.csv").read_text()
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_parameter_the_kind_never_reads_fails(self, tmp_path, capsys, command):
+        config = synth_run_config(tmp_path, synthetic={
+            "kind": "ar1", "n": 40, "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0]}})
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: synthetic kind ar1 does not read model\n"
+        assert not out.exists()
 
     def test_requires_synthetic_spec(self, tmp_path, capsys):
         config = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS})

@@ -140,3 +140,13 @@ class TestSynthetic:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic("brownian", 10, seed=0)
+
+    @pytest.mark.parametrize("kind,params,unread", [
+        ("ar1", {"alpha": 0.5, "model": {"order": [1, 0, 0]}}, "model"),
+        ("ar1", {"period": 7}, "period"),
+        ("sine", {"period": 7, "alpha": 0.5, "sigma": 1.0}, "alpha, sigma"),
+        ("seasonal_sarima", {"amplitude": 1.0}, "amplitude"),
+    ])
+    def test_parameter_the_kind_never_reads_rejected(self, kind, params, unread):
+        with pytest.raises(ValueError, match=f"synthetic kind {kind} does not read {unread}$"):
+            generate_synthetic(kind, 10, seed=0, **params)
