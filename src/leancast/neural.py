@@ -51,12 +51,18 @@ class TrainingDivergedError(RuntimeError):
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, as float64, branch-free:
+    both forms share e = e^-|x|, which never overflows."""
+    # the result goes into the first buffer, allocated before any temporary:
+    # the forward caches every gate array, and a result allocated after the
+    # temporaries left a hole below each one (+1 MiB peak RSS on neural_run)
+    e = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    np.divide(numerator, e, out=e)
+    return e
 
 
 @dataclass
@@ -82,6 +88,11 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.layers < 1 or self.hidden < 1 or self.input_size < 1 or self.output_size < 1:
             raise ValueError("layers, hidden, input_size and output_size must be >= 1")
+        for name in ("dropout", "learning_rate"):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.learning_rate <= 0:
@@ -211,11 +222,12 @@ def _lstm_layer_forward(x_seq, W, b):
     return hs, caches
 
 
-def _lstm_layer_backward(dh_seq, caches, weights, grads):
-    """Accumulates into the (dW, db) blocks ``grads``; returns d(input)."""
+def _lstm_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
+    """Accumulates into the (dW, db) blocks ``grads``; returns d(input), or
+    None when ``input_grad`` is false (layer 0, whose input is the data)."""
     (W, _), (dW, db) = weights, grads
     n, steps, hidden = dh_seq.shape
-    dx_seq = np.empty((n, steps, W.shape[1] - hidden))
+    dx_seq = np.empty((n, steps, W.shape[1] - hidden)) if input_grad else None
     dh_next = dc_next = np.zeros((n, hidden))
     da = np.empty((n, 4 * hidden))
     da_i, da_f, da_g, da_o = _gates(da, 4)
@@ -231,9 +243,13 @@ def _lstm_layer_backward(dh_seq, caches, weights, grads):
         da_o[...] = dh * tc * o * (1.0 - o)
         dW += da.T @ zcat
         db += da.sum(axis=0)
-        dzcat = da @ W
-        dh_next = dzcat[:, :hidden]
-        dx_seq[:, t, :] = dzcat[:, hidden:]
+        # nothing reads dh_next after t = 0; the product stays whole because
+        # a column slice of W would change BLAS's summation order
+        if t > 0 or input_grad:
+            dzcat = da @ W
+            dh_next = dzcat[:, :hidden]
+            if input_grad:
+                dx_seq[:, t, :] = dzcat[:, hidden:]
     return dx_seq
 
 
@@ -259,11 +275,12 @@ def _gru_layer_forward(x_seq, W, U, b):
     return hs, caches
 
 
-def _gru_layer_backward(dh_seq, caches, weights, grads):
-    """Accumulates into the (dW, dU, db) blocks ``grads``; returns d(input)."""
+def _gru_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
+    """Accumulates into the (dW, dU, db) blocks ``grads``; returns d(input),
+    or None when ``input_grad`` is false (layer 0, whose input is the data)."""
     (W, U, _), (dW, dU, db) = weights, grads
     n, steps, hidden = dh_seq.shape
-    dx_seq = np.empty((n, steps, W.shape[1]))
+    dx_seq = np.empty((n, steps, W.shape[1])) if input_grad else None
     dh_next = np.zeros((n, hidden))
     da = np.empty((n, 3 * hidden))
     da_z, da_r, da_h = _gates(da, 3)
@@ -280,8 +297,10 @@ def _gru_layer_backward(dh_seq, caches, weights, grads):
         dU[:2 * hidden] += da_zr.T @ h_prev
         dU[2 * hidden:] += da_h.T @ rh
         db += da.sum(axis=0)
-        dh_next = dh * (1.0 - z) + drh * r + da_zr @ U[:2 * hidden]
-        dx_seq[:, t, :] = da @ W
+        if t > 0:
+            dh_next = dh * (1.0 - z) + drh * r + da_zr @ U[:2 * hidden]
+        if input_grad:
+            dx_seq[:, t, :] = da @ W
     return dx_seq
 
 
@@ -381,11 +400,23 @@ class RecurrentNetwork:
         outputs = cur @ self.W_out.T + self.b_out
         return outputs, {"top": cur, "layers": layer_caches, "masks": used_masks}
 
-    def backward(self, cache, d_outputs) -> FlatParameters:
+    def backward(self, cache, d_outputs, out: FlatParameters | None = None) -> FlatParameters:
         """Exact BPTT gradients given d(loss)/d(outputs), laid out like
-        ``theta``: views by name into one gradient ``vector``."""
+        ``theta``: views by name into one gradient ``vector``.
+
+        ``out``, a ``FlatParameters`` of this network's config, is zeroed,
+        filled and returned in place of a new one, so a training loop can
+        reuse one gradient buffer for every batch.
+        """
         d_outputs = np.asarray(d_outputs, dtype=np.float64)
-        grads = FlatParameters(self.config)
+        if out is None:
+            out = FlatParameters(self.config)
+        elif out.vector.shape == self.theta.shape:
+            out.vector.fill(0.0)
+        else:
+            raise ValueError(f"gradient buffer holds {out.vector.size} values, "
+                             f"network has {self.theta.size}")
+        grads = out
         grads["out.W"][...] = np.einsum("nto,nth->oh", d_outputs, cache["top"])
         grads["out.b"][...] = d_outputs.sum(axis=(0, 1))
         kernel = _lstm_layer_backward if self.config.cell == "lstm" else _gru_layer_backward
@@ -394,8 +425,9 @@ class RecurrentNetwork:
             mask = cache["masks"][layer_idx]
             if mask is not None:
                 dh_seq = dh_seq * mask
-            dh_seq = kernel(dh_seq, cache["layers"][layer_idx],
-                            self._params.blocks[layer_idx], grads.blocks[layer_idx])
+            # nothing consumes the gradient with respect to the input data
+            dh_seq = kernel(dh_seq, cache["layers"][layer_idx], self._params.blocks[layer_idx],
+                            grads.blocks[layer_idx], input_grad=layer_idx > 0)
         return grads
 
     def to_json(self) -> str:
@@ -456,6 +488,7 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
         raise ValueError("cannot train on an empty window set")
     net = RecurrentNetwork(config)
     state = optim.init_optimizer(config.optimizer, net.theta)
+    grads = FlatParameters(config)
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
     batch = min(config.batch_size or n, n)
@@ -477,7 +510,8 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
             d_outputs = np.zeros_like(outputs)
             # each position's MSE averages over the batch and output columns
             d_outputs[:, positions, :] = 2.0 * (preds - target) / target[:, 0].size
-            grad = optim.clip_global_norm(net.backward(cache, d_outputs).vector, GRAD_CLIP_NORM)
+            grad = optim.clip_global_norm(net.backward(cache, d_outputs, out=grads).vector,
+                                          GRAD_CLIP_NORM)
             optim.optimizer_step(net.theta, grad, state, config.learning_rate)
         history.append(MultistepEpochLoss(
             float(np.mean([e.total for e in batch_losses])),

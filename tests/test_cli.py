@@ -138,6 +138,12 @@ class TestLoadConfig:
         ({"epochs": "3"}, "lstm_14day"),
         ({"layers": 1.5}, "layers must be an integer"),
         ({"batch_size": None}, "batch_size must be an integer"),
+        ({"learning_rate": True}, "learning_rate must be a finite number, got True"),
+        ({"learning_rate": "0.1"}, "learning_rate must be a finite number, got '0.1'"),
+        ({"learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be a finite number, got inf"),
+        ({"dropout": False}, "dropout must be a finite number, got False"),
+        ({"dropout": float("-inf")}, "dropout must be a finite number, got -inf"),
     ])
     def test_network_overrides_checked_before_reading_series(self, tmp_path, capsys,
                                                              override, message):
@@ -150,6 +156,18 @@ class TestLoadConfig:
         out = tmp_path / "out"
         assert main(["run", "--config", path, "--out", str(out)]) == 1
         assert "error: forecaster lstm_14day" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_learning_rate_fails_before_any_output(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf; the fit would diverge at its first epoch
+        path = tmp_path / "config.json"
+        path.write_text('{"synthetic": {"kind": "ar1", "n": 40}, '
+                        '"forecasters": [{"kind": "lstm_1day", "learning_rate": 1e400}]}')
+        with pytest.raises(ConfigError, match="learning_rate must be a finite number, got inf"):
+            load_config(str(path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: forecaster lstm_1day: learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "gridsearch"])

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leancast.neural import (CellState, GruLayerWeights, LstmLayerWeights,
-                             NetworkConfig, RecurrentNetwork,
+from leancast.neural import (CellState, FlatParameters, GruLayerWeights,
+                             LstmLayerWeights, NetworkConfig, RecurrentNetwork,
                              TrainingDivergedError, dropout_masks, gru_step,
                              layout_windows, lstm_step, sigmoid, train,
                              zero_gru_weights, zero_lstm_weights)
 from leancast.rng import derive_rng
 from leancast.series import make_windows, generate_synthetic
+from reference_kernels import allocating_backward, masked_sigmoid
 
 
 def small_config(**over):
@@ -28,6 +29,29 @@ class TestSigmoid:
         with np.errstate(over="raise"):
             out = sigmoid(np.array([-1000.0, 1000.0]))
         npt.assert_allclose(out, [0.0, 1.0])
+
+    def test_branch_free_form_matches_masked_form_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        finfo = np.finfo(np.float64)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 36.7, -36.7, 709.78, -709.78, 745.0,
+                            -745.0, 745.2, -745.2, 1000.0, -1000.0, np.inf, -np.inf,
+                            finfo.smallest_subnormal, -finfo.smallest_subnormal,
+                            finfo.smallest_normal, -finfo.smallest_normal, 1e-310, -1e-310,
+                            finfo.max, -finfo.max])
+        # every float64 bit pattern is equally likely, so all exponents appear
+        patterns = rng.integers(0, np.iinfo(np.uint64).max, 400_000, dtype=np.uint64,
+                                endpoint=True).view(np.float64)
+        x = np.concatenate([special, rng.normal(0, 1, 300_000), rng.normal(0, 40, 200_000),
+                            rng.uniform(-800, 800, 100_000), rng.uniform(-1, 1, 50_000) * 1e-310,
+                            patterns[~np.isnan(patterns)]])
+        assert x.size >= 1_000_000
+        with np.errstate(over="raise"):
+            out = sigmoid(x)
+        npt.assert_array_equal(out.view(np.uint64), masked_sigmoid(x).view(np.uint64))
+
+    def test_nan_maps_to_nan(self):
+        out = sigmoid(np.array([np.nan, -np.nan, 0.0]))
+        assert np.isnan(out[:2]).all() and out[2] == 0.5
 
 
 class TestLstmStep:
@@ -185,6 +209,42 @@ class TestBackward:
             npt.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12, atol=1e-15)
 
 
+# (cell, layers, steps, dropout): dropout masks exist only between layers
+BACKWARD_CASES = [(cell, layers, steps, dropout) for cell in ("lstm", "gru")
+                  for layers in (1, 3) for steps in (1, 18) for dropout in (0.0, 0.3)]
+
+
+@pytest.mark.parametrize("cell,layers,steps,dropout", BACKWARD_CASES)
+def test_backward_into_buffer_matches_former_backward_bit_for_bit(cell, layers, steps,
+                                                                  dropout):
+    cfg = small_config(cell=cell, layers=layers, hidden=5, input_size=3, output_size=2,
+                       dropout=dropout, seed=10 * layers + steps)
+    net = RecurrentNetwork(cfg)
+    rng = np.random.default_rng(steps + layers)
+    net.theta[:] = rng.normal(0, 0.7, net.theta.size)
+    x = rng.normal(0, 1, (4, steps, 3))
+    _, cache = net.forward(x, training=dropout > 0, dropout_rng=np.random.default_rng(1))
+    assert (cache["masks"][0] is not None) == (dropout > 0 and layers > 1)
+    d = rng.normal(0, 1, (4, steps, 2))
+    fresh = net.backward(cache, d)
+    buffer = FlatParameters(cfg)
+    buffer.vector[:] = rng.normal(0, 1e6, buffer.vector.size)
+    buffer.vector[::3] = np.nan
+    assert net.backward(cache, d, out=buffer) is buffer
+    npt.assert_array_equal(buffer.vector.view(np.uint64), fresh.vector.view(np.uint64))
+    # the former backward computes layer 0's input gradient and every
+    # t = 0 recurrent product; dropping them changes no gradient bit
+    former = allocating_backward(net, cache, d)
+    npt.assert_array_equal(fresh.vector.view(np.uint64), former.vector.view(np.uint64))
+
+
+def test_backward_rejects_a_buffer_of_another_layout():
+    net = RecurrentNetwork(small_config())
+    _, cache = net.forward(np.ones((2, 3, 2)))
+    with pytest.raises(ValueError, match="gradient buffer"):
+        net.backward(cache, np.ones((2, 3, 1)), out=FlatParameters(small_config(hidden=4)))
+
+
 def relative_error(a, b):
     scale = max(abs(a), abs(b), 1e-8)
     return abs(a - b) / scale
@@ -326,10 +386,24 @@ class TestConfigValidation:
         dict(output_size="1"),
         dict(epochs=2.0),
         dict(batch_size=None),
+        dict(learning_rate=True),
+        dict(dropout=False),
+        dict(learning_rate="0.1"),
+        dict(learning_rate=None),
+        dict(dropout=[0.1]),
+        dict(learning_rate=float("nan")),
+        dict(dropout=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=1e400),
+        dict(dropout=-float("inf")),
     ])
     def test_bad_fields_rejected(self, over):
-        with pytest.raises(ValueError):
+        # the message names the field
+        with pytest.raises(ValueError, match=next(iter(over))):
             small_config(**over)
+
+    def test_integer_learning_rate_accepted(self):
+        assert small_config(learning_rate=1, dropout=0).learning_rate == 1
 
     @pytest.mark.parametrize("over,message", [
         (dict(epochs=0), "epochs"),

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from leancast import optim
+from reference_kernels import allocating_adam_step, allocating_rmsprop_step
 
 
 def single(value):
@@ -83,6 +86,41 @@ def test_dispatcher_matches_direct_calls():
                          optim.init_optimizer("rmsprop", via_dispatch), 0.01)
     optim.rmsprop_step(direct, single(0.5), optim.init_optimizer("rmsprop", direct), 0.01)
     npt.assert_array_equal(via_dispatch, direct)
+
+
+@pytest.mark.parametrize("kind", ["rmsprop", "adam"])
+@pytest.mark.parametrize("learning_rate", [0.01, 1e-300, 3])
+def test_steps_match_allocating_steps_bit_for_bit(kind, learning_rate):
+    rng = np.random.default_rng(11)
+    theta = rng.normal(0, 1, 997)
+    ref_theta = theta.copy()
+    state, ref_state = optim.init_optimizer(kind, theta), optim.init_optimizer(kind, ref_theta)
+    reference = allocating_rmsprop_step if kind == "rmsprop" else allocating_adam_step
+    for _ in range(40):
+        # squares stay finite; the smallest underflow to subnormals and zero
+        grad = rng.normal(0, 10.0 ** rng.uniform(-150, 150), theta.size)
+        grad[rng.random(theta.size) < 0.1] = 0.0
+        optim.optimizer_step(theta, grad, state, learning_rate)
+        reference(ref_theta, grad, ref_state, learning_rate)
+        for a, b in [(theta, ref_theta), (state.v, ref_state.v), (state.m, ref_state.m)]:
+            if a is not None:
+                npt.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert state.t == ref_state.t == 40
+
+
+@pytest.mark.parametrize("kind", ["rmsprop", "adam"])
+def test_steps_allocate_no_parameter_sized_vector(kind):
+    theta = np.zeros(200_000)
+    grad = np.full(theta.size, 0.5)
+    state = optim.init_optimizer(kind, theta)
+    optim.optimizer_step(theta, grad, state, 0.01)
+    tracemalloc.start()
+    try:
+        optim.optimizer_step(theta, grad, state, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < theta.nbytes // 10
 
 
 def test_unknown_kind_rejected():

@@ -16,12 +16,14 @@ import numpy.testing as npt
 import pytest
 
 from leancast import neural, optim
-from leancast.forecasters import (default_network_config, multistep_positions,
-                                  teacher_forced_inputs,
+from leancast.forecasters import (default_network_config, kind_horizon, kind_lookback,
+                                  multistep_positions, teacher_forced_inputs,
                                   train_multistep_teacher_forced)
 from leancast.neural import RecurrentNetwork, TrainingDivergedError
 from leancast.rng import derive_rng
 from leancast.series import generate_synthetic, make_windows
+from reference_kernels import (allocating_adam_step, allocating_backward,
+                               allocating_rmsprop_step, masked_sigmoid)
 
 
 def _oracle_windows_to_batches(windows, input_size: int):
@@ -177,6 +179,47 @@ def test_teacher_forced_training_matches_oracle(layers, batch_size):
     assert [(e.total, e.per_step) for e in history] == \
         [(e.total, e.per_step) for e in ref_history]
     _assert_same_weights(net, ref_net)
+
+
+# tiny shapes at each kind's own cell, presentation, optimizer and dropout
+ALLOCATING_CASES = {
+    "lstm_1day": (40, dict(layers=2, hidden=4)),
+    "lstm_14day": (59, dict(layers=2, hidden=5)),
+    "gru_14day": (60, dict(layers=3, hidden=4)),
+    "multistep_14_5": (60, dict(layers=3, hidden=4, batch_size=16)),
+}
+
+
+def _train_kind(kind, seed):
+    n, over = ALLOCATING_CASES[kind]
+    cfg = default_network_config(kind, seed=seed, epochs=2, **over)
+    windows = make_windows(_series(n, seed=seed), kind_lookback(kind), kind_horizon(kind))
+    if kind == "multistep_14_5":
+        net, history = train_multistep_teacher_forced(cfg, windows)
+        return net, [(e.total, e.per_step) for e in history]
+    return neural.train(cfg, windows)
+
+
+@pytest.mark.parametrize("kind", sorted(ALLOCATING_CASES))
+def test_training_matches_allocating_kernels_bit_for_bit(kind, monkeypatch):
+    net, history = _train_kind(kind, seed=3)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(neural, "sigmoid", counted("sigmoid", masked_sigmoid))
+    monkeypatch.setattr(optim, "rmsprop_step", counted("step", allocating_rmsprop_step))
+    monkeypatch.setattr(optim, "adam_step", counted("step", allocating_adam_step))
+    monkeypatch.setattr(RecurrentNetwork, "backward", counted("backward", allocating_backward))
+    ref_net, ref_history = _train_kind(kind, seed=3)
+    assert sorted(calls) == ["backward", "sigmoid", "step"]
+    assert calls["step"] == calls["backward"] >= 4
+    assert history == ref_history
+    npt.assert_array_equal(net.theta.view(np.uint64), ref_net.theta.view(np.uint64))
 
 
 def _divergence(train_fn, cfg, windows):
