@@ -385,9 +385,7 @@ def cmd_gridsearch(plan: Plan, fmt: str) -> int:
     _, splits, _ = _gather_series(plan)
     os.makedirs(plan.out_dir, exist_ok=True)
     for (metric, leaning), split in splits.items():
-        tag = f"gridsearch/{leaning or 'series'}/{metric}"
-        result = sarima.grid_search(split.train.values, plan.grid,
-                                    seed=derive_seed(plan.seed, tag))
+        result = sarima.grid_search(split.train.values, plan.grid)
         base = f"{leaning or 'series'}_{metric}"
         with open(os.path.join(plan.out_dir, f"gridsearch_{base}.json"), "w") as handle:
             handle.write(sarima.to_json(result.spec, result.fit.params) + "\n")

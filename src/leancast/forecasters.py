@@ -90,7 +90,7 @@ def fit_forecaster(kind: str, split: SplitPair, config=None, seed: int = 0) -> T
     """Fit one model kind on the training half of ``split``.
 
     ``config`` is a SarimaSpec or GridSpec for kind="sarima", an optional
-    NetworkConfig for the neural kinds (defaults are used when omitted).
+    NetworkConfig for the neural kinds (defaults seeded by ``seed`` if omitted).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown forecaster kind {kind!r}; expected one of {KINDS}")
@@ -98,14 +98,14 @@ def fit_forecaster(kind: str, split: SplitPair, config=None, seed: int = 0) -> T
 
     if kind == "sarima":
         if isinstance(config, sarima.GridSpec):
-            result = sarima.grid_search(train_values, config, seed=seed)
+            result = sarima.grid_search(train_values, config)
             fit, spec = result.fit, result.spec
-            meta = {"seed": seed, "grid_candidates": len(result.candidates),
+            meta = {"grid_candidates": len(result.candidates),
                     "converged": fit.converged, "sse": fit.sse}
         elif isinstance(config, sarima.SarimaSpec):
-            fit = sarima.fit(train_values, config, seed=seed)
+            fit = sarima.fit(train_values, config)
             spec = config
-            meta = {"seed": seed, "converged": fit.converged, "sse": fit.sse}
+            meta = {"converged": fit.converged, "sse": fit.sse}
         else:
             raise TypeError("sarima requires a SarimaSpec or GridSpec config")
         meta["spec"] = spec.as_tuple()

@@ -8,25 +8,21 @@ seasonal terms:
             + e_t
 
 with e_t the one-step residual.  Estimation minimizes the conditional sum of
-squares (pre-sample residuals fixed at zero) with a derivative-free simplex
-search; no state-space likelihood is involved.  Order selection is a plain
-grid search scored either by holdout one-step RMSE or by AIC.
+squares (pre-sample residuals fixed at zero) by Levenberg-Marquardt; no
+state-space likelihood is involved.  Order selection is a plain grid search
+scored either by holdout one-step RMSE or by AIC.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simplex import nelder_mead
-
-COEF_BOUND = 5.0  # coefficients are clamped to [-5, 5] during the search
-SSE_TOL = 1e-8
-MAX_ITER_PER_START = 5000
-N_RANDOM_RESTARTS = 3
+SSE_TOL = 1e-8   # stop once an accepted step gains less than this share of the SSE
+MAX_ITER = 200   # Levenberg-Marquardt iterations (Jacobians) per fit
 
 
 class GridSearchError(RuntimeError):
@@ -188,17 +184,15 @@ def _arma_pass(w, eps, n_observed: int, start: int, spec: SarimaSpec,
 
     Where the data covers t (t < n_observed) the step sets
     eps[t] = w[t] - mean; past it, w[t] = mean + eps[t].  Lags that reach
-    before the series read zero.  Returns filled copies of (w, eps).
+    before the series read zero.  Returns filled copies of (w, eps), which
+    may be (n, k) to run k series at once.
     """
     p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
     # one zero beyond the largest lag keeps every reversed slice's stop >= 0
     pad = max(p, q, s * P, s * Q) + 1
-    wp = np.concatenate([np.zeros(pad), w])
-    ep = np.concatenate([np.zeros(pad), eps])
-    alpha = np.asarray(params.alpha)
-    theta = np.asarray(params.theta)
-    phi = np.asarray(params.phi)
-    eta = np.asarray(params.eta)
+    wp = np.concatenate([np.zeros((pad,) + w.shape[1:]), w])
+    ep = np.concatenate([np.zeros((pad,) + eps.shape[1:]), eps])
+    alpha, theta, phi, eta = map(np.asarray, (params.alpha, params.theta, params.phi, params.eta))
     # seasonal lags are gathered into contiguous copies: a strided view would
     # take a different dot-product path and change the last bits of the sum
     seasonal_ar = s * np.arange(1, P + 1)
@@ -239,24 +233,34 @@ def css_residuals(w, spec: SarimaSpec, params: SarimaParams) -> tuple[np.ndarray
 
 
 def _unpack(vec, spec: SarimaSpec) -> SarimaParams:
-    coefs = np.clip(vec[1:], -COEF_BOUND, COEF_BOUND)
-    p, q, P = spec.p, spec.q, spec.P
-    return SarimaParams(
-        c=float(vec[0]),
-        alpha=coefs[:p],
-        theta=coefs[p:p + q],
-        phi=coefs[p + q:p + q + P],
-        eta=coefs[p + q + P:],
-    )
+    alpha, theta, phi, eta = np.split(vec[1:], np.cumsum([spec.p, spec.q, spec.P]))
+    return SarimaParams(vec[0], alpha, theta, phi, eta)
+
+
+def _lags(x, count: int, spacing: int = 1) -> np.ndarray:
+    """(len(x), count) matrix of x delayed by spacing, 2 * spacing, ..., zero before the start."""
+    n, lags = len(x), spacing * np.arange(1, count + 1)
+    return np.concatenate([np.zeros(n), x])[n + np.subtract.outer(np.arange(n), lags)]
+
+
+def _neg_jacobian(w, residuals, spec: SarimaSpec, params: SarimaParams) -> np.ndarray:
+    """Minus the Jacobian of ``css_residuals`` in [c, alpha, theta, phi, eta]:
+    the regressors [1, w-lags, eps-lags, seasonal w-lags, seasonal eps-lags]
+    run through the MA part of the recursion."""
+    eps = np.concatenate([np.zeros(spec.burn_in), residuals])
+    x = np.hstack([np.ones((len(w), 1)), _lags(w, spec.p), _lags(eps, spec.q),
+                   _lags(w, spec.P, spec.s), _lags(eps, spec.Q, spec.s)])
+    _, minus_jac = _arma_pass(x, np.zeros_like(x), len(x), spec.burn_in,
+                              SarimaSpec(q=spec.q, Q=spec.Q, s=spec.s),
+                              SarimaParams(theta=params.theta, eta=params.eta))
+    return minus_jac[spec.burn_in:]
 
 
 def fit(values, spec: SarimaSpec, seed: int = 0) -> SarimaFit:
-    """Estimate (c, alpha, theta, phi, eta) by minimizing the CSS.
-
-    Simplex descent from a zero start plus ``N_RANDOM_RESTARTS`` seeded
-    perturbation starts; the zero parameter set is always kept as a floor,
-    so the returned sse never exceeds the zero-model sse.
-    """
+    """Minimize the CSS by Levenberg-Marquardt from the zero model, taking a
+    step only when it lowers the SSE: the sse never exceeds the zero model's.
+    ``converged``: a step gained < ``SSE_TOL`` of the SSE or no damped step
+    lowered it, before ``MAX_ITER`` ran out.  ``seed`` is unused."""
     values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("series contains non-finite values")
@@ -266,39 +270,37 @@ def fit(values, spec: SarimaSpec, seed: int = 0) -> SarimaFit:
         raise ValueError(
             f"differenced length {len(w)} below identifiability floor {floor} for {spec}")
 
-    n_params = 1 + spec.n_coefficients
+    beta = np.zeros(1 + spec.n_coefficients)
+    residuals, sse = css_residuals(w, spec, _unpack(beta, spec))
+    # a small first damping keeps early steps near Gauss-Newton: exact without MA terms
+    damping, converged = 1e-6, False
+    # a trial step that makes the MA recursion explode has an inf or nan sse: rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_ITER):
+            jac = _neg_jacobian(w, residuals, spec, _unpack(beta, spec))
+            if not np.all(np.isfinite(jac)):
+                break
+            # min |residuals - jac @ step|^2 + damping * |scale * step|^2 (Marquardt's scale)
+            scale = np.diag(np.sqrt(np.sum(jac * jac, axis=0)))
+            target = np.concatenate([residuals, np.zeros(len(beta))])
+            while damping <= 1e10:
+                step = np.linalg.lstsq(np.vstack([jac, np.sqrt(damping) * scale]), target,
+                                       rcond=None)[0]
+                trial_residuals, trial_sse = css_residuals(w, spec, _unpack(beta + step, spec))
+                if trial_sse < sse:
+                    break
+                damping *= 10.0
+            else:
+                converged = True    # no damped step lowers the SSE
+                break
+            converged = sse - trial_sse < SSE_TOL * sse
+            beta, residuals, sse, damping = beta + step, trial_residuals, trial_sse, damping / 10.0
+            if converged:
+                break
 
-    def objective(vec):
-        _, sse = css_residuals(w, spec, _unpack(vec, spec))
-        return sse
-
-    zero = np.zeros(n_params)
-    zero_sse = objective(zero)
-
-    rng = np.random.default_rng(seed)
-    starts = [zero] + [rng.uniform(-0.3, 0.3, n_params) for _ in range(N_RANDOM_RESTARTS)]
-    best_x, best_sse, best_conv = zero, zero_sse, False
-    for x0 in starts:
-        x, val, conv = nelder_mead(objective, x0, f_tol=SSE_TOL, max_iter=MAX_ITER_PER_START)
-        if val < best_sse:
-            best_x, best_sse, best_conv = x, val, conv
-
-    params = _unpack(best_x, spec)
-    residuals, sse = css_residuals(w, spec, params)
     n_eval = len(residuals)
-    params = SarimaParams(
-        c=params.c, alpha=params.alpha, theta=params.theta,
-        phi=params.phi, eta=params.eta, sigma2=sse / n_eval,
-    )
-    converged = best_conv and (best_sse < zero_sse or zero_sse == 0.0)
-    return SarimaFit(
-        spec=spec,
-        params=params,
-        residuals=residuals,
-        sse=sse,
-        converged=converged,
-        train_rmse=float(np.sqrt(sse / n_eval)),
-    )
+    return SarimaFit(spec, replace(_unpack(beta, spec), sigma2=sse / n_eval), residuals, sse,
+                     converged, float(np.sqrt(sse / n_eval)))
 
 
 def forecast(fitted: SarimaFit, history, horizon: int) -> np.ndarray:
@@ -442,7 +444,7 @@ def grid_search(train, grid: GridSpec, validation_fraction: float = 0.2,
     ``1 - validation_fraction`` share and scored by one-step rolling RMSE on
     the remainder; under ``aic`` it is fitted on the full series and scored
     by 2k + n*ln(sse/n).  Ties break toward fewer coefficients, then by
-    lexicographic (p,d,q,P,D,Q,s) order.
+    lexicographic (p,d,q,P,D,Q,s) order.  ``seed`` is unused.
     """
     train = np.asarray(train, dtype=np.float64)
     if not 0.0 < validation_fraction < 1.0:
@@ -458,10 +460,10 @@ def grid_search(train, grid: GridSpec, validation_fraction: float = 0.2,
             if grid.selection == "holdout_rmse":
                 if len(val_part) == 0:
                     raise ValueError("validation segment is empty")
-                candidate_fit = fit(fit_part, spec, seed=seed)
+                candidate_fit = fit(fit_part, spec)
                 score = rolling_test_rmse(candidate_fit, fit_part, val_part)
             else:
-                candidate_fit = fit(train, spec, seed=seed)
+                candidate_fit = fit(train, spec)
                 k = 1 + spec.n_coefficients
                 n_eval = len(candidate_fit.residuals)
                 sse = max(candidate_fit.sse, 1e-300)  # guard ln(0) on exact fits
@@ -475,7 +477,7 @@ def grid_search(train, grid: GridSpec, validation_fraction: float = 0.2,
 
     scored.sort(key=lambda item: item[:3])
     winner = scored[0][3]
-    final = fit(train, winner, seed=seed)
+    final = fit(train, winner)
     return GridSearchResult(spec=winner, fit=final, candidates=tuple(diagnostics))
 
 

@@ -457,6 +457,14 @@ class TestRunCommand:
                     "plots/series_synthetic.svg"):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
+    def test_fallback_grid_search_finishes(self, tmp_path):
+        # no spec, no grid and no published order: all of FALLBACK_GRID is searched
+        config = synth_run_config(tmp_path, n=40, forecasters=[{"kind": "sarima"}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        doc = json.loads((out / "models" / "sarima_series_synthetic.json").read_text())
+        assert doc["metadata"]["grid_candidates"] == len(FALLBACK_GRID.candidates())
+
     def test_seed_flag_changes_the_fit(self, tmp_path):
         config = synth_run_config(
             tmp_path, forecasters=[{"kind": "lstm_1day", "epochs": 3,

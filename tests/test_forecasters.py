@@ -104,6 +104,7 @@ class TestFitForecaster:
         assert model.scaler is IDENTITY_SCALER
         assert model.metadata["spec"] == (1, 0, 0, 0, 0, 0, 0)
         assert isinstance(model.metadata["converged"], bool)
+        assert "seed" not in model.metadata     # the fit is deterministic
 
     def test_sarima_with_singleton_grid(self):
         grid = GridSpec(p=(1,), d=(0,), q=(0,), P=(0,), D=(0,), Q=(0,), s=(0,))

@@ -1,4 +1,6 @@
 import json
+import time
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -181,6 +183,61 @@ def test_shared_recursion_matches_the_loops_it_replaced(spec):
                            oracle_simulate(spec, params, n, np.random.default_rng(seed)))
 
 
+def param_vector(params):
+    return np.concatenate([[params.c], params.alpha, params.theta, params.phi, params.eta])
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda sp: str(sp.as_tuple()))
+def test_jacobian_matches_central_differences(spec):
+    rng = np.random.default_rng(100 + sum(spec.as_tuple()))
+    values = rng.normal(size=spec.d + spec.D * spec.s + spec.burn_in + 40)
+    w, _ = difference(values, spec.d, spec.D, spec.s)
+    params = random_params(spec, rng)
+    vec = param_vector(params)
+    residuals, _ = css_residuals(w, spec, params)
+    minus_jac = sarima._neg_jacobian(w, residuals, spec, params)
+    h = 1e-6
+    central = np.empty_like(minus_jac)
+    for m in range(len(vec)):
+        up, down = vec.copy(), vec.copy()
+        up[m] += h
+        down[m] -= h
+        central[:, m] = (css_residuals(w, spec, sarima._unpack(up, spec))[0]
+                         - css_residuals(w, spec, sarima._unpack(down, spec))[0]) / (2 * h)
+    assert np.max(np.abs(-minus_jac - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda sp: str(sp.as_tuple()))
+def test_two_dimensional_pass_matches_column_passes(spec):
+    # the Jacobian runs k regressor columns through the recursion at once
+    rng = np.random.default_rng(200 + sum(spec.as_tuple()))
+    params = random_params(spec, rng)
+    n = spec.burn_in + 30
+    w, eps = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    n_observed = n - 5   # the last rows take the forecast branch
+    got_w, got_eps = sarima._arma_pass(w, eps, n_observed, spec.burn_in, spec, params)
+    for col in range(w.shape[1]):
+        want_w, want_eps = sarima._arma_pass(w[:, col], eps[:, col], n_observed,
+                                             spec.burn_in, spec, params)
+        npt.assert_allclose(got_w[:, col], want_w, rtol=1e-12, atol=0)
+        npt.assert_allclose(got_eps[:, col], want_eps, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec", [sp for sp in ORACLE_SPECS if sp.q == sp.Q == 0],
+                         ids=lambda sp: str(sp.as_tuple()))
+def test_ar_only_fit_is_the_least_squares_optimum(spec):
+    # without MA terms the CSS is linear least squares on the lagged design
+    values = generate_synthetic("ar1", 200, seed=9, alpha=0.6, sigma=1.0).values
+    w, _ = difference(values, spec.d, spec.D, spec.s)
+    lags = list(range(1, spec.p + 1)) + [spec.s * n for n in range(1, spec.P + 1)]
+    rows = np.arange(spec.burn_in, len(w))
+    design = np.column_stack([np.ones(len(rows))] + [w[rows - lag] for lag in lags])
+    optimum = np.linalg.lstsq(design, w[rows], rcond=None)[0]
+    fitted = fit(values, spec)
+    assert fitted.converged
+    npt.assert_allclose(param_vector(fitted.params), optimum, rtol=1e-10)
+
+
 class TestSpec:
     def test_seasonal_orders_need_period(self):
         with pytest.raises(ValueError):
@@ -304,6 +361,47 @@ class TestFit:
         n_eval = len(f.residuals)
         npt.assert_allclose(f.params.sigma2, f.sse / n_eval, rtol=1e-12)
         npt.assert_allclose(f.train_rmse ** 2 * n_eval, f.sse, rtol=1e-12)
+
+    def test_published_spec_fits_quickly_below_the_zero_model(self):
+        spec = SarimaSpec(9, 0, 10, 2, 1, 1, 12)   # twitter-posts left
+        values = generate_synthetic("sine", 84, seed=3, period=7, amplitude=5.0,
+                                    noise_sigma=2.0).values
+        started = time.monotonic()
+        f = fit(values, spec)
+        assert time.monotonic() - started < 2.0
+        w, _ = difference(values, spec.d, spec.D, spec.s)
+        _, zero_sse = css_residuals(w, spec, zero_params(spec))
+        assert f.sse < zero_sse
+        # 24 coefficients against 48 residuals: the SSE still falls at MAX_ITER
+        assert not f.converged
+
+    def test_converged_comes_from_the_stop_rule(self, monkeypatch):
+        values = generate_synthetic("ar1", 300, seed=12, alpha=0.5, sigma=1.0).values
+        spec = SarimaSpec(1, 0, 1, 0, 0, 0, 0)
+        assert fit(values, spec).converged           # an accepted step gained < SSE_TOL
+        exact = fit(np.zeros(30), NONSEASONAL)       # no step lowers an sse of 0
+        assert exact.converged and exact.params.c == 0.0
+        monkeypatch.setattr(sarima, "MAX_ITER", 1)
+        assert not fit(values, spec).converged       # the iteration cap came first
+        monkeypatch.setattr(sarima, "_neg_jacobian", lambda *args: np.full((299, 3), np.inf))
+        assert not fit(values, spec).converged       # an overflowed Jacobian stops the fit
+
+    def test_overflowing_trial_step_is_rejected_quietly(self, monkeypatch):
+        values = generate_synthetic("ar1", 200, seed=1, alpha=0.99, sigma=1.0).values
+        sses = []
+
+        def recording(w, spec, params):
+            eps, sse = css_residuals(w, spec, params)
+            sses.append(sse)
+            return eps, sse
+
+        monkeypatch.setattr(sarima, "css_residuals", recording)
+        monkeypatch.setattr(sarima, "MAX_ITER", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = fit(values, SarimaSpec(9, 0, 10, 2, 1, 1, 12))
+        assert not np.isfinite(sses[1])      # the first trial step overflowed
+        assert np.isfinite(f.sse) and f.sse < sses[0]
 
     def test_non_finite_input_rejected(self):
         values = np.ones(50)
