@@ -237,12 +237,10 @@ def forecast_multistep(model: TrainedForecaster, last_values) -> np.ndarray:
 def forecaster_to_json(model: TrainedForecaster) -> str:
     if model.kind == "sarima":
         fit = model.model
-        payload = json.loads(sarima.to_json(fit.spec, fit.params))
-        payload["train_rmse"] = fit.train_rmse
-        payload["sse"] = fit.sse
-        payload["converged"] = fit.converged
+        payload = {**sarima.to_doc(fit.spec, fit.params), "train_rmse": fit.train_rmse,
+                   "sse": fit.sse, "converged": fit.converged}
     else:
-        payload = json.loads(model.model.to_json())
+        payload = model.model.to_doc()
     doc = {"kind": model.kind,
            "scaler": {"min": model.scaler.min, "max": model.scaler.max},
            "model": payload,

@@ -3,12 +3,14 @@ with a political leaning by its news domain, and aggregate daily series.
 
 A post is labeled by the registrable domain of the URL it shares; posts
 whose domain is not in the bias table stay unlabeled and are excluded from
-the series (the summary reports how many).  :func:`aggregate` labels every
-post once and reads its UTC day, likes and sentiment into arrays; the
-summary and every metric's series then come from those arrays, each series
-as one ``np.bincount`` over (leaning, day) cells.  Count and likes series
-are zero-filled on empty days; mean-sentiment series carry NaN on days with
-no posts, since a mean over nothing is undefined rather than zero.
+the series (the summary reports how many).  The domain is parsed once per
+distinct URL authority (scheme and host), not once per post.
+:func:`aggregate` labels every post once and reads its UTC day, likes and
+sentiment into arrays; the summary and every metric's series then come from
+those arrays, each series as one ``np.bincount`` over (leaning, day) cells.
+Count and likes series are zero-filled on empty days; mean-sentiment series
+carry NaN on days with no posts, since a mean over nothing is undefined
+rather than zero.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import functools
 import json
 import math
 import re
@@ -35,6 +38,7 @@ BIAS_HEADER = ["domain", "leaning"]
 SERIES_HEADER = ["date"] + list(LEANINGS)
 
 _HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9-]*[a-z0-9])?)+$")
+_AUTHORITY_END_RE = re.compile(r"[^/?#]*")
 
 # two-label public suffixes under which the registrable domain is 3 labels
 _MULTI_SUFFIXES = frozenset({
@@ -77,26 +81,43 @@ class DomainParseError(ValueError):
 
 
 def extract_domain(url_or_domain: str) -> str:
-    """Registrable domain of a URL or bare hostname, lowercased, www-less."""
+    """Registrable domain of a URL or bare hostname, lowercased, www-less.
+
+    Only the text up to the first ``/``, ``?`` or ``#`` after the first
+    ``://`` (or the first ``/`` of a bare host) decides it, so that prefix
+    is parsed once per distinct value by :func:`_authority_domain`."""
     text = url_or_domain.strip()
     if not text:
         raise DomainParseError("cannot extract a domain from empty text")
-    if "://" in text:
-        host = urlsplit(text).hostname
+    cut = text.find("://")
+    authority = (text.partition("/")[0] if cut < 0
+                 else text[:_AUTHORITY_END_RE.match(text, cut + 3).end()])
+    try:
+        return _authority_domain(authority)
+    except DomainParseError:
+        raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}") from None
+
+
+@functools.lru_cache(maxsize=4096)
+def _authority_domain(authority: str) -> str:
+    """The domain of a prefix cut by :func:`extract_domain`, which keeps all
+    that ``urlsplit`` reads to find the host.  Failures raise: none is cached."""
+    if "://" in authority:
+        host = urlsplit(authority).hostname
         if not host:
-            raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
+            raise DomainParseError
     else:
-        host = text.split("/", 1)[0]
+        host = authority
         if host.count(":") == 1:        # tolerate a port on a bare host
             host = host.split(":", 1)[0]
     host = host.lower().rstrip(".")
     if not _HOST_RE.match(host):
-        raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
+        raise DomainParseError
     if host.startswith("www."):
         host = host[4:]
     labels = host.split(".")
     if len(labels) < 2:
-        raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
+        raise DomainParseError
     take = 3 if len(labels) >= 3 and ".".join(labels[-2:]) in _MULTI_SUFFIXES else 2
     return ".".join(labels[-take:])
 
@@ -133,7 +154,10 @@ def label_post(post: PostRecord, table: BiasTable) -> str | None:
     """The bias table's leaning for the post's domain, or None if unknown."""
     if not table.entries:
         raise ValueError("bias table is empty")
-    return table.leaning_for(post.url_or_domain)
+    try:
+        return table.leaning_for(post.url_or_domain)
+    except ValueError as exc:           # name the post, keep the exception type
+        raise type(exc)(f"post {post.post_id}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -430,11 +430,13 @@ class RecurrentNetwork:
                             grads.blocks[layer_idx], input_grad=layer_idx > 0)
         return grads
 
-    def to_json(self) -> str:
-        doc = {"config": asdict(self.config), "weights": {
+    def to_doc(self) -> dict:
+        return {"config": asdict(self.config), "weights": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in self.parameters().items()}}
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RecurrentNetwork":

@@ -498,8 +498,8 @@ def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:
 MODEL_KEYS = ("order", "seasonal", "c", "alpha", "theta", "phi", "eta", "sigma2")
 
 
-def to_json(spec: SarimaSpec, params: SarimaParams) -> str:
-    return json.dumps({
+def to_doc(spec: SarimaSpec, params: SarimaParams) -> dict:
+    return {
         "order": list(spec.order),
         "seasonal": list(spec.seasonal_order),
         "c": params.c,
@@ -508,7 +508,11 @@ def to_json(spec: SarimaSpec, params: SarimaParams) -> str:
         "phi": list(params.phi),
         "eta": list(params.eta),
         "sigma2": params.sigma2,
-    }, sort_keys=True)
+    }
+
+
+def to_json(spec: SarimaSpec, params: SarimaParams) -> str:
+    return json.dumps(to_doc(spec, params), sort_keys=True)
 
 
 def from_json(text: str) -> tuple[SarimaSpec, SarimaParams]:

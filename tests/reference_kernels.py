@@ -6,11 +6,19 @@ input gradient of layer 0 included.
 
 The current code evaluates the same operations on the same operands in the
 same order, so every result must match these bit for bit.
+
+``per_url_extract_domain`` is ``ingest.extract_domain`` as it was before it
+parsed each distinct authority once: it runs ``urlsplit`` on the whole text
+of every call.  The memoized function must return the same domain, or raise
+the same exception type with the same message, on every input.
 """
+
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from leancast import optim
+from leancast.ingest import _HOST_RE, _MULTI_SUFFIXES, DomainParseError
 from leancast.neural import FlatParameters, _gates
 
 
@@ -107,3 +115,28 @@ def allocating_backward(net, cache, d_outputs, out=None):
         dh_seq = kernel(dh_seq, cache["layers"][layer_idx],
                         net.parameters().blocks[layer_idx], grads.blocks[layer_idx])
     return grads
+
+
+def per_url_extract_domain(url_or_domain: str) -> str:
+    """Registrable domain of a URL or bare hostname, lowercased, www-less."""
+    text = url_or_domain.strip()
+    if not text:
+        raise DomainParseError("cannot extract a domain from empty text")
+    if "://" in text:
+        host = urlsplit(text).hostname
+        if not host:
+            raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
+    else:
+        host = text.split("/", 1)[0]
+        if host.count(":") == 1:        # tolerate a port on a bare host
+            host = host.split(":", 1)[0]
+    host = host.lower().rstrip(".")
+    if not _HOST_RE.match(host):
+        raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
+    if host.startswith("www."):
+        host = host[4:]
+    labels = host.split(".")
+    if len(labels) < 2:
+        raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
+    take = 3 if len(labels) >= 3 and ".".join(labels[-2:]) in _MULTI_SUFFIXES else 2
+    return ".".join(labels[-take:])

@@ -424,6 +424,18 @@ class TestIngestCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparseable_url_names_its_post(self, tmp_path, capsys):
+        posts = tmp_path / "posts.csv"
+        posts.write_text("post_id,timestamp,platform,url_or_domain,likes,sentiment\n"
+                         "p1,2018-01-01T09:00:00,twitter,https://www.cnn.com/a,1,\n"
+                         "p2,2018-01-01T10:00:00,twitter,//www.cnn.com/b,1,\n")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"posts_csv": str(posts), "bias_csv": BIAS})
+        assert main(["ingest", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: post p2: cannot extract a domain from '//www.cnn.com/b'\n")
+        assert not out.exists()
+
     def test_rejects_synthetic_config(self, tmp_path, capsys):
         config = write_config(tmp_path, {"synthetic": {"kind": "ar1", "n": 10}})
         assert main(["ingest", "--config", config, "--out", str(tmp_path / "o")]) == 1

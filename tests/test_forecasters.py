@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from leancast import sarima
 from leancast.forecasters import (KINDS, MultistepEpochLoss, TrainedForecaster,
                                   decode_multistep, default_network_config,
                                   fit_forecaster, forecast_multistep,
@@ -397,6 +398,25 @@ class TestSerialization:
         npt.assert_allclose(predict_next(clone, history),
                             predict_next(model, history), rtol=1e-12)
         assert clone.model.train_rmse == model.model.train_rmse
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_encode_matches_round_trip_bytes(self, kind):
+        split = ar1_split(n=80)
+        if kind == "sarima":
+            model = fit_forecaster(kind, split, SarimaSpec(1, 0, 1, 1, 0, 1, 7))
+            fit = model.model
+            payload = json.loads(sarima.to_json(fit.spec, fit.params))
+            payload.update(train_rmse=fit.train_rmse, sse=fit.sse, converged=fit.converged)
+        else:
+            model = fit_forecaster(kind, split, config=tiny_config(kind))
+            payload = json.loads(model.model.to_json())
+        # the encoding before the payload dicts were embedded directly
+        want = json.dumps({"kind": kind,
+                           "scaler": {"min": model.scaler.min, "max": model.scaler.max},
+                           "model": payload, "metadata": model.metadata}, sort_keys=True)
+        text = forecaster_to_json(model)
+        assert text == want
+        assert forecaster_to_json(forecaster_from_json(text)) == text
 
     def test_unknown_kind_rejected(self):
         doc = json.loads(forecaster_to_json(constant_sarima(1.0)))

@@ -1,7 +1,9 @@
+import collections
 import datetime as dt
 import io
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leancast import ingest
 from leancast.ingest import (LEANINGS, BiasTable, DomainParseError, IngestSummary,
                              PostRecord, aggregate, aggregate_daily,
                              daily_mean_sentiment,
@@ -18,6 +21,9 @@ from leancast.ingest import (LEANINGS, BiasTable, DomainParseError, IngestSummar
                              summarize, write_series_csv,
                              write_value_series_csv)
 from leancast.series import DailySeries
+from reference_kernels import per_url_extract_domain
+
+DATA = Path(__file__).parent / "data"
 
 
 def post(pid="p1", ts="2018-01-01T12:00:00", platform="twitter",
@@ -61,6 +67,74 @@ class TestExtractDomain:
         for raw in ("https://www.cnn.com/a", "news.bbc.co.uk", "WSJ.com"):
             once = extract_domain(raw)
             assert extract_domain(once) == once
+
+
+# pieces of URL-like text: delimiters, ports, userinfo, brackets, two-label
+# suffixes, case, whitespace, C0 controls, and characters that NFKC maps to
+# a delimiter (fullwidth solidus, question mark, number sign, colon, at sign,
+# ideographic full stop) or that lowercase to ASCII (Kelvin sign)
+URL_ATOMS = [
+    "://", "//", "/", "?", "#", "@", ":", "[", "]", ".", "-", "_",
+    ":80", ":8080", ":0", ":x", "www.", "WWW.", "co.uk", "com.au", ".co.uk",
+    "cnn", "CNN", "bbc", "news", "com", "org", "a", "z9", "http", "HTTPS", "ftp",
+    "h-t+t.p", "user:pw@", "[::1]", "[v1.x]", "[fe80::1%eth0]", "%2F",
+    " ", "\t", "\n", "\r", "\x00", "\x01", "\x1c", "\x1f", "\x7f", "\x85",
+    "\u3000", "\uff0f", "\uff1f", "\uff03", "\uff1a", "\uff20", "\u3002",
+    "\u2100", "\u212a", "\u0130", "\u00e9",
+]
+
+
+def fuzzed_urls(seed: int, n: int):
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield "".join(rng.choice(URL_ATOMS) for _ in range(rng.randint(1, 10)))
+
+
+def outcome(fn, text):
+    try:
+        return fn(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestExtractDomainMemo:
+    """``extract_domain`` parses a cut authority once per distinct value;
+    :func:`per_url_extract_domain` parses the whole text every call."""
+
+    def test_matches_per_url_parse_on_fuzzed_text(self):
+        ingest._authority_domain.cache_clear()
+        mismatches = [text for text in fuzzed_urls(10, 200_000)
+                      if outcome(extract_domain, text) != outcome(per_url_extract_domain, text)]
+        assert mismatches == []
+        info = ingest._authority_domain.cache_info()
+        assert info.hits > 0 and info.currsize > 0
+
+    def test_fixture_parses_each_authority_once(self, monkeypatch):
+        parsed, urlsplit = collections.Counter(), ingest.urlsplit
+
+        def counting(text):
+            parsed[text] += 1
+            return urlsplit(text)
+
+        monkeypatch.setattr(ingest, "urlsplit", counting)
+        ingest._authority_domain.cache_clear()
+        table = read_bias_csv(DATA / "bias.csv")
+        posts = read_posts_csv(DATA / "posts_100.csv")
+        labels = [label_post(p, table) for p in posts]
+        want = [table.entries.get(per_url_extract_domain(p.url_or_domain)) for p in posts]
+        authorities = {urlsplit(p.url_or_domain)[:2] for p in posts}
+        assert labels == want and len(posts) == 100
+        assert 0 < sum(parsed.values()) <= len(authorities) < len(posts)
+        assert max(parsed.values()) == 1
+
+    def test_failure_raises_each_time_with_its_own_message(self):
+        ingest._authority_domain.cache_clear()
+        for raw in ("//www.cnn.com/b", "//www.cnn.com/b", " //www.cnn.com/c",
+                    "https:///b", "https:///b", "HTTPS:///c?d"):
+            with pytest.raises(DomainParseError) as info:
+                extract_domain(raw)
+            assert str(info.value) == f"cannot extract a domain from {raw!r}"
+        assert ingest._authority_domain.cache_info().currsize == 0
 
 
 class TestPostRecord:
@@ -118,6 +192,11 @@ class TestLabelPost:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             label_post(post(), BiasTable())
+
+    def test_unparseable_url_names_the_post(self, table):
+        with pytest.raises(DomainParseError) as info:
+            label_post(post(pid="p9", url="//cnn.com/a"), table)
+        assert str(info.value) == "post p9: cannot extract a domain from '//cnn.com/a'"
 
 
 AGG_POSTS = [
