@@ -56,7 +56,6 @@ from .evaluation import (
     rmse,
     evaluate,
     render_report,
-    parse_report_csv,
 )
 from .ingest import (
     LEANINGS,
@@ -68,7 +67,6 @@ from .ingest import (
     aggregate,
     aggregate_daily,
     daily_mean_sentiment,
-    score_sentiment_lexicon,
     summarize,
 )
 from .presets import PRESETS, PresetBundle, get_preset

@@ -163,7 +163,7 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
         if kind == "sarima":
             try:
                 # gridsearch reads the grid even when a spec is also given
-                grid = GridSpec.from_json(entry["grid"]) if "grid" in entry else None
+                grid = GridSpec.from_doc(entry["grid"]) if "grid" in entry else None
                 fixed = _spec_from_doc(entry["spec"]) if "spec" in entry else grid
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"forecaster sarima: {exc}") from None
@@ -220,7 +220,7 @@ def _synthetic_args(synth) -> dict:
         if "model" not in args:
             raise ConfigError("synthetic kind seasonal_sarima needs a model")
         try:
-            args["spec"], args["params"] = sarima.from_json(json.dumps(args.pop("model")))
+            args["spec"], args["params"] = sarima.from_doc(args.pop("model"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"synthetic model: {exc}") from None
     return args
@@ -366,16 +366,22 @@ def _rows_to_json(tables) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _rows_from_json(text: str):
-    doc = json.loads(text)
-    tables = []
-    for t in doc["tables"]:
-        rows = [EvalRow(r["model"], r["leaning"], r["metric"], r["train_rmse"],
-                        r["test_rmse"],
-                        tuple(r["per_step_rmse"]) if r["per_step_rmse"] else None)
-                for r in t["rows"]]
-        tables.append(ReportTable(platform=t["platform"], metric=t["metric"], rows=rows))
-    return tables
+def _rows_from_json(path: str):
+    """The report tables of the ``rows.json`` at ``path``, as ``run`` wrote them."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+        tables = []
+        for t in doc["tables"]:
+            rows = [EvalRow(r["model"], r["leaning"], r["metric"], r["train_rmse"],
+                            r["test_rmse"],
+                            tuple(r["per_step_rmse"]) if r["per_step_rmse"] else None)
+                    for r in t["rows"]]
+            tables.append(ReportTable(platform=t["platform"], metric=t["metric"], rows=rows))
+        return tables
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a leancast rows file "
+                          f"({type(exc).__name__}: {exc})") from None
 
 
 def cmd_gridsearch(plan: Plan, fmt: str) -> int:
@@ -387,8 +393,9 @@ def cmd_gridsearch(plan: Plan, fmt: str) -> int:
     for (metric, leaning), split in splits.items():
         result = sarima.grid_search(split.train.values, plan.grid)
         base = f"{leaning or 'series'}_{metric}"
+        doc = sarima.to_doc(result.spec, result.fit.params)
         with open(os.path.join(plan.out_dir, f"gridsearch_{base}.json"), "w") as handle:
-            handle.write(sarima.to_json(result.spec, result.fit.params) + "\n")
+            handle.write(json.dumps(doc, sort_keys=True) + "\n")
         with open(os.path.join(plan.out_dir, f"candidates_{base}.csv"), "w") as handle:
             handle.write("p,d,q,P,D,Q,s,score,error\n")
             for cand in result.candidates:
@@ -413,9 +420,7 @@ def cmd_simulate(plan: Plan, fmt: str) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.config) as handle:
-        tables = _rows_from_json(handle.read())
-    rendered = evaluation.render_report(tables, args.format)
+    rendered = evaluation.render_report(_rows_from_json(args.config), args.format)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         ext = "csv" if args.format == "csv" else "txt"

@@ -14,8 +14,6 @@ loop within 1e-12 relative: batched products only sum in another order.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,24 +181,3 @@ def render_report(tables, fmt: str = "csv") -> str:
     if fmt == "text":
         return render_report_text(tables)
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report_csv(text: str) -> list:
-    """Inverse of render_report_csv (at its 2-decimal precision)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(CSV_COLUMNS):
-        raise ValueError(f"unexpected report header: {header}")
-    rows = []
-    for cells in reader:
-        if not cells:
-            continue
-        if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"report row has {len(cells)} cells: {cells}")
-        model, leaning, metric = cells[0], cells[1] or None, cells[2]
-        train_rmse = float(cells[3]) if cells[3] else None
-        test_rmse = float(cells[4])
-        steps = tuple(float(c) for c in cells[5:] if c)
-        per_step = steps if len(steps) == 5 else None
-        rows.append(EvalRow(model, leaning, metric, train_rmse, test_rmse, per_step))
-    return rows

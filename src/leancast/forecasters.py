@@ -255,13 +255,12 @@ def forecaster_from_json(text: str) -> TrainedForecaster:
         raise ValueError(f"unknown forecaster kind {kind!r}")
     scaler = ScalerState(doc["scaler"]["min"], doc["scaler"]["max"])
     if kind == "sarima":
-        payload = dict(doc["model"])
-        spec, params = sarima.from_json(json.dumps(
-            {k: payload[k] for k in sarima.MODEL_KEYS}))
+        payload = doc["model"]
+        spec, params = sarima.from_doc({k: payload[k] for k in sarima.MODEL_KEYS})
         fit = sarima.SarimaFit(spec=spec, params=params, residuals=np.array([]),
                                sse=payload.get("sse", 0.0),
                                converged=payload.get("converged", True),
                                train_rmse=payload.get("train_rmse", 0.0))
         return TrainedForecaster(kind, fit, scaler, doc.get("metadata", {}))
-    net = RecurrentNetwork.from_json(json.dumps(doc["model"]))
+    net = RecurrentNetwork.from_doc(doc["model"])
     return TrainedForecaster(kind, net, scaler, doc.get("metadata", {}))

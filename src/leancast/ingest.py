@@ -15,7 +15,6 @@ rather than zero.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime as dt
 import functools
@@ -263,93 +262,60 @@ def daily_mean_sentiment(posts, table: BiasTable, window) -> dict:
     return aggregate(posts, table, window, ("sentiment_mean",))[2]["sentiment_mean"]
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9']+")
-
-
-def score_sentiment_lexicon(text: str, lexicon: dict) -> float:
-    """Mean lexicon value over matched lowercase tokens, clamped to [-1, 1];
-    0.0 when nothing matches."""
-    if not lexicon:
-        raise ValueError("lexicon is empty")
-    matched = [lexicon[token] for token in _TOKEN_RE.findall(text.lower())
-               if token in lexicon]
-    if not matched:
-        return 0.0
-    return float(min(1.0, max(-1.0, sum(matched) / len(matched))))
-
-
 # -- CSV I/O ---------------------------------------------------------------
 
 
-def _parse_timestamp(text: str, where: str) -> dt.datetime:
-    cleaned = text.strip().replace("Z", "+00:00")
-    try:
-        return dt.datetime.fromisoformat(cleaned)
-    except ValueError:
-        raise ValueError(f"{where}: cannot parse timestamp {text!r}") from None
+def _csv_rows(path, header: list, what: str):
+    """``(line_no, stripped cells)`` per non-blank data row of the CSV at
+    ``path``, once its header is ``header`` and each row has as many fields."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        got = next(reader, None)
+        if got != header:
+            raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"{what} row {line_no}: expected {len(header)} fields, "
+                                 f"got {len(cells)}")
+            yield line_no, [c.strip() for c in cells]
 
 
-@contextlib.contextmanager
-def _open_source(source):
-    """A path is opened here and closed on exit; a handle passes through
-    and stays open for its owner."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as handle:
-            yield handle
-    else:
-        yield source
-
-
-def read_posts_csv(source) -> list:
+def read_posts_csv(path) -> list:
     """Parse the posts CSV (see POSTS_HEADER); raises with the row number
     on any malformed field."""
-    with _open_source(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != POSTS_HEADER:
-            raise ValueError(f"posts CSV header must be {','.join(POSTS_HEADER)}, "
-                             f"got {header}")
-        posts = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            where = f"posts row {line_no}"
-            if len(cells) != len(POSTS_HEADER):
-                raise ValueError(f"{where}: expected {len(POSTS_HEADER)} fields, "
-                                 f"got {len(cells)}")
-            post_id, ts, platform, url, likes, sentiment = [c.strip() for c in cells]
-            try:
-                likes_val = int(likes)
-            except ValueError:
-                raise ValueError(f"{where}: likes must be an integer, got {likes!r}") from None
+    posts = []
+    for line_no, cells in _csv_rows(path, POSTS_HEADER, "posts"):
+        where = f"posts row {line_no}"
+        post_id, ts, platform, url, likes, sentiment = cells
+        try:
+            likes_val = int(likes)
+        except ValueError:
+            raise ValueError(f"{where}: likes must be an integer, got {likes!r}") from None
+        try:
             sent_val = float(sentiment) if sentiment else None
-            try:
-                posts.append(PostRecord(post_id=post_id,
-                                        timestamp=_parse_timestamp(ts, where),
-                                        platform=platform, url_or_domain=url,
-                                        likes=likes_val, sentiment=sent_val))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-        return posts
+        except ValueError:
+            raise ValueError(f"{where}: sentiment must be a number, got {sentiment!r}") from None
+        try:
+            timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
+        except ValueError:
+            raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
+        try:
+            posts.append(PostRecord(post_id=post_id, timestamp=timestamp, platform=platform,
+                                    url_or_domain=url, likes=likes_val, sentiment=sent_val))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return posts
 
 
-def read_bias_csv(source) -> BiasTable:
-    with _open_source(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != BIAS_HEADER:
-            raise ValueError(f"bias CSV header must be {','.join(BIAS_HEADER)}, got {header}")
-        pairs = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 2:
-                raise ValueError(f"bias row {line_no}: expected 2 fields, got {len(cells)}")
-            domain, leaning = cells[0].strip(), cells[1].strip()
-            if leaning not in LEANINGS:
-                raise ValueError(f"bias row {line_no}: unknown leaning {leaning!r}")
-            pairs.append((domain, leaning))
-        return BiasTable.from_pairs(pairs)
+def read_bias_csv(path) -> BiasTable:
+    pairs = []
+    for line_no, (domain, leaning) in _csv_rows(path, BIAS_HEADER, "bias"):
+        if leaning not in LEANINGS:
+            raise ValueError(f"bias row {line_no}: unknown leaning {leaning!r}")
+        pairs.append((domain, leaning))
+    return BiasTable.from_pairs(pairs)
 
 
 def _format_value(v: float) -> str:
@@ -378,45 +344,9 @@ def write_series_csv(series_by_leaning: dict, path) -> None:
             handle.write(",".join(cells) + "\n")
 
 
-def _read_dated_columns(source, header: list, what: str):
-    """(dates, float columns) of a CSV of consecutive ISO dates; empty cells read NaN."""
-    with _open_source(source) as handle:
-        reader = csv.reader(handle)
-        got = next(reader, None)
-        if got != header:
-            raise ValueError(f"{what} header must be {','.join(header)}, got {got}")
-        dates, rows = [], []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise ValueError(f"series row {line_no}: expected "
-                                 f"{len(header)} fields, got {len(cells)}")
-            dates.append(dt.date.fromisoformat(cells[0]))
-            rows.append([float(c) if c.strip() else float("nan") for c in cells[1:]])
-    if not dates:
-        raise ValueError(f"{what} has no data rows")
-    for i in range(1, len(dates)):
-        if (dates[i] - dates[i - 1]).days != 1:
-            raise ValueError(f"series dates must be consecutive; gap before {dates[i]}")
-    return dates, [np.array(column) for column in zip(*rows)]
-
-
-def read_series_csv(source, platform: str = "unknown", metric: str = "post_count") -> dict:
-    dates, columns = _read_dated_columns(source, SERIES_HEADER, "series CSV")
-    return {leaning: DailySeries(start_date=dates[0], values=values,
-                                 platform=platform, leaning=leaning, metric=metric)
-            for leaning, values in zip(LEANINGS, columns)}
-
-
 def write_value_series_csv(series: DailySeries, path) -> None:
     """Single-series export: header date,value."""
     with open(path, "w", newline="") as handle:
         handle.write("date,value\n")
         for day, value in zip(series.dates(), series.values):
             handle.write(f"{day.isoformat()},{_format_value(float(value))}\n")
-
-
-def read_value_series_csv(source, metric: str = "synthetic") -> DailySeries:
-    dates, (values,) = _read_dated_columns(source, ["date", "value"], "value series CSV")
-    return DailySeries(start_date=dates[0], values=values, metric=metric)

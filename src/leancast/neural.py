@@ -29,7 +29,6 @@ the forward recursion (checked against finite differences in the tests).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -435,12 +434,8 @@ class RecurrentNetwork:
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in self.parameters().items()}}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "RecurrentNetwork":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "RecurrentNetwork":
         net = cls(NetworkConfig(**doc["config"]), init="zeros")
         net.set_parameters({name: entry["data"] for name, entry in doc["weights"].items()})
         return net

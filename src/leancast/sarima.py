@@ -16,7 +16,6 @@ scored either by holdout one-step RMSE or by AIC.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,14 +62,6 @@ class SarimaSpec:
         if not isinstance(seasonal, list) or len(seasonal) != 4:
             raise ValueError(f"spec seasonal must be [P, D, Q, s], got {seasonal!r}")
         return cls(*order, *seasonal)
-
-    @property
-    def order(self):
-        return (self.p, self.d, self.q)
-
-    @property
-    def seasonal_order(self):
-        return (self.P, self.D, self.Q, self.s)
 
     @property
     def burn_in(self) -> int:
@@ -132,9 +123,6 @@ class DifferencingContext:
     integrated recursively, which is what forecasting needs.
     """
 
-    d: int
-    D: int
-    s: int
     stages: tuple  # ((lag, values), ...) in application order
 
 
@@ -158,7 +146,7 @@ def difference(values, d: int, D: int, s: int) -> tuple[np.ndarray, Differencing
     for _ in range(D):
         stages.append((s, cur))
         cur = cur[s:] - cur[:-s]
-    return cur, DifferencingContext(d=d, D=D, s=s, stages=tuple(stages))
+    return cur, DifferencingContext(tuple(stages))
 
 
 def invert_difference(diffed, context: DifferencingContext) -> np.ndarray:
@@ -373,14 +361,16 @@ class GridSpec:
             raise ValueError(f"unknown selection rule {self.selection!r}")
 
     @classmethod
-    def from_json(cls, text_or_obj, selection: str = "holdout_rmse") -> "GridSpec":
-        """Parse a JSON grid.
+    def from_doc(cls, doc, selection: str = "holdout_rmse") -> "GridSpec":
+        """The grid of a parsed JSON object.
 
         Each order maps either to a two-element inclusive interval
         (``"p": [0, 3]`` means 0,1,2,3) or to an explicit candidate set
         (``"s": {"values": [0, 7]}``).
         """
-        obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else dict(text_or_obj)
+        if not isinstance(doc, dict):
+            raise ValueError(f"a grid must be an object, got {doc!r}")
+        obj = dict(doc)
         selection = obj.pop("selection", selection)
         fields = {}
         for name, val in obj.items():
@@ -489,19 +479,19 @@ def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:
         raise ValueError("n must be >= 1")
     eps = rng.normal(0.0, np.sqrt(params.sigma2), n) if params.sigma2 > 0 else np.zeros(n)
     w, _ = _arma_pass(np.zeros(n), eps, 0, 0, spec, params)
-    zero_start = DifferencingContext(spec.d, spec.D, spec.s, stages=(
-        ((1, np.zeros(1)),) * spec.d + ((spec.s, np.zeros(spec.s)),) * spec.D))
+    zero_start = DifferencingContext(
+        ((1, np.zeros(1)),) * spec.d + ((spec.s, np.zeros(spec.s)),) * spec.D)
     return invert_difference(w, zero_start)[-n:]
 
 
-# the keys of a model JSON, all of which to_json writes
+# the keys of a model document, all of which to_doc writes
 MODEL_KEYS = ("order", "seasonal", "c", "alpha", "theta", "phi", "eta", "sigma2")
 
 
 def to_doc(spec: SarimaSpec, params: SarimaParams) -> dict:
     return {
-        "order": list(spec.order),
-        "seasonal": list(spec.seasonal_order),
+        "order": [spec.p, spec.d, spec.q],
+        "seasonal": [spec.P, spec.D, spec.Q, spec.s],
         "c": params.c,
         "alpha": list(params.alpha),
         "theta": list(params.theta),
@@ -511,12 +501,8 @@ def to_doc(spec: SarimaSpec, params: SarimaParams) -> dict:
     }
 
 
-def to_json(spec: SarimaSpec, params: SarimaParams) -> str:
-    return json.dumps(to_doc(spec, params), sort_keys=True)
-
-
-def from_json(text: str) -> tuple[SarimaSpec, SarimaParams]:
-    obj = json.loads(text)
+def from_doc(obj) -> tuple[SarimaSpec, SarimaParams]:
+    """The spec and parameters of a parsed model document, checked."""
     if not isinstance(obj, dict):
         raise ValueError(f"a SARIMA model must be an object, got {obj!r}")
     unknown = sorted(set(obj) - set(MODEL_KEYS))

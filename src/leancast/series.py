@@ -157,6 +157,7 @@ def make_windows(values, lookback: int, horizon: int) -> WindowSet:
     return WindowSet(lookback=lookback, horizon=horizon, inputs=inputs, targets=targets)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is raised, not warned
 def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt.date(2018, 1, 1), **params) -> DailySeries:
     """Deterministic synthetic series for fixtures and oracles.
 
@@ -174,7 +175,7 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
 
     Noise comes from ``numpy.random.default_rng`` (PCG64), so one (kind, n,
     seed) triple always reproduces bit-identical output within this package.
-    A parameter the kind does not read is an error, not ignored.
+    A parameter the kind does not read, or a value that overflows, is an error.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -207,4 +208,6 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         from . import sarima as _sarima
 
         values = _sarima.simulate(params["spec"], params["params"], n, rng)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"synthetic {kind} series overflows within {n} values")
     return DailySeries(start_date=start_date, values=values, platform="synthetic", leaning=None, metric="synthetic")

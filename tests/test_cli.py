@@ -1,6 +1,8 @@
 import datetime as dt
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ from leancast.forecasters import default_network_config
 from leancast.presets import FALLBACK_GRID, get_preset
 from leancast.rng import derive_seed
 
-DATA = Path(__file__).parent / "data"
+REPO = Path(__file__).parent.parent
+DATA = REPO / "tests" / "data"
 POSTS = str(DATA / "posts_100.csv")
 BIAS = str(DATA / "bias.csv")
 JAN_WINDOW = {"start": "2018-01-01", "end": "2018-01-20"}
@@ -315,10 +318,12 @@ class TestLoadConfig:
         # without a preset, an order-less sarima entry falls back to the grid
         assert load_config(path).fits[0].config is FALLBACK_GRID
 
-    @pytest.mark.parametrize("command", ["run", "gridsearch"])
+    @pytest.mark.parametrize("command", ["run", "gridsearch", "simulate"])
     @pytest.mark.parametrize("synthetic,message", [
         ({"kind": "ar1", "n": 0}, "n must be >= 1"),
         ({"kind": "arma", "n": 40}, "unknown synthetic kind 'arma'"),
+        ({"kind": "ar1", "n": 1100, "alpha": 2.0},
+         "synthetic ar1 series overflows within 1100 values"),
     ])
     def test_series_failure_writes_nothing(self, tmp_path, capsys, synthetic, message,
                                            command):
@@ -382,8 +387,9 @@ class TestIngestCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_posts"] == 100
         assert summary["per_leaning_counts"]["left"] == 25
-        back = ingest.read_series_csv(out / "series_post_count.csv")
-        assert back["left"].values.sum() == 25
+        rows = (out / "series_post_count.csv").read_text().splitlines()
+        assert rows[0] == "date,left,left_leaning,center,right_leaning,right"
+        assert sum(int(row.split(",")[1]) for row in rows[1:]) == 25
         assert "ingested 100 posts" in capsys.readouterr().out
 
     def test_each_post_is_labelled_once(self, tmp_path, monkeypatch):
@@ -655,3 +661,32 @@ class TestReportCommand:
     def test_needs_config(self, capsys):
         assert main(["report"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,problem", [
+        ("[]", "TypeError: list indices must be integers or slices, not str"),
+        ("{}", "KeyError: 'tables'"),
+        ('{"tables": [{}]}', "KeyError: 'rows'"),
+    ])
+    def test_not_a_rows_file_is_named(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "rows.json"
+        path.write_text(text)
+        assert main(["report", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is not a leancast rows file ({problem})\n"
+
+
+def test_traced_cli_resolves_every_wrapped_name(tmp_path):
+    # perfbench/trace_cli.py wraps leancast functions by name before it runs
+    # any command, so a deleted or renamed one fails this tiny simulate
+    config = write_config(tmp_path, {"synthetic": {"kind": "ar1", "n": 20}})
+    spans, out = tmp_path / "spans.npz", tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "trace_cli.py"), str(spans), "x", "--",
+         "simulate", "--config", config, "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (out / "simulated.csv").read_text().startswith("date,value\n2018-01-01,")
+    with np.load(spans) as saved:
+        names = json.loads(str(saved["meta"]))["names"]
+        assert names[saved["name_of"][0]] == "cli.main"    # the outermost span

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leancast.evaluation import (CSV_COLUMNS, EvalRow, ReportTable, evaluate,
-                                 multistep_window_predictions, parse_report_csv,
+                                 multistep_window_predictions,
                                  render_report, render_report_csv,
                                  render_report_text,
                                  rolling_one_step_predictions, rmse)
@@ -134,28 +134,6 @@ class TestRenderText:
         assert render_report([table], "csv") != render_report([table], "text")
         with pytest.raises(ValueError):
             render_report([table], "html")
-
-
-class TestParseCsv:
-    def test_round_trip_at_two_decimals(self):
-        rows = [
-            EvalRow("sarima", "left", "post_count", 10.50, 66.10),
-            EvalRow("lstm_14day", "right", "likes_sum", 0.25, 0.75),
-            EvalRow("multistep_14_5", None, "post_count", None, 1.25,
-                    (0.10, 0.20, 0.30, 0.40, 0.50)),
-        ]
-        text = render_report_csv([ReportTable("twitter", "post_count", rows)])
-        parsed = parse_report_csv(text)
-        assert parsed == sorted(rows, key=lambda r: (r.model, r.leaning or ""))
-
-    def test_header_is_checked(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_report_csv("model,leaning\nsarima,left\n")
-
-    def test_cell_count_is_checked(self):
-        text = ",".join(CSV_COLUMNS) + "\nsarima,left,post_count,1.00\n"
-        with pytest.raises(ValueError):
-            parse_report_csv(text)
 
 
 class TestRollingPredictions:

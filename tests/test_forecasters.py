@@ -405,11 +405,12 @@ class TestSerialization:
         if kind == "sarima":
             model = fit_forecaster(kind, split, SarimaSpec(1, 0, 1, 1, 0, 1, 7))
             fit = model.model
-            payload = json.loads(sarima.to_json(fit.spec, fit.params))
+            payload = json.loads(json.dumps(sarima.to_doc(fit.spec, fit.params),
+                                            sort_keys=True))
             payload.update(train_rmse=fit.train_rmse, sse=fit.sse, converged=fit.converged)
         else:
             model = fit_forecaster(kind, split, config=tiny_config(kind))
-            payload = json.loads(model.model.to_json())
+            payload = json.loads(json.dumps(model.model.to_doc(), sort_keys=True))
         # the encoding before the payload dicts were embedded directly
         want = json.dumps({"kind": kind,
                            "scaler": {"min": model.scaler.min, "max": model.scaler.max},

@@ -1,6 +1,5 @@
 import collections
 import datetime as dt
-import io
 import json
 import random
 from pathlib import Path
@@ -16,9 +15,7 @@ from leancast.ingest import (LEANINGS, BiasTable, DomainParseError, IngestSummar
                              PostRecord, aggregate, aggregate_daily,
                              daily_mean_sentiment,
                              extract_domain, label_post, read_bias_csv,
-                             read_posts_csv, read_series_csv,
-                             read_value_series_csv, score_sentiment_lexicon,
-                             summarize, write_series_csv,
+                             read_posts_csv, summarize, write_series_csv,
                              write_value_series_csv)
 from leancast.series import DailySeries
 from reference_kernels import per_url_extract_domain
@@ -287,27 +284,6 @@ class TestDailyMeanSentiment:
                  post(pid="ok", sentiment=0.3)]
         series = daily_mean_sentiment(posts, table, JAN_1_3)
         assert series["left"].values[0] == pytest.approx(0.3)
-
-
-class TestLexiconScore:
-    LEX = {"good": 1.0, "bad": -1.0, "great": 2.0, "don't": -0.5}
-
-    def test_mean_over_matches(self):
-        assert score_sentiment_lexicon("Good day", self.LEX) == 1.0
-        assert score_sentiment_lexicon("good bad", self.LEX) == 0.0
-
-    def test_no_match_scores_zero(self):
-        assert score_sentiment_lexicon("meh whatever", self.LEX) == 0.0
-
-    def test_clamped_to_unit_interval(self):
-        assert score_sentiment_lexicon("great great", self.LEX) == 1.0
-
-    def test_apostrophes_stay_in_tokens(self):
-        assert score_sentiment_lexicon("DON'T", self.LEX) == -0.5
-
-    def test_empty_lexicon_rejected(self):
-        with pytest.raises(ValueError):
-            score_sentiment_lexicon("anything", {})
 
 
 class TestSummarize:
@@ -581,70 +557,87 @@ g1,2018-01-02T10:00:00,gab,https://wsj.com/b,12,-0.25
 """
 
 
+def csv_file(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
 class TestPostsCsv:
-    def test_parse_fields(self):
-        posts = read_posts_csv(io.StringIO(POSTS_CSV))
+    def test_parse_fields(self, tmp_path):
+        posts = read_posts_csv(csv_file(tmp_path, POSTS_CSV))
         assert len(posts) == 3
         assert posts[0].likes == 3 and posts[0].sentiment == 0.5
         assert posts[1].sentiment is None
         assert posts[1].timestamp.tzinfo is not None
         assert posts[2].platform == "gab"
 
-    def test_header_checked(self):
+    def test_header_checked(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
-            read_posts_csv(io.StringIO("id,when\n1,2018-01-01\n"))
+            read_posts_csv(csv_file(tmp_path, "id,when\n1,2018-01-01\n"))
 
-    def test_bad_likes_names_the_row(self):
-        bad = POSTS_CSV.replace("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,",
-                                "t2,2018-01-01T09:30:00Z,twitter,foxnews.com,many,")
-        with pytest.raises(ValueError, match="row 3"):
-            read_posts_csv(io.StringIO(bad))
+    @pytest.mark.parametrize("bad,message", [
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,many,",
+         "likes must be an integer, got 'many'"),
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,abc",
+         "sentiment must be a number, got 'abc'"),
+        ("t2,yesterday,twitter,foxnews.com,0,", "cannot parse timestamp 'yesterday'"),
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,1.5",
+         "post t2: sentiment 1.5 outside [-1, 1]"),
+    ])
+    def test_malformed_field_names_the_row(self, tmp_path, bad, message):
+        good = "t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,"
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, POSTS_CSV.replace(good, bad)))
+        assert str(exc.value) == f"posts row 3: {message}"
 
-    def test_bad_timestamp_names_the_row(self):
-        bad = POSTS_CSV.replace("2018-01-02T10:00:00", "yesterday")
-        with pytest.raises(ValueError, match="row 4"):
-            read_posts_csv(io.StringIO(bad))
+    def test_field_count_names_the_row(self, tmp_path):
+        bad = POSTS_CSV + "\nx1,2018-01-03T10:00:00,gab\n"
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, bad))
+        assert str(exc.value) == "posts row 6: expected 6 fields, got 3"
 
 
 class TestBiasCsv:
-    def test_parse(self):
-        t = read_bias_csv(io.StringIO("domain,leaning\ncnn.com,left\nwsj.com,right_leaning\n"))
-        assert len(t) == 2
+    def test_parse(self, tmp_path):
+        t = read_bias_csv(csv_file(
+            tmp_path, "domain,leaning\ncnn.com,left\n\n wsj.com , right_leaning\n"))
+        assert t.entries == {"cnn.com": "left", "wsj.com": "right_leaning"}
 
-    def test_caller_handle_stays_open(self):
-        handle = io.StringIO("domain,leaning\ncnn.com,left\n")
-        read_bias_csv(handle)
-        assert not handle.closed
+    def test_header_checked(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            read_bias_csv(csv_file(tmp_path, "site,leaning\ncnn.com,left\n"))
+        assert str(exc.value) == ("bias CSV header must be domain,leaning, "
+                                  "got ['site', 'leaning']")
 
-    def test_unknown_leaning_names_the_row(self):
+    def test_unknown_leaning_names_the_row(self, tmp_path):
         with pytest.raises(ValueError, match="row 3"):
-            read_bias_csv(io.StringIO("domain,leaning\ncnn.com,left\nx.com,centrist\n"))
+            read_bias_csv(csv_file(tmp_path, "domain,leaning\ncnn.com,left\nx.com,centrist\n"))
+
+    def test_field_count_names_the_row(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            read_bias_csv(csv_file(tmp_path, "domain,leaning\ncnn.com,left,extra\n"))
+        assert str(exc.value) == "bias row 2: expected 2 fields, got 3"
 
 
 class TestSeriesCsv:
-    def test_round_trip(self, table, tmp_path):
-        posts = [post(**kw) for kw in AGG_POSTS]
-        series = aggregate_daily(posts, table, "likes_sum", JAN_1_3)
-        path = tmp_path / "series.csv"
-        write_series_csv(series, path)
-        back = read_series_csv(path, platform="twitter", metric="likes_sum")
-        for leaning, s in series.items():
-            npt.assert_array_equal(back[leaning].values, s.values)
-            assert back[leaning].start_date == s.start_date
-
-    def test_integral_values_written_compactly(self, table, tmp_path):
+    def test_exact_text(self, table, tmp_path):
         posts = [post(**kw) for kw in AGG_POSTS]
         path = tmp_path / "series.csv"
-        write_series_csv(aggregate_daily(posts, table, "post_count", JAN_1_3), path)
-        assert "2018-01-01,2,0,0,0,1" in path.read_text()
+        write_series_csv(aggregate_daily(posts, table, "likes_sum", JAN_1_3), path)
+        assert path.read_text() == ("date,left,left_leaning,center,right_leaning,right\n"
+                                    "2018-01-01,10,0,0,0,5\n"
+                                    "2018-01-02,2,0,0,0,0\n"
+                                    "2018-01-03,0,0,0,0,0\n")
 
-    def test_nan_round_trips_as_empty_cell(self, table, tmp_path):
+    def test_nan_written_as_empty_cell(self, table, tmp_path):
         series = daily_mean_sentiment([post(sentiment=0.5)], table, JAN_1_3)
         path = tmp_path / "sent.csv"
         write_series_csv(series, path)
-        assert ",,,,," in path.read_text()
-        back = read_series_csv(path, metric="sentiment_mean")
-        assert np.isnan(back["left"].values[2])
+        assert path.read_text() == ("date,left,left_leaning,center,right_leaning,right\n"
+                                    "2018-01-01,0.5,,,,\n"
+                                    "2018-01-02,,,,,\n"
+                                    "2018-01-03,,,,,\n")
 
     def test_missing_leaning_rejected(self, table, tmp_path):
         series = aggregate_daily([post()], table, "post_count", JAN_1_3)
@@ -652,24 +645,11 @@ class TestSeriesCsv:
         with pytest.raises(ValueError, match="center"):
             write_series_csv(series, tmp_path / "x.csv")
 
-    def test_date_gap_rejected(self):
-        text = ("date,left,left_leaning,center,right_leaning,right\n"
-                "2018-01-01,1,0,0,0,0\n"
-                "2018-01-03,2,0,0,0,0\n")
-        with pytest.raises(ValueError, match="consecutive"):
-            read_series_csv(io.StringIO(text))
-
 
 class TestValueSeriesCsv:
-    def test_round_trip(self, tmp_path):
+    def test_exact_text(self, tmp_path):
         s = DailySeries(start_date=dt.date(2018, 3, 1),
                         values=np.array([1.5, 2.0, -0.25]), metric="synthetic")
         path = tmp_path / "value.csv"
         write_value_series_csv(s, path)
-        back = read_value_series_csv(path)
-        npt.assert_array_equal(back.values, s.values)
-        assert back.start_date == s.start_date
-
-    def test_no_rows_rejected(self):
-        with pytest.raises(ValueError):
-            read_value_series_csv(io.StringIO("date,value\n"))
+        assert path.read_text() == "date,value\n2018-03-01,1.5\n2018-03-02,2\n2018-03-03,-0.25\n"

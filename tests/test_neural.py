@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -424,7 +426,7 @@ class TestConfigValidation:
 class TestSerialization:
     def test_round_trip_preserves_weights_and_outputs(self):
         net = RecurrentNetwork(small_config(cell="gru", seed=11))
-        clone = RecurrentNetwork.from_json(net.to_json())
+        clone = RecurrentNetwork.from_doc(json.loads(json.dumps(net.to_doc())))
         for name, arr in net.parameters().items():
             npt.assert_array_equal(arr, clone.parameters()[name])
         x = np.random.default_rng(8).normal(0, 1, (2, 5, 2))
@@ -432,7 +434,8 @@ class TestSerialization:
 
     def test_config_survives_round_trip(self):
         cfg = small_config(dropout=0.25, optimizer="adam", batch_size=16)
-        clone = RecurrentNetwork.from_json(RecurrentNetwork(cfg).to_json())
+        doc = json.loads(json.dumps(RecurrentNetwork(cfg).to_doc()))
+        clone = RecurrentNetwork.from_doc(doc)
         assert clone.config == cfg
 
 

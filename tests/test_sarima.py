@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from leancast import sarima
 from leancast.sarima import (GridSearchError, GridSpec, SarimaFit, SarimaParams,
                              SarimaSpec, css_residuals, difference, fit, forecast,
-                             from_json, grid_search, invert_difference,
-                             rolling_test_rmse, simulate, to_json)
+                             from_doc, grid_search, invert_difference,
+                             rolling_test_rmse, simulate, to_doc)
 from leancast.series import generate_synthetic
 
 NONSEASONAL = SarimaSpec(0, 0, 0, 0, 0, 0, 0)
@@ -526,18 +526,22 @@ class TestGridSearch:
             grid_search(np.arange(8.0), grid, seed=0)
         assert exc_info.value.diagnostics
 
-    def test_from_json_intervals_and_sets(self):
-        grid = GridSpec.from_json(json.dumps(
+    def test_from_doc_intervals_and_sets(self):
+        grid = GridSpec.from_doc(
             {"p": [0, 2], "q": {"values": [1, 3]}, "s": {"values": [0, 7]},
-             "P": 1, "selection": "holdout_rmse"}))
+             "P": 1, "selection": "holdout_rmse"})
         assert grid.p == (0, 1, 2)
         assert grid.q == (1, 3)
         assert grid.s == (0, 7)
         assert grid.P == (1,)
 
-    def test_from_json_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
-            GridSpec.from_json('{"bogus": [0, 1]}')
+    @pytest.mark.parametrize("doc,message", [
+        ({"bogus": [0, 1]}, "unknown grid key 'bogus'"),
+        ('{"p": [0, 1]}', "a grid must be an object"),
+    ])
+    def test_from_doc_rejects(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec.from_doc(doc)
 
 
 class TestSimulate:
@@ -561,18 +565,18 @@ class TestSimulate:
         npt.assert_allclose(sim, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
-class TestJson:
-    def test_round_trip(self):
+class TestModelDoc:
+    def test_round_trip_through_json_text(self):
         spec = SarimaSpec(2, 1, 1, 1, 0, 1, 7)
         params = SarimaParams(c=0.5, alpha=(0.3, -0.2), theta=(0.1,),
                               phi=(0.4,), eta=(-0.1,), sigma2=2.5)
-        spec2, params2 = from_json(to_json(spec, params))
+        spec2, params2 = from_doc(json.loads(json.dumps(to_doc(spec, params))))
         assert spec2 == spec
         assert params2 == params
 
     def test_wire_format_fields(self):
-        doc = json.loads(to_json(SarimaSpec(1, 0, 0, 0, 0, 0, 0),
-                                 zero_params(SarimaSpec(1, 0, 0, 0, 0, 0, 0))))
+        doc = to_doc(SarimaSpec(1, 0, 0, 0, 0, 0, 0),
+                     zero_params(SarimaSpec(1, 0, 0, 0, 0, 0, 0)))
         assert doc["order"] == [1, 0, 0]
         assert doc["seasonal"] == [0, 0, 0, 0]
         assert set(doc) == {"order", "seasonal", "c", "alpha", "theta", "phi",
