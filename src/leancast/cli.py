@@ -366,6 +366,23 @@ def _rows_to_json(tables) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _typed_row(r: dict) -> EvalRow:
+    """A ``rows.json`` row as the report renders it: str model and metric, str
+    or null leaning, number test RMSE, number or null train RMSE, null or
+    five numbers per step."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    steps = r["per_step_rmse"]
+    if not (isinstance(r["model"], str) and isinstance(r["metric"], str)
+            and (r["leaning"] is None or isinstance(r["leaning"], str))
+            and (r["train_rmse"] is None or number(r["train_rmse"])) and number(r["test_rmse"])
+            and (steps is None or isinstance(steps, list) and len(steps) == 5
+                 and all(map(number, steps)))):
+        raise TypeError(f"a row has a value of the wrong type: {r}")
+    return EvalRow(r["model"], r["leaning"], r["metric"], r["train_rmse"], r["test_rmse"],
+                   None if steps is None else tuple(steps))
+
+
 def _rows_from_json(path: str):
     """The report tables of the ``rows.json`` at ``path``, as ``run`` wrote them."""
     try:
@@ -373,10 +390,7 @@ def _rows_from_json(path: str):
             doc = json.load(handle)
         tables = []
         for t in doc["tables"]:
-            rows = [EvalRow(r["model"], r["leaning"], r["metric"], r["train_rmse"],
-                            r["test_rmse"],
-                            tuple(r["per_step_rmse"]) if r["per_step_rmse"] else None)
-                    for r in t["rows"]]
+            rows = [_typed_row(r) for r in t["rows"]]
             tables.append(ReportTable(platform=t["platform"], metric=t["metric"], rows=rows))
         return tables
     except (KeyError, TypeError, ValueError) as exc:

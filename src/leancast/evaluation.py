@@ -8,8 +8,10 @@ RMSE per step ahead plus their pooled value.  All RMSEs are on the
 original data scale.
 
 Each neural model is scored in one batched pass (one forward over all
-windows, or one per step of a multistep decode), which equals the per-day
-loop within 1e-12 relative: batched products only sum in another order.
+windows, or a multistep decode: one forward over the lookbacks, then one
+step per further day from the carried layer states), which equals the
+per-day loop within 1e-12 relative: batched products only sum in another
+order.
 """
 
 from __future__ import annotations

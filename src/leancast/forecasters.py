@@ -201,19 +201,24 @@ def train_multistep_teacher_forced(config: NetworkConfig, windows: WindowSet):
 def decode_multistep(net: RecurrentNetwork, scaled_values: np.ndarray, horizon: int):
     """Autoregressive decoding in scaled space.
 
-    ``scaled_values`` is one window (L,) or a batch (..., L); each step
-    re-runs one forward over the whole batch, appending the model's own
-    previous prediction (no ground truth involved).  Returns (predictions
-    (..., horizon), input sequence as finally consumed (..., L+horizon-1))
-    so callers can verify what the decoder was fed.
+    ``scaled_values`` is one window (L,) or a batch (..., L).  One forward
+    runs the lookback; each further step runs one step from the carried
+    per-layer state, fed the model's own previous prediction (no ground
+    truth involved).  The readout of each prediction runs over the whole
+    top-layer prefix, so it sums as a forward over that prefix would.
+    Returns (predictions (..., horizon), input sequence as finally consumed
+    (..., L+horizon-1)) so callers can verify what the decoder was fed.
     """
     values = np.asarray(scaled_values, dtype=np.float64)
     lead, lookback = values.shape[:-1], values.shape[-1]
     seq = np.empty((int(np.prod(lead)), lookback + horizon))
     seq[:, :lookback] = values.reshape(-1, lookback)
+    top = np.empty((len(seq), lookback + horizon - 1, net.config.hidden))
+    state, done = None, 0
     for k in range(horizon):
-        outputs = net.forward(seq[:, :lookback + k, None])[0]
-        seq[:, lookback + k] = outputs[:, -1, 0]
+        _, cache = net.forward(seq[:, done:lookback + k, None], state=state)
+        top[:, done:lookback + k], state, done = cache["top"], net.final_state(cache), lookback + k
+        seq[:, done] = (top[:, :done] @ net.W_out.T + net.b_out)[:, -1, 0]
     return (seq[:, lookback:].reshape(lead + (horizon,)),
             seq[:, :-1].reshape(lead + (lookback + horizon - 1,)))
 

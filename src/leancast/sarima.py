@@ -259,7 +259,11 @@ def fit(values, spec: SarimaSpec, seed: int = 0) -> SarimaFit:
             f"differenced length {len(w)} below identifiability floor {floor} for {spec}")
 
     beta = np.zeros(1 + spec.n_coefficients)
-    residuals, sse = css_residuals(w, spec, _unpack(beta, spec))
+    with np.errstate(over="ignore"):
+        residuals, sse = css_residuals(w, spec, _unpack(beta, spec))
+    if not np.isfinite(sse):
+        raise ValueError(f"the zero model's sum of squares overflows ({sse}): "
+                         f"the series is too large to fit")
     # a small first damping keeps early steps near Gauss-Newton: exact without MA terms
     damping, converged = 1e-6, False
     # a trial step that makes the MA recursion explode has an inf or nan sse: rejected

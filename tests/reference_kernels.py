@@ -1,11 +1,19 @@
-"""The training hot path as it was before it stopped allocating, kept
-verbatim as references: the boolean-mask ``sigmoid``, the allocating RMSProp
-and Adam steps, and ``RecurrentNetwork.backward`` with layer kernels that
-allocate a fresh gradient vector and compute every product, the dropped
-input gradient of layer 0 included.
+"""Former implementations of hot paths, kept verbatim as references.
 
-The current code evaluates the same operations on the same operands in the
-same order, so every result must match these bit for bit.
+The per-layer stack: ``per_layer_forward`` and ``per_layer_backward`` are
+``RecurrentNetwork.forward`` and ``.backward`` as they were before the
+layers ran as wavefronts, with their layer kernels (``_lstm_layer_forward``
+and friends): each layer runs its whole time loop before the next layer
+starts.  ``prefix_decode`` is ``forecasters.decode_multistep`` as it was
+before it carried its state: one forward over the whole prefix per step
+ahead.  The wavefront schedule evaluates the same operations on the same
+operands, so every result must match these bit for bit.
+
+The training hot path as it was before it stopped allocating: the
+boolean-mask ``sigmoid``, the allocating RMSProp and Adam steps, and
+``allocating_backward``, whose layer kernels allocate a fresh gradient
+vector and compute every product, the dropped input gradient of layer 0
+included.  It reads the cache of ``per_layer_forward``.
 
 ``per_url_extract_domain`` is ``ingest.extract_domain`` as it was before it
 parsed each distinct authority once: it runs ``urlsplit`` on the whole text
@@ -17,9 +25,166 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from leancast import optim
+from leancast import neural, optim
 from leancast.ingest import _HOST_RE, _MULTI_SUFFIXES, DomainParseError
-from leancast.neural import FlatParameters, _gates
+from leancast.neural import FlatParameters, dropout_masks
+from leancast.rng import derive_rng
+
+
+def _gates(a, count):
+    """The ``count`` per-gate column views of a fused (n, count*H) array."""
+    return a.reshape(len(a), count, -1).swapaxes(0, 1)
+
+
+def _lstm_layer_forward(x_seq, W, b):
+    """W is [W_i; W_f; W_g; W_o] as one (4H, H+I) block: one GEMM per step."""
+    n, steps, _ = x_seq.shape
+    hidden = len(b) // 4
+    h = c = np.zeros((n, hidden))
+    hs = np.empty((n, steps, hidden))
+    caches = []
+    for t in range(steps):
+        zcat = np.concatenate([h, x_seq[:, t, :]], axis=1)
+        a = zcat @ W.T + b
+        gates = neural.sigmoid(a)
+        gates[:, 2 * hidden:3 * hidden] = np.tanh(a[:, 2 * hidden:3 * hidden])
+        i, f, g, o = _gates(gates, 4)
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h = o * tc
+        hs[:, t, :] = h
+        caches.append((zcat, gates, c, tc))
+        c = c_new
+    return hs, caches
+
+
+def _lstm_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
+    """Accumulates into the (dW, db) blocks ``grads``; returns d(input), or
+    None when ``input_grad`` is false (layer 0, whose input is the data)."""
+    (W, _), (dW, db) = weights, grads
+    n, steps, hidden = dh_seq.shape
+    dx_seq = np.empty((n, steps, W.shape[1] - hidden)) if input_grad else None
+    dh_next = dc_next = np.zeros((n, hidden))
+    da = np.empty((n, 4 * hidden))
+    da_i, da_f, da_g, da_o = _gates(da, 4)
+    for t in reversed(range(steps)):
+        zcat, gates, c_prev, tc = caches[t]
+        i, f, g, o = _gates(gates, 4)
+        dh = dh_seq[:, t, :] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dc_next = dc * f
+        da_i[...] = dc * g * i * (1.0 - i)
+        da_f[...] = dc * c_prev * f * (1.0 - f)
+        da_g[...] = dc * i * (1.0 - g * g)
+        da_o[...] = dh * tc * o * (1.0 - o)
+        dW += da.T @ zcat
+        db += da.sum(axis=0)
+        # nothing reads dh_next after t = 0; the product stays whole because
+        # a column slice of W would change BLAS's summation order
+        if t > 0 or input_grad:
+            dzcat = da @ W
+            dh_next = dzcat[:, :hidden]
+            if input_grad:
+                dx_seq[:, t, :] = dzcat[:, hidden:]
+    return dx_seq
+
+
+def _gru_layer_forward(x_seq, W, U, b):
+    """W is [W_z; W_r; W_h] (3H, I) and U is [U_z; U_r; U_h] (3H, H): one
+    input GEMM for all three gates and one recurrent GEMM for z and r."""
+    n, steps, _ = x_seq.shape
+    hidden = len(b) // 3
+    U_zr, U_h, b_zr, b_h = U[:2 * hidden], U[2 * hidden:], b[:2 * hidden], b[2 * hidden:]
+    h = np.zeros((n, hidden))
+    hs = np.empty((n, steps, hidden))
+    caches = []
+    for t in range(steps):
+        x = x_seq[:, t, :]
+        ax = x @ W.T
+        zr = neural.sigmoid(ax[:, :2 * hidden] + h @ U_zr.T + b_zr)
+        z, r = _gates(zr, 2)
+        rh = r * h
+        hcand = np.tanh(ax[:, 2 * hidden:] + rh @ U_h.T + b_h)
+        caches.append((x, h, zr, rh, hcand))
+        h = (1.0 - z) * h + z * hcand
+        hs[:, t, :] = h
+    return hs, caches
+
+
+def _gru_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
+    """Accumulates into the (dW, dU, db) blocks ``grads``; returns d(input),
+    or None when ``input_grad`` is false (layer 0, whose input is the data)."""
+    (W, U, _), (dW, dU, db) = weights, grads
+    n, steps, hidden = dh_seq.shape
+    dx_seq = np.empty((n, steps, W.shape[1])) if input_grad else None
+    dh_next = np.zeros((n, hidden))
+    da = np.empty((n, 3 * hidden))
+    da_z, da_r, da_h = _gates(da, 3)
+    da_zr = da[:, :2 * hidden]
+    for t in reversed(range(steps)):
+        x, h_prev, zr, rh, hcand = caches[t]
+        z, r = _gates(zr, 2)
+        dh = dh_seq[:, t, :] + dh_next
+        da_h[...] = dh * z * (1.0 - hcand * hcand)
+        drh = da_h @ U[2 * hidden:]
+        da_r[...] = drh * h_prev * r * (1.0 - r)
+        da_z[...] = dh * (hcand - h_prev) * z * (1.0 - z)
+        dW += da.T @ x
+        dU[:2 * hidden] += da_zr.T @ h_prev
+        dU[2 * hidden:] += da_h.T @ rh
+        db += da.sum(axis=0)
+        if t > 0:
+            dh_next = dh * (1.0 - z) + drh * r + da_zr @ U[:2 * hidden]
+        if input_grad:
+            dx_seq[:, t, :] = da @ W
+    return dx_seq
+
+
+def per_layer_forward(net, x, training=False, dropout_rng=None, masks=None):
+    x = np.asarray(x, dtype=np.float64)
+    rate = net.config.dropout
+    layer_forward = _lstm_layer_forward if net.config.cell == "lstm" else _gru_layer_forward
+    layer_caches, used_masks, cur = [], [], x
+    for layer_idx, blocks in enumerate(net.parameters().blocks[:-1]):
+        hs, cache = layer_forward(cur, *blocks)
+        layer_caches.append(cache)
+        mask = None
+        if layer_idx < len(net.layers) - 1 and training and rate > 0.0:
+            dropout_rng = dropout_rng or derive_rng(net.config.seed, "dropout")
+            mask = (dropout_masks(dropout_rng, hs.shape, rate) if masks is None
+                    else masks[layer_idx])
+        used_masks.append(mask)
+        cur = hs if mask is None else hs * mask
+    outputs = cur @ net.W_out.T + net.b_out
+    return outputs, {"top": cur, "layers": layer_caches, "masks": used_masks}
+
+
+def per_layer_backward(net, cache, d_outputs):
+    d_outputs = np.asarray(d_outputs, dtype=np.float64)
+    grads = FlatParameters(net.config)
+    grads["out.W"][...] = np.einsum("nto,nth->oh", d_outputs, cache["top"])
+    grads["out.b"][...] = d_outputs.sum(axis=(0, 1))
+    kernel = _lstm_layer_backward if net.config.cell == "lstm" else _gru_layer_backward
+    dh_seq = d_outputs @ net.W_out
+    for layer_idx in reversed(range(len(net.layers))):
+        mask = cache["masks"][layer_idx]
+        if mask is not None:
+            dh_seq = dh_seq * mask
+        dh_seq = kernel(dh_seq, cache["layers"][layer_idx], net.parameters().blocks[layer_idx],
+                        grads.blocks[layer_idx], input_grad=layer_idx > 0)
+    return grads
+
+
+def prefix_decode(net, scaled_values, horizon):
+    values = np.asarray(scaled_values, dtype=np.float64)
+    lead, lookback = values.shape[:-1], values.shape[-1]
+    seq = np.empty((int(np.prod(lead)), lookback + horizon))
+    seq[:, :lookback] = values.reshape(-1, lookback)
+    for k in range(horizon):
+        outputs = per_layer_forward(net, seq[:, :lookback + k, None])[0]
+        seq[:, lookback + k] = outputs[:, -1, 0]
+    return (seq[:, lookback:].reshape(lead + (horizon,)),
+            seq[:, :-1].reshape(lead + (lookback + horizon - 1,)))
 
 
 def masked_sigmoid(x):

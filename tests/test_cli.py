@@ -337,6 +337,19 @@ class TestLoadConfig:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
+    def test_overflowing_sarima_fit_is_a_listed_failure(self, tmp_path, capfd):
+        # values up to ~1e301: finite, but the sum of squares overflows
+        path = write_config(tmp_path, {
+            "synthetic": {"kind": "ar1", "n": 1000, "alpha": 2.0, "sigma": 1.0},
+            "forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}}]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        assert "DLASCL" not in err and "Warning" not in err
+        assert (out / "failures.txt").read_text() == (
+            "sarima/series/synthetic: the zero model's sum of squares overflows (inf): "
+            "the series is too large to fit\n")
+
     def test_valid_config_accepted(self, tmp_path):
         path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
                                        "metrics": ["post_count"],
@@ -674,6 +687,35 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path} is not a leancast rows file ({problem})\n"
+
+    ROW = {"model": "sarima", "leaning": "left", "metric": "post_count", "train_rmse": 1.5,
+           "test_rmse": 2, "per_step_rmse": None}
+
+    @pytest.mark.parametrize("field,value", [
+        ("leaning", 5), ("model", None), ("metric", ["post_count"]), ("train_rmse", "1.5"),
+        ("test_rmse", None), ("test_rmse", True), ("per_step_rmse", [1.0, 2.0]),
+        ("per_step_rmse", [1.0, 2.0, 3.0, 4.0, "5"]), ("per_step_rmse", 1.0),
+    ])
+    def test_wrong_value_type_is_named(self, tmp_path, capsys, field, value):
+        path = tmp_path / "rows.json"
+        row = {**self.ROW, field: value}
+        path.write_text(json.dumps({"tables": [{"platform": "p", "metric": "m",
+                                                "rows": [row]}]}))
+        assert main(["report", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not a leancast rows file "
+                                       "(TypeError: a row has a value of the wrong type")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("leaning,steps", [(None, None), ("left", [1, 2.5, 3, 4, 5])])
+    def test_well_typed_row_renders(self, tmp_path, capsys, leaning, steps):
+        path = tmp_path / "rows.json"
+        row = {**self.ROW, "leaning": leaning, "per_step_rmse": steps}
+        path.write_text(json.dumps({"tables": [{"platform": "p", "metric": "m",
+                                                "rows": [row]}]}))
+        assert main(["report", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("sarima,")
 
 
 def test_traced_cli_resolves_every_wrapped_name(tmp_path):

@@ -1,18 +1,19 @@
-"""The fused-gate layer kernels against the per-gate kernels they replaced.
+"""The network's fused-gate wavefront kernels against the per-gate kernels
+they replaced.
 
 The ``_oracle_*`` functions are the former ``neural`` layer kernels, kept
-verbatim: one GEMM per gate in forward and backward.  The fused kernels
-stack the gates' rows into one block, which changes the summation order of
-``dx`` and the recurrent gradient, so outputs, every named weight gradient
-and ``dx`` must agree within 1e-12 relative to each array's largest entry.
+verbatim: one GEMM per gate in forward and backward, one layer's whole time
+loop after another.  The production kernels stack the gates' rows into one
+block, which changes the summation order of ``dx`` and the recurrent
+gradient, so outputs and every named weight gradient must agree within
+1e-12 relative to each array's largest entry.
 """
 
 import numpy as np
 import pytest
 
-from leancast import neural
-from leancast.neural import (FlatParameters, GruLayerWeights, LstmLayerWeights,
-                             NetworkConfig, RecurrentNetwork, sigmoid)
+from leancast.neural import (GruLayerWeights, LstmLayerWeights, NetworkConfig,
+                             RecurrentNetwork, sigmoid)
 
 
 def _oracle_lstm_forward(x_seq, w: LstmLayerWeights):
@@ -128,49 +129,45 @@ def _assert_close(actual, expected, what):
     assert worst <= 1e-12, f"{what}: relative error {worst:.3g}"
 
 
-# (cell, layers, layer under test, input size, hidden, steps)
+# (cell, layers, input size, hidden, steps)
 CASES = {
-    "lstm_flat_14_32": ("lstm", 1, 0, 14, 32, 1),
-    "lstm_sequence_1_8": ("lstm", 1, 0, 1, 8, 18),
-    "gru_flat_14_32": ("gru", 1, 0, 14, 32, 1),
-    "gru_sequence_1_8": ("gru", 1, 0, 1, 8, 18),
-    "lstm_deeper_layer": ("lstm", 2, 1, 1, 8, 18),
-    "gru_deeper_layer": ("gru", 2, 1, 14, 32, 3),
+    "lstm_flat_14_32": ("lstm", 1, 14, 32, 1),
+    "lstm_sequence_1_8": ("lstm", 1, 1, 8, 18),
+    "gru_flat_14_32": ("gru", 1, 14, 32, 1),
+    "gru_sequence_1_8": ("gru", 1, 1, 8, 18),
+    "lstm_deeper_layer": ("lstm", 2, 1, 8, 18),
+    "gru_deeper_layer": ("gru", 2, 14, 32, 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_kernels_match_per_gate_oracle(case):
-    cell, layers, k, input_size, hidden, steps = CASES[case]
+    cell, layers, input_size, hidden, steps = CASES[case]
     cfg = NetworkConfig(cell=cell, layers=layers, hidden=hidden, input_size=input_size,
-                        seed=sorted(CASES).index(case))
+                        output_size=2, seed=sorted(CASES).index(case))
     net = RecurrentNetwork(cfg)
     rng = np.random.default_rng(len(case))
     # gate pre-activations then cover both saturated and linear regions
     net.theta[:] = rng.normal(0, 0.5, net.theta.size)
-    in_size = input_size if k == 0 else hidden
-    x_seq = rng.normal(0, 1, (16, steps, in_size))
-    dh_seq = rng.normal(0, 1, (16, steps, hidden))
-    if cell == "lstm":
-        fused_fwd, fused_bwd = neural._lstm_layer_forward, neural._lstm_layer_backward
-        oracle_fwd, oracle_bwd = _oracle_lstm_forward, _oracle_lstm_backward
-    else:
-        fused_fwd, fused_bwd = neural._gru_layer_forward, neural._gru_layer_backward
-        oracle_fwd, oracle_bwd = _oracle_gru_forward, _oracle_gru_backward
-    weights = net.layers[k]
-    blocks = net.parameters().blocks[k]
+    x = rng.normal(0, 1, (16, steps, input_size))
+    d_outputs = rng.normal(0, 1, (16, steps, 2))
+    oracle_fwd, oracle_bwd = ((_oracle_lstm_forward, _oracle_lstm_backward) if cell == "lstm"
+                              else (_oracle_gru_forward, _oracle_gru_backward))
 
-    hs, caches = fused_fwd(x_seq, *blocks)
-    ref_hs, ref_caches = oracle_fwd(x_seq, weights)
-    _assert_close(hs, ref_hs, "hidden states")
+    outputs, cache = net.forward(x)
+    ref_caches, hs = [], x
+    for weights in net.layers:
+        hs, layer_cache = oracle_fwd(hs, weights)
+        ref_caches.append(layer_cache)
+    _assert_close(cache["top"], hs, "top hidden states")
+    _assert_close(outputs, hs @ net.W_out.T + net.b_out, "outputs")
 
-    grads = FlatParameters(cfg)
-    dx = fused_bwd(dh_seq, caches, blocks, grads.blocks[k])
-    ref_dx, ref_grads = oracle_bwd(dh_seq, weights, ref_caches, in_size)
-    _assert_close(dx, ref_dx, "dx")
-    for name in weights.FIELDS:
-        _assert_close(grads[f"layer{k}.{name}"], ref_grads[name], name)
-    # nothing outside layer k was written
-    for name, arr in grads.items():
-        if not name.startswith(f"layer{k}."):
-            assert not arr.any(), name
+    grads = net.backward(cache, d_outputs)
+    dh = d_outputs @ net.W_out
+    for k in reversed(range(layers)):
+        in_size = input_size if k == 0 else hidden
+        dh, ref_grads = oracle_bwd(dh, net.layers[k], ref_caches[k], in_size)
+        for name in net.layers[k].FIELDS:
+            _assert_close(grads[f"layer{k}.{name}"], ref_grads[name], f"layer{k}.{name}")
+    _assert_close(grads["out.W"], np.einsum("nto,nth->oh", d_outputs, hs), "out.W")
+    _assert_close(grads["out.b"], d_outputs.sum(axis=(0, 1)), "out.b")

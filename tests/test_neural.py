@@ -13,7 +13,7 @@ from leancast.neural import (CellState, FlatParameters, GruLayerWeights,
                              zero_gru_weights, zero_lstm_weights)
 from leancast.rng import derive_rng
 from leancast.series import make_windows, generate_synthetic
-from reference_kernels import allocating_backward, masked_sigmoid
+from reference_kernels import allocating_backward, masked_sigmoid, per_layer_forward
 
 
 def small_config(**over):
@@ -234,9 +234,11 @@ def test_backward_into_buffer_matches_former_backward_bit_for_bit(cell, layers, 
     buffer.vector[::3] = np.nan
     assert net.backward(cache, d, out=buffer) is buffer
     npt.assert_array_equal(buffer.vector.view(np.uint64), fresh.vector.view(np.uint64))
-    # the former backward computes layer 0's input gradient and every
-    # t = 0 recurrent product; dropping them changes no gradient bit
-    former = allocating_backward(net, cache, d)
+    # the former backward runs the layers one after another, computing
+    # layer 0's input gradient and every t = 0 recurrent product; the
+    # wavefronts and dropping those products change no gradient bit
+    _, former_cache = per_layer_forward(net, x, training=dropout > 0, masks=cache["masks"])
+    former = allocating_backward(net, former_cache, d)
     npt.assert_array_equal(fresh.vector.view(np.uint64), former.vector.view(np.uint64))
 
 

@@ -333,6 +333,15 @@ class TestCssResiduals:
 
 
 class TestFit:
+    def test_overflowing_sum_of_squares_is_named(self):
+        # finite values up to ~5e300, whose squares overflow: the fit stops
+        # at the zero model's SSE, before LAPACK sees a non-finite matrix
+        values = 2.0 ** np.arange(1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"zero model's sum of squares overflows \(inf\)"):
+                fit(values, SarimaSpec(1, 0, 0, 0, 0, 0, 0), seed=0)
+
     def test_white_noise_alpha_small(self):
         series = generate_synthetic("ar1", 500, seed=3, alpha=0.0, sigma=1.0)
         f = fit(series.values, SarimaSpec(1, 0, 0, 0, 0, 0, 0), seed=0)

@@ -23,7 +23,7 @@ from leancast.neural import RecurrentNetwork, TrainingDivergedError
 from leancast.rng import derive_rng
 from leancast.series import generate_synthetic, make_windows
 from reference_kernels import (allocating_adam_step, allocating_backward,
-                               allocating_rmsprop_step, masked_sigmoid)
+                               allocating_rmsprop_step, masked_sigmoid, per_layer_forward)
 
 
 def _oracle_windows_to_batches(windows, input_size: int):
@@ -214,9 +214,11 @@ def test_training_matches_allocating_kernels_bit_for_bit(kind, monkeypatch):
     monkeypatch.setattr(neural, "sigmoid", counted("sigmoid", masked_sigmoid))
     monkeypatch.setattr(optim, "rmsprop_step", counted("step", allocating_rmsprop_step))
     monkeypatch.setattr(optim, "adam_step", counted("step", allocating_adam_step))
+    # the former per-layer forward, whose cache the allocating backward reads
+    monkeypatch.setattr(RecurrentNetwork, "forward", counted("forward", per_layer_forward))
     monkeypatch.setattr(RecurrentNetwork, "backward", counted("backward", allocating_backward))
     ref_net, ref_history = _train_kind(kind, seed=3)
-    assert sorted(calls) == ["backward", "sigmoid", "step"]
+    assert sorted(calls) == ["backward", "forward", "sigmoid", "step"]
     assert calls["step"] == calls["backward"] >= 4
     assert history == ref_history
     npt.assert_array_equal(net.theta.view(np.uint64), ref_net.theta.view(np.uint64))
