@@ -27,14 +27,18 @@ inputs.
 
 The stack runs in their layer-overlap schedule: cell (l, t) needs only
 (l - 1, t) and (l, t - 1), so wavefront k runs every cell with l + t = k at
-once, L + T - 1 steps instead of L * T.  Layer 0 runs its own GEMM; the
-layers above run one matmul over views that stack their blocks, each matrix
-with the strides of the one-cell operand, so BLAS sums every cell in the
-same order and results are bit-identical to one layer's time loop after
-another.  The gate math runs once per wavefront, a lone cell on plain 2-D
-arrays.  ``backward`` walks the wavefronts in reverse.  ``final_state``
-gives each layer's state after a forward, from which a later forward
-continues the sequence (the multistep decoder steps on this way).
+once, L + T - 1 steps instead of L * T.  Every wavefront is a stack of its
+rows, one per layer, and the gate math runs once per wavefront.  Layer 0
+runs its own GEMM; the layers above run one matmul over views that stack
+their blocks, each matrix with the strides of one layer's operand, so BLAS
+sums every cell in the same order and results are bit-identical to one
+layer's time loop after another.  The forward writes every state into one
+history per carried state, (L, T + 1, n, H), in which a wavefront's cells,
+their next states and the outputs of the layers below are strided slices.
+``backward`` walks the wavefronts in reverse over per-layer gradient
+buffers.  ``final_state`` reads each layer's state after the last step out
+of the history; a later forward continues the sequence from it (the
+multistep decoder steps on this way).
 
 All math is float64 numpy; gradients are exact reverse-mode derivatives of
 the forward recursion (checked against finite differences in the tests).
@@ -73,7 +77,8 @@ def sigmoid(x):
     e = np.abs(x, out=np.empty(np.shape(x)))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    numerator = np.where(x >= 0, 1.0, e)
+    numerator = np.minimum(x, 0.0)    # e^0 = 1 exactly, and e^x = e for x < 0
+    np.exp(numerator, out=numerator)
     e += 1.0
     np.divide(numerator, e, out=e)
     return e
@@ -209,12 +214,9 @@ def gru_step(x, h, w: GruLayerWeights) -> np.ndarray:
     return (1.0 - z) * h + z * hcand
 
 
-_GATE_AXES = {2: (1, 0, 2), 3: (2, 0, 1, 3)}
-
-
 def _gates(a, count):
-    """The ``count`` gate views of a fused (n, count*H) or (layers, n, count*H) array."""
-    return a.reshape(a.shape[:-1] + (count, -1)).transpose(_GATE_AXES[a.ndim])
+    """The ``count`` gate views of a fused (rows, n, count*H) array."""
+    return a.reshape(a.shape[:-1] + (count, a.shape[-1] // count)).transpose(2, 0, 1, 3)
 
 
 @functools.lru_cache
@@ -224,194 +226,146 @@ def _fronts(layers, steps):
                  for k in range(layers + steps - 1 if steps else 0))
 
 
-# A wavefront of one cell works on plain 2-D arrays with its layer's own
-# blocks.  A wider one stacks its rows: layer 0's row, when it holds it, is
-# split off (its input has another width) and the others run as one stack.
+# Every wavefront is a stack of its rows lo..hi, in which row 0, when the
+# front holds it, is layer 0 (its input has another width).
 
-def _split(a, lo):
-    """(layer 0's row or None, the stacked rows above) of a wavefront's array."""
-    return (a[0], a[1:]) if lo == 0 else (None, a)
-
-
-def _join(a2, a3):
-    """The inverse of ``_split``."""
-    return a3 if a2 is None else np.concatenate([a2[None], a3])
-
-
-def _by_layer(a2, a3, lo, hi, w0, w):
-    """Each row of a wavefront, as ``_split`` parts, times its own layer's
-    weight: layer 0's by ``w0``, the rows above in one matmul by their
-    slice of ``w``, a stack over layers 1.. whose matrices have the strides
-    of the one-cell operand, so BLAS sums in the same order as for one cell."""
-    return (None if a2 is None else np.matmul(a2, w0), np.matmul(a3, w[max(lo, 1) - 1:hi]))
+def _front_gemm(a, x0, x3, lo, hi, W0, W):
+    """Each row's input times its layer's weight, into ``a``: layer 0's
+    (``x0``) by ``W0`` in its own GEMM, the rows above (``x3``) in one matmul
+    by their slice of ``W``, a stack over layers 1.. whose matrices have the
+    strides of one layer's operand, so BLAS sums as in a layer's time loop."""
+    if lo == 0:
+        np.matmul(x0, W0, out=a[0])
+    if hi:
+        np.matmul(x3, W[max(lo, 1) - 1:hi], out=a[max(lo, 1) - lo:])
 
 
-def _buffer(buffers, shape, count):
-    """A d(pre-activation) array and its gate views, kept while the fronts
-    keep their ``shape``: each front reads it only itself."""
-    if shape not in buffers:
-        da = np.empty(shape)
-        buffers.clear()
-        buffers[shape] = da, tuple(_gates(da, count))
-    return buffers[shape]
-
-
-def _add_grads(da, x2, x3, lo, hi, dW0, dW, db):
-    """Add a front's gradients into each layer's W (``da.T @`` its operand:
-    the one cell's or layer 0's ``x2``, the stacked rows' ``x3``) and b."""
-    if lo == hi:
-        dW2, db = (dW[lo - 1] if lo else dW0), db[lo]
-        dW2 += da.T @ x2
-    else:
-        da2, da3 = _split(da, lo)
-        if lo == 0:
-            dW0 += da2.T @ x2
-        dW[max(lo, 1) - 1:hi] += np.matmul(da3.swapaxes(1, 2), x3)
-        db = db[lo:hi + 1]
-    db += np.add.reduce(da, axis=-2)
-
-
-def _lstm_step(x2, x3, state, lo, hi, weights):
-    (h, c), (W0T, WT, b), hidden = state, weights, state[1].shape[-1]
-    if lo == hi:
-        z2, z3 = np.concatenate([h, x2], axis=1), None
-        a = z2 @ (WT[lo - 1] if lo else W0T) + b[lo]
-    else:
-        h2, h3 = _split(h, lo)
-        z2 = None if lo else np.concatenate([h2, x2], axis=1)
-        z3 = np.concatenate([h3, x3], axis=2)
-        a = _join(*_by_layer(z2, z3, lo, hi, W0T, WT))
-        a += b[lo:hi + 1, None]
+def _lstm_step(a, x0, below, state, new, lo, hi, weights):
+    (W0T, WT, b), h, c, hidden = weights, state[0], state[1], state.shape[-1]
+    z0 = np.concatenate([h[0], x0], axis=1) if lo == 0 else None
+    z3 = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
+    _front_gemm(a, z0, z3, lo, hi, W0T, WT)
+    a += b[lo:hi + 1]
     gates = sigmoid(a)
-    gates[..., 2 * hidden:3 * hidden] = np.tanh(a[..., 2 * hidden:3 * hidden])
+    np.tanh(a[..., 2 * hidden:3 * hidden], out=gates[..., 2 * hidden:3 * hidden])
     i, f, g, o = _gates(gates, 4)
-    c_new = f * c + i * g
+    c_new = np.multiply(f, c, out=new[1])
+    c_new += i * g
     tc = np.tanh(c_new)
-    return (o * tc, c_new), (z2, z3, gates, c, tc)
+    np.multiply(o, tc, out=new[0])
+    return z0, z3, (i, f, g, o), c, tc
 
 
-def _lstm_back(dh, d_state, cache, lo, hi, k, weights, grads, buffers):
-    (dh_next, dc_next), (z2, z3, gates, c, tc) = d_state, cache
-    (W0, W), hidden = weights, c.shape[-1]
-    i, f, g, o = _gates(gates, 4)
-    dh = dh + dh_next
-    dc = dc_next + dh * o * (1.0 - tc * tc)
-    da, (da_i, da_f, da_g, da_o) = _buffer(buffers, gates.shape, 4)
+def _lstm_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
+    (z0, z3, (i, f, g, o), c, tc), (W0, W), (dW0, dW, db) = cache, weights, grads
+    rows, hidden = slice(lo, hi + 1), c.shape[-1]
+    dh = d[0, rows] + d[1, rows]
+    dc = d[2, rows] + dh * o * (1.0 - tc * tc)
+    da_i, da_f, da_g, da_o = da_gates
     da_i[...] = dc * g * i * (1.0 - i)
     da_f[...] = dc * c * f * (1.0 - f)
     da_g[...] = dc * i * (1.0 - g * g)
     da_o[...] = dh * tc * o * (1.0 - o)
-    _add_grads(da, z2, z3, lo, hi, *grads)
-    # nothing reads layer 0's d(input), nor a d(h) before t = 0; the
+    db[rows] += np.add.reduce(da, axis=1)
+    # nothing reads layer 0's d(input), nor a d(h) or d(c) before t = 0; the
     # products stay whole: a column slice of W changes BLAS's order
-    if lo == hi:
-        dz = da @ (W[lo - 1] if lo else W0) if lo or k else None
-        return ((None if dz is None else dz[:, :hidden]), dc * f), (dz[:, hidden:] if lo else None)
-    da2, da3 = _split(da, lo)
-    dz2, dz3 = _by_layer(da2, da3, lo, hi, W0, W)
-    return (_join(None if dz2 is None else dz2[:, :hidden], dz3[..., :hidden]), dc * f), \
-        dz3[..., hidden:]
+    if k > lo:
+        np.multiply(dc, f, out=d[2, rows])
+    if lo == 0:
+        dW0 += da[0].T @ z0
+        if k:
+            d[1, 0] = (da[0] @ W0)[:, :hidden]
+    if hi:
+        da3, above = da[max(lo, 1) - lo:], slice(max(lo, 1) - 1, hi)
+        dW[above] += np.matmul(da3.swapaxes(1, 2), z3)
+        dz = np.matmul(da3, W[above])
+        if k > lo:
+            d[1, max(lo, 1):hi + 1] = dz[..., :hidden]
+        return dz[..., hidden:]
 
 
-def _gru_step(x2, x3, state, lo, hi, weights):
-    (h,), (W0T, WT, UzT, UhT, bz, bh), hidden = state, weights, state[0].shape[-1]
-    if lo == hi:
-        ax, uz, uh, bz, bh = x2 @ (WT[lo - 1] if lo else W0T), UzT[lo], UhT[lo], bz[lo], bh[lo]
-    else:
-        ax = _join(*_by_layer(x2, x3, lo, hi, W0T, WT))
-        uz, uh, bz, bh = UzT[lo:hi + 1], UhT[lo:hi + 1], bz[lo:hi + 1, None], bh[lo:hi + 1, None]
-    zr = sigmoid(ax[..., :2 * hidden] + np.matmul(h, uz) + bz)
+def _gru_step(a, x0, below, state, new, lo, hi, weights):
+    (W0T, WT, UzT, UhT, bz, bh), h = weights, state[0]
+    rows, cut = slice(lo, hi + 1), UzT.shape[-1]
+    _front_gemm(a, x0, below, lo, hi, W0T, WT)
+    zr = sigmoid(a[..., :cut] + np.matmul(h, UzT[rows]) + bz[rows])
     z, r = _gates(zr, 2)
     rh = r * h
-    hcand = np.tanh(ax[..., 2 * hidden:] + np.matmul(rh, uh) + bh)
-    return ((1.0 - z) * h + z * hcand,), (x2, x3, h, zr, rh, hcand)
+    hcand = np.tanh(a[..., cut:] + np.matmul(rh, UhT[rows]) + bh[rows])
+    np.add((1.0 - z) * h, z * hcand, out=new[0])
+    return x0, below, h, (z, r), rh, hcand
 
 
-def _gru_back(dh, d_state, cache, lo, hi, k, weights, grads, buffers):
-    (dh_next,), (x2, x3, h, zr, rh, hcand) = d_state, cache
-    (W0, W, Uz, Uh), (dW0, dW, dUz, dUh, db) = weights, grads
-    rows, cut = (lo if lo == hi else slice(lo, hi + 1)), 2 * h.shape[-1]
-    z, r = _gates(zr, 2)
-    dh = dh + dh_next
-    da, (da_z, da_r, da_h) = _buffer(buffers, zr.shape[:-1] + (3 * h.shape[-1],), 3)
+def _gru_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
+    (x0, x3, h, (z, r), rh, hcand), (W0, W, Uz, Uh), (dW0, dW, dUz, dUh, db) = cache, weights, grads
+    rows, cut = slice(lo, hi + 1), 2 * h.shape[-1]
+    dh = d[0, rows] + d[1, rows]
+    da_z, da_r, da_h = da_gates
     da_h[...] = dh * z * (1.0 - hcand * hcand)
     drh = np.matmul(da_h, Uh[rows])
     da_r[...] = drh * h * r * (1.0 - r)
     da_z[...] = dh * (hcand - h) * z * (1.0 - z)
-    _add_grads(da, x2, x3, lo, hi, dW0, dW, db)
-    dUz, dUh = dUz[rows], dUh[rows]
-    dUz += np.matmul(da[..., :cut].swapaxes(-1, -2), h)
-    dUh += np.matmul(da_h.swapaxes(-1, -2), rh)
-    dh_next = None
-    if lo < hi or k > lo:    # nothing reads a d(h) before t = 0
-        dh_next = dh * (1.0 - z) + drh * r + np.matmul(da[..., :cut], Uz[rows])
+    db[rows] += np.add.reduce(da, axis=1)
+    dUz[rows] += np.matmul(da[..., :cut].swapaxes(1, 2), h)
+    dUh[rows] += np.matmul(da_h.swapaxes(1, 2), rh)
+    if k > lo:    # nothing reads a d(h) before t = 0
+        np.add(dh * (1.0 - z) + drh * r, np.matmul(da[..., :cut], Uz[rows]), out=d[1, rows])
     # nothing reads layer 0's d(input)
-    if lo == hi:
-        return (dh_next,), (da @ W[lo - 1] if lo else None)
-    return (dh_next,), np.matmul(_split(da, lo)[1], W[max(lo, 1) - 1:hi])
+    if lo == 0:
+        dW0 += da[0].T @ x0
+    if hi:
+        da3, above = da[max(lo, 1) - lo:], slice(max(lo, 1) - 1, hi)
+        dW[above] += np.matmul(da3.swapaxes(1, 2), x3)
+        return np.matmul(da3, W[above])
 
 
-def _forward_fronts(step, weights, x, skew, init):
-    """Run ``step`` (``_lstm_step`` or ``_gru_step``) over every wavefront
-    from the per-layer ``init`` states.  Returns the top layer's hidden
-    sequence and the per-front caches."""
-    layers, (n, steps, _), hidden = len(init), x.shape, init[0][0].shape[-1]
-    top, fronts, prev, prev_lo = np.empty((n, steps, hidden)), [], (), 0
+def _forward_fronts(step, weights, x, skew, history):
+    """Run ``step`` (``_lstm_step`` or ``_gru_step``) over every wavefront.
+    ``history`` is (states, L, T + 1, n, H): ``[:, l, t]`` is layer l's
+    state before step t, given at t = 0 and written here for t > 0.
+    Returns the per-front caches."""
+    states, layers, span, n, hidden = history.shape
+    steps, flat, fronts = span - 1, history.reshape(states, layers * span, n, hidden), []
+    # pre-activations (4H LSTM, 3H GRU) of the widest wavefront
+    pre = np.empty((min(layers, steps), n, weights[0].shape[-1]))
     for k, lo, hi in _fronts(layers, steps):
-        # each layer's state from the front before, or at t = 0 its initial
-        # state; a one-cell front works on plain 2-D rows
-        one, start = lo == hi, (init[hi] if hi == k else None)
-        if one:
-            state = start or (prev if prev[0].ndim == 2 else tuple(s[lo - prev_lo] for s in prev))
-        else:
-            prev = tuple(s if s.ndim == 3 else s[None] for s in prev)
-            state = tuple(s[lo - prev_lo:] for s in prev)
-            if start:
-                state = tuple(np.concatenate([s, s0[None]]) for s, s0 in zip(state, start))
-        # layers above 0 read what the layers below them output in the front before
-        below = None
+        # in the flat history cell (l, k - l) sits at l * T + k, its next
+        # state one further on, and the layer below's output it reads (that
+        # layer's state after step k - l) T before it
+        first, stop, below = lo * steps + k, hi * steps + k + 1, None
         if hi:
-            h = prev[0]
-            below = (h if h.ndim == 2 else h[lo - 1 - prev_lo]) if one else \
-                h[max(lo, 1) - 1 - prev_lo:hi - prev_lo]
+            below = flat[0, first - steps if lo else k:stop - steps:steps]
             if skew is not None:
-                below = below * skew[k, lo - 1 if one else slice(max(lo, 1) - 1, hi)]
-        x2, x3 = (below, None) if one and lo else (x[:, k] if lo == 0 else None, below)
-        prev, cache = step(x2, x3, state, lo, hi, weights)
-        fronts.append(cache)
-        prev_lo = lo
-        if hi == layers - 1:
-            top[:, k - hi] = prev[0][-1] if prev[0].ndim == 3 else prev[0]
-    return top, fronts
+                below = below * skew[k, max(lo, 1) - 1:hi]
+        fronts.append(step(pre[:hi - lo + 1], x[:, k] if lo == 0 else None, below,
+                           flat[:, first:stop:steps],
+                           flat[:, first + 1:stop + 1:steps], lo, hi, weights))
+    return fronts
 
 
-def _backward_fronts(back, fronts, skew, dh_top, weights, grads, count):
+def _backward_fronts(back, fronts, skew, dh_top, weights, grads, states):
     """Walk the wavefronts in reverse: ``back`` (``_lstm_back`` or
-    ``_gru_back``) adds each front's gradients into ``grads``; ``count`` is
-    the number of state arrays a cell carries."""
+    ``_gru_back``) adds each front's gradients into ``grads``.  ``d`` holds
+    per layer d(loss)/d(h) from the layer above (the readout's for the top
+    layer), then d(h) and, for the LSTM, d(c) through the layer's next step,
+    zero at its last; each front reads its own rows and writes what the front
+    before it reads.  ``states`` is the number of state arrays a cell carries."""
     layers, (n, steps, hidden) = len(grads[-1]), dh_top.shape
-    zero, carry, dx, next_lo, buffers = np.zeros((n, hidden)), (None,) * count, None, 0, {}
+    d = np.zeros((1 + states, layers, n, hidden))
+    # d(pre-activation) (4H LSTM, 3H GRU) of the widest wavefront
+    da = np.empty((min(layers, steps), n, (2 + states) * hidden))
+    da_gates = _gates(da, 2 + states)
     for k, lo, hi in reversed(_fronts(layers, steps)):
-        one, last = lo == hi, k - lo == steps - 1
-        # d(loss)/d(h): what the layer above passed down in the front
-        # before, dropout-masked, or for the top layer the readout's
-        dh = None
-        if dx is not None:
-            dh = (dx if dx.ndim == 2 else dx[0]) if one else dx if dx.ndim == 3 else dx[None]
-            if skew is not None:
-                dh = dh * skew[k + 1, lo if one else slice(lo, lo + len(dh))]
         if hi == layers - 1:
-            dh = dh_top[:, k - hi] if one else np.concatenate([dh, dh_top[None, :, k - hi]])
-        # and what each layer's next step passed back: zero at its last step
-        if one:
-            d_state = ((zero,) * count if last else carry if carry[0].ndim == 2
-                       else tuple(s[0] for s in carry))
-        else:
-            d_state = tuple((s if s.ndim == 3 else s[None])[:hi - next_lo + 1] for s in carry)
-            if last:
-                d_state = tuple(np.concatenate([zero[None], s]) for s in d_state)
-        carry, dx = back(dh, d_state, fronts[k], lo, hi, k, weights, grads, buffers)
-        next_lo = lo
+            d[0, hi] = dh_top[:, k - hi]
+        size = hi - lo + 1
+        dx = back(d, da[:size], da_gates[:, :size], fronts[k], lo, hi, k, weights, grads)
+        if hi:    # the rows below read it, dropout-masked, in the front before
+            below = slice(max(lo, 1) - 1, hi)
+            if skew is None:
+                d[0, below] = dx
+            else:
+                np.multiply(dx, skew[k, below], out=d[0, below])
 
 
 def dropout_masks(rng, shape, rate: float) -> np.ndarray:
@@ -518,34 +472,26 @@ class RecurrentNetwork:
             skew = np.empty((layers + steps, layers - 1, n, self.config.hidden))
             for layer_idx, mask in enumerate(used_masks[:-1]):
                 skew[layer_idx + 1:layer_idx + 1 + steps, layer_idx] = mask.swapaxes(0, 1)
-        lstm, zeros = self.config.cell == "lstm", np.zeros((n, self.config.hidden))
+        lstm, hidden = self.config.cell == "lstm", self.config.hidden
         W0T, (W, *rest) = self._params.blocks[0][0].T, self._params.stacks
         if lstm:
-            weights = (W0T, W.swapaxes(1, 2), rest[0])
+            weights = (W0T, W.swapaxes(1, 2), rest[0][:, None])
         else:    # the z and r parts of U and b, then the candidate's
-            (U, b), cut = rest, 2 * self.config.hidden
-            UT = U.swapaxes(1, 2)
-            weights = (W0T, W.swapaxes(1, 2), UT[..., :cut], UT[..., cut:], b[:, :cut], b[:, cut:])
-        top, fronts = _forward_fronts(_lstm_step if lstm else _gru_step, weights, x, skew,
-                                      state or [(zeros,) * (1 + lstm)] * layers)
+            (U, b), cut = rest, 2 * hidden
+            UT, b = U.swapaxes(1, 2), b[:, None]
+            weights = (W0T, W.swapaxes(1, 2), UT[..., :cut], UT[..., cut:], b[..., :cut], b[..., cut:])
+        history = np.empty((1 + lstm, layers, steps + 1, n, hidden))
+        history[:, :, 0] = np.swapaxes(state, 0, 1) if state else 0.0
+        fronts = _forward_fronts(_lstm_step if lstm else _gru_step, weights, x, skew, history)
+        top = history[0, -1, 1:].swapaxes(0, 1).copy()
         outputs = top @ self.W_out.T + self.b_out
-        return outputs, {"top": top, "fronts": fronts, "masks": used_masks, "skew": skew}
+        return outputs, {"top": top, "fronts": fronts, "history": history, "masks": used_masks,
+                         "skew": skew}
 
     def final_state(self, cache) -> list:
         """Each layer's (h, c) (LSTM) or (h,) (GRU) after the last step of the
-        forward that left ``cache``, computed as that forward computed it;
-        kept out of the cache, which would hold two arrays per layer more."""
-        steps, fronts, states = cache["top"].shape[1], cache["fronts"], []
-        for layer in range(len(fronts) - steps + 1):
-            # a layer's last step is the first row of its last wavefront
-            row = [a if a is None or a.ndim == 2 else a[0] for a in fronts[layer + steps - 1]]
-            if self.config.cell == "lstm":
-                i, f, g, o = _gates(row[2], 4)
-                states.append((o * row[4], f * row[3] + i * g))
-            else:
-                z = _gates(row[3], 2)[0]
-                states.append(((1.0 - z) * row[2] + z * row[5],))
-        return states
+        forward that left ``cache``: views into its state history."""
+        return [tuple(states[:, -1]) for states in cache["history"].swapaxes(0, 1)]
 
     def backward(self, cache, d_outputs, out: FlatParameters | None = None) -> FlatParameters:
         """Exact BPTT gradients given d(loss)/d(outputs), laid out like

@@ -18,8 +18,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from leancast.forecasters import decode_multistep
+from leancast.forecasters import TrainedForecaster, decode_multistep, forecast_multistep
 from leancast.neural import NetworkConfig, RecurrentNetwork, dropout_masks
+from leancast.series import IDENTITY_SCALER
 from reference_kernels import per_layer_backward, per_layer_forward, prefix_decode
 
 SHAPES = list(itertools.product((1, 7, 66, 257), (4, 8, 32), (1, 5, 18), (1, 14)))
@@ -70,18 +71,19 @@ def test_dropout_masks_are_drawn_in_layer_order():
     npt.assert_array_equal(_bits(outputs), _bits(ref_outputs))
 
 
+@pytest.mark.parametrize("split", [0, 6])
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
-def test_final_state_continues_the_sequence(cell):
+def test_final_state_continues_the_sequence(cell, split):
     """A forward over a prefix and one from its final state over the rest
     give the top hidden states of one forward over the whole sequence (the
     readout is not compared: BLAS may sum a longer sequence's rows another
-    way)."""
+    way).  An empty prefix leaves the initial state."""
     net = RecurrentNetwork(NetworkConfig(cell=cell, layers=3, hidden=5, input_size=2, seed=4))
     x = np.random.default_rng(1).normal(0, 1, (7, 9, 2))
     _, whole = net.forward(x)
-    _, head = net.forward(x[:, :6])
-    _, tail = net.forward(x[:, 6:], state=net.final_state(head))
-    npt.assert_array_equal(_bits(tail["top"]), _bits(whole["top"][:, 6:]))
+    _, head = net.forward(x[:, :split])
+    _, tail = net.forward(x[:, split:], state=net.final_state(head))
+    npt.assert_array_equal(_bits(tail["top"]), _bits(whole["top"][:, split:]))
 
 
 @pytest.mark.parametrize("layers", [1, 8])
@@ -103,3 +105,16 @@ def test_empty_sequence_runs_no_wavefront(cell):
     outputs, cache = net.forward(np.zeros((2, 0, 1)), training=True)
     assert outputs.shape == (2, 0, 1) and cache["fronts"] == []
     assert not net.backward(cache, outputs).vector.any()
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_empty_batch_runs_every_wavefront(cell):
+    net = RecurrentNetwork(NetworkConfig(cell=cell, layers=3, hidden=4, input_size=1,
+                                         dropout=0.5))
+    outputs, cache = net.forward(np.zeros((0, 5, 1)), training=True)
+    assert outputs.shape == (0, 5, 1) and len(cache["fronts"]) == 7
+    assert not net.backward(cache, outputs).vector.any()
+    assert [s.shape for state in net.final_state(cache) for s in state] == \
+        [(0, 4)] * (3 if cell == "gru" else 6)
+    model = TrainedForecaster("multistep_14_5", net, IDENTITY_SCALER, {})
+    assert forecast_multistep(model, np.empty((0, 14))).shape == (0, 5)
