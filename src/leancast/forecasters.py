@@ -17,7 +17,10 @@ Neural kinds min-max scale with a scaler fit on the training half only and
 report on the original scale; SARIMA works on raw values (identity scaler).
 The 14-day kinds consume the lookback flat (a single cell step over a
 14-dimensional input); passing a network config with input_size=1 switches
-to a 14-step sequence presentation instead.
+to a 14-step sequence presentation instead.  A kind trained on one step
+(lstm_1day, and the flat 14-day kinds) gets a network without recurrent
+weights, which a single step from zero state would never use (see
+``neural``); its model file holds only the live weights.
 """
 
 from __future__ import annotations

@@ -25,6 +25,16 @@ Kocisky & Blunsom 2016, "Optimizing performance of recurrent neural
 networks on GPUs"): one GEMM per step for all LSTM gates, and for the GRU's
 inputs.
 
+A network trained on one-step input (time 1; the flat next-day kinds) runs
+one step from a zero state, so its recurrent weights multiply h = 0: they
+never reach an output and their gradient is exactly zero.  Such a
+``one_step`` network is built without them.  An LSTM layer's W_* hold only
+their x-columns, (H, I), and a GRU layer has no U_*; the rest of the layout
+is unchanged.  Init draws the full layout and keeps the live columns, so
+the weights are those of the full network.  The steps skip the [h, x]
+concatenation and the U products, which only added zeros, so the outputs
+and gradients are the full network's up to summation order.
+
 The stack runs in their layer-overlap schedule: cell (l, t) needs only
 (l - 1, t) and (l, t - 1), so wavefront k runs every cell with l + t = k at
 once, L + T - 1 steps instead of L * T.  Every wavefront is a stack of its
@@ -134,6 +144,7 @@ class LstmLayerWeights:
     b_f: np.ndarray
     b_g: np.ndarray
     b_o: np.ndarray
+    one_step: bool = False           # the W_* hold only their x-columns
 
     FIELDS = ("W_i", "W_f", "W_g", "W_o", "b_i", "b_f", "b_g", "b_o")
 
@@ -143,7 +154,7 @@ class LstmLayerWeights:
 
     @property
     def input_size(self):
-        return self.W_i.shape[1] - self.W_i.shape[0]
+        return self.W_i.shape[1] - (0 if self.one_step else self.W_i.shape[0])
 
 
 @dataclass
@@ -157,12 +168,13 @@ class GruLayerWeights:
     b_z: np.ndarray
     b_r: np.ndarray
     b_h: np.ndarray
+    one_step: bool = False           # no U_* (they are None)
 
     FIELDS = ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")
 
     @property
     def hidden(self):
-        return self.U_z.shape[0]
+        return self.W_z.shape[0]
 
     @property
     def input_size(self):
@@ -185,8 +197,14 @@ def zero_gru_weights(input_size: int, hidden: int) -> GruLayerWeights:
     return RecurrentNetwork(config, init="zeros").layers[0]
 
 
+def _require_recurrent(w):
+    if w.one_step:
+        raise ValueError("a one-step network's layer has no recurrent weights to step h with")
+
+
 def lstm_step(x, state: CellState, w: LstmLayerWeights) -> CellState:
     """One LSTM cell update on plain vectors."""
+    _require_recurrent(w)
     x, h, c = (np.asarray(v, dtype=np.float64) for v in (x, state.h, state.c))
     if x.shape != (w.input_size,) or h.shape != (w.hidden,) or c.shape != (w.hidden,):
         raise ValueError(
@@ -203,6 +221,7 @@ def lstm_step(x, state: CellState, w: LstmLayerWeights) -> CellState:
 
 def gru_step(x, h, w: GruLayerWeights) -> np.ndarray:
     """One GRU cell update on plain vectors."""
+    _require_recurrent(w)
     x, h = np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64)
     if x.shape != (w.input_size,) or h.shape != (w.hidden,):
         raise ValueError(
@@ -241,10 +260,11 @@ def _front_gemm(a, x0, x3, lo, hi, W0, W):
 
 
 def _lstm_step(a, x0, below, state, new, lo, hi, weights):
-    (W0T, WT, b), h, c, hidden = weights, state[0], state[1], state.shape[-1]
-    z0 = np.concatenate([h[0], x0], axis=1) if lo == 0 else None
-    z3 = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
-    _front_gemm(a, z0, z3, lo, hi, W0T, WT)
+    (W0T, WT, b, one_step), h, c, hidden = weights, state[0], state[1], state.shape[-1]
+    if not one_step:    # a one-step network's W has no h-columns: its h is zero
+        x0 = np.concatenate([h[0], x0], axis=1) if lo == 0 else None
+        below = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
+    _front_gemm(a, x0, below, lo, hi, W0T, WT)
     a += b[lo:hi + 1]
     gates = sigmoid(a)
     np.tanh(a[..., 2 * hidden:3 * hidden], out=gates[..., 2 * hidden:3 * hidden])
@@ -253,7 +273,7 @@ def _lstm_step(a, x0, below, state, new, lo, hi, weights):
     c_new += i * g
     tc = np.tanh(c_new)
     np.multiply(o, tc, out=new[0])
-    return z0, z3, (i, f, g, o), c, tc
+    return x0, below, (i, f, g, o), c, tc
 
 
 def _lstm_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
@@ -281,17 +301,19 @@ def _lstm_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
         dz = np.matmul(da3, W[above])
         if k > lo:
             d[1, max(lo, 1):hi + 1] = dz[..., :hidden]
-        return dz[..., hidden:]
+        return dz[..., -hidden:]    # the x-columns, all of a one-step network's
 
 
 def _gru_step(a, x0, below, state, new, lo, hi, weights):
     (W0T, WT, UzT, UhT, bz, bh), h = weights, state[0]
-    rows, cut = slice(lo, hi + 1), UzT.shape[-1]
+    rows, cut = slice(lo, hi + 1), bz.shape[-1]
     _front_gemm(a, x0, below, lo, hi, W0T, WT)
-    zr = sigmoid(a[..., :cut] + np.matmul(h, UzT[rows]) + bz[rows])
-    z, r = _gates(zr, 2)
+    # a one-step network has no U: its h is zero, and so are the U terms
+    zr = a[..., :cut] if UzT is None else a[..., :cut] + np.matmul(h, UzT[rows])
+    z, r = _gates(sigmoid(zr + bz[rows]), 2)
     rh = r * h
-    hcand = np.tanh(a[..., cut:] + np.matmul(rh, UhT[rows]) + bh[rows])
+    hcand = a[..., cut:] if UhT is None else a[..., cut:] + np.matmul(rh, UhT[rows])
+    hcand = np.tanh(hcand + bh[rows])
     np.add((1.0 - z) * h, z * hcand, out=new[0])
     return x0, below, h, (z, r), rh, hcand
 
@@ -302,12 +324,15 @@ def _gru_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
     dh = d[0, rows] + d[1, rows]
     da_z, da_r, da_h = da_gates
     da_h[...] = dh * z * (1.0 - hcand * hcand)
-    drh = np.matmul(da_h, Uh[rows])
-    da_r[...] = drh * h * r * (1.0 - r)
     da_z[...] = dh * (hcand - h) * z * (1.0 - z)
+    if Uh is None:    # a one-step network has no U, and its r meets only h = 0
+        da_r[...] = 0.0
+    else:
+        drh = np.matmul(da_h, Uh[rows])
+        da_r[...] = drh * h * r * (1.0 - r)
+        dUz[rows] += np.matmul(da[..., :cut].swapaxes(1, 2), h)
+        dUh[rows] += np.matmul(da_h.swapaxes(1, 2), rh)
     db[rows] += np.add.reduce(da, axis=1)
-    dUz[rows] += np.matmul(da[..., :cut].swapaxes(1, 2), h)
-    dUh[rows] += np.matmul(da_h.swapaxes(1, 2), rh)
     if k > lo:    # nothing reads a d(h) before t = 0
         np.add(dh * (1.0 - z) + drh * r, np.matmul(da[..., :cut], Uz[rows]), out=d[1, rows])
     # nothing reads layer 0's d(input)
@@ -380,19 +405,20 @@ class FlatParameters(dict):
     docstring's order; ``blocks`` holds each layer's fused (W, b) or
     (W, U, b) blocks, then the readout's (W, b).  ``stacks`` views the same
     blocks on a leading layer axis: W of layers 1.., U (GRU) and b of every
-    layer."""
+    layer.  A ``one_step`` layout has no recurrent weights: an LSTM's W holds
+    only its x-columns, and a GRU has no U."""
 
-    def __init__(self, config: NetworkConfig):
+    def __init__(self, config: NetworkConfig, one_step: bool = False):
         super().__init__()
         lstm, hidden, out = config.cell == "lstm", config.hidden, config.output_size
         fields = (LstmLayerWeights if lstm else GruLayerWeights).FIELDS
         groups = []    # (prefix, fields, shape of each): one fused block each
         for k in range(config.layers):
             inp = config.input_size if k == 0 else hidden
-            shape = {"W": (hidden, hidden + inp) if lstm else (hidden, inp),
+            shape = {"W": (hidden, inp + hidden * (lstm and not one_step)),
                      "U": (hidden, hidden), "b": (hidden,)}
             groups += [(f"layer{k}", [f for f in fields if f[0] == letter], shape[letter])
-                       for letter in ("Wb" if lstm else "WUb")]
+                       for letter in ("Wb" if lstm or one_step else "WUb")]
         groups += [("out", ["W"], (out, hidden)), ("out", ["b"], (out,))]
         self.vector = np.zeros(sum(len(names) * math.prod(shape) for _, names, shape in groups))
         blocks, start = {}, 0
@@ -421,22 +447,32 @@ class RecurrentNetwork:
     while training).  ``forward`` returns the readout at every time step so
     callers pick the positions they train on.  The optimizer updates
     ``theta`` in place.
+
+    A ``one_step`` network, which ``train_at_positions`` builds for one-step
+    input, has no recurrent weights (module docstring); its ``layers`` say
+    so, and their U entries are None.
     """
 
-    def __init__(self, config: NetworkConfig, init: str = "uniform"):
-        self.config = config
-        self._params = FlatParameters(config)
+    def __init__(self, config: NetworkConfig, init: str = "uniform", one_step: bool = False):
+        self.config, self.one_step = config, one_step
+        self._params = FlatParameters(config, one_step)
         self.theta = self._params.vector
         cls = LstmLayerWeights if config.cell == "lstm" else GruLayerWeights
-        self.layers = [cls(*(self._params[f"layer{k}.{name}"] for name in cls.FIELDS))
-                       for k in range(config.layers)]
+        self.layers = [cls(*(self._params.get(f"layer{k}.{name}") for name in cls.FIELDS),
+                           one_step=one_step) for k in range(config.layers)]
         self.W_out, self.b_out = self._params["out.W"], self._params["out.b"]
         if init == "uniform":
+            # a one-step network keeps the live columns of the full layout's
+            # draw, so the weight stream does not depend on the layout
+            full = FlatParameters(config) if one_step else self._params
             rng = derive_rng(config.seed, "weights")
-            for mat in self._params.values():
+            for mat in full.values():
                 if mat.ndim == 2:
                     limit = 1.0 / np.sqrt(mat.shape[1])
                     mat[...] = rng.uniform(-limit, limit, mat.shape)
+            if one_step:
+                for name, view in self._params.items():
+                    view[...] = full[name][..., -view.shape[-1]:]
 
     def parameters(self) -> FlatParameters:
         """Name -> view into ``theta``, in storage order."""
@@ -454,13 +490,17 @@ class RecurrentNetwork:
         ``masks`` overrides the dropout draw (used by the gradient tests).
         Each layer starts from zero state, or from ``state``: what
         ``final_state`` returns for an earlier forward's cache, so that this
-        forward continues that sequence.
+        forward continues that sequence.  A one-step network takes neither
+        ``state`` nor more than one step.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.config.input_size:
             raise ValueError(
                 f"input must be (batch, time, {self.config.input_size}), got {x.shape}")
         (n, steps, _), layers, rate = x.shape, len(self.layers), self.config.dropout
+        if self.one_step and (steps > 1 or state):
+            raise ValueError("a one-step network runs one step from zero state, "
+                             f"got {steps} steps" + (" and a state" if state else ""))
         used_masks, skew = [None] * layers, None
         if training and rate > 0.0 and layers > 1:
             dropout_rng = dropout_rng or derive_rng(self.config.seed, "dropout")
@@ -473,13 +513,17 @@ class RecurrentNetwork:
             for layer_idx, mask in enumerate(used_masks[:-1]):
                 skew[layer_idx + 1:layer_idx + 1 + steps, layer_idx] = mask.swapaxes(0, 1)
         lstm, hidden = self.config.cell == "lstm", self.config.hidden
-        W0T, (W, *rest) = self._params.blocks[0][0].T, self._params.stacks
+        W0T, (W, *U, b) = self._params.blocks[0][0].T, self._params.stacks
+        WT, b = W.swapaxes(1, 2), b[:, None]
         if lstm:
-            weights = (W0T, W.swapaxes(1, 2), rest[0][:, None])
+            weights = (W0T, WT, b, self.one_step)
         else:    # the z and r parts of U and b, then the candidate's
-            (U, b), cut = rest, 2 * hidden
-            UT, b = U.swapaxes(1, 2), b[:, None]
-            weights = (W0T, W.swapaxes(1, 2), UT[..., :cut], UT[..., cut:], b[..., :cut], b[..., cut:])
+            zr, cand = slice(2 * hidden), slice(2 * hidden, None)
+            UzT = UhT = None    # a one-step network has no U
+            if U:
+                UT = U[0].swapaxes(1, 2)
+                UzT, UhT = UT[..., zr], UT[..., cand]
+            weights = (W0T, WT, UzT, UhT, b[..., zr], b[..., cand])
         history = np.empty((1 + lstm, layers, steps + 1, n, hidden))
         history[:, :, 0] = np.swapaxes(state, 0, 1) if state else 0.0
         fronts = _forward_fronts(_lstm_step if lstm else _gru_step, weights, x, skew, history)
@@ -503,7 +547,7 @@ class RecurrentNetwork:
         """
         d_outputs = np.asarray(d_outputs, dtype=np.float64)
         if out is None:
-            out = FlatParameters(self.config)
+            out = FlatParameters(self.config, self.one_step)
         elif out.vector.shape == self.theta.shape:
             out.vector.fill(0.0)
         else:
@@ -514,10 +558,14 @@ class RecurrentNetwork:
         lstm, W0, dW0 = self.config.cell == "lstm", self._params.blocks[0][0], out.blocks[0][0]
         if lstm:
             weights, grads = (W0, self._params.stacks[0]), (dW0, *out.stacks)
-        else:
-            (W, U, _), (dW, dU, db), cut = self._params.stacks, out.stacks, 2 * self.config.hidden
-            weights = (W0, W, U[:, :cut], U[:, cut:])
-            grads = (dW0, dW, dU[:, :cut], dU[:, cut:], db)
+        else:    # U split into its z and r part and the candidate's
+            (W, *U, _), (dW, *dU, db) = self._params.stacks, out.stacks
+            cut = 2 * self.config.hidden
+            Uz = Uh = dUz = dUh = None    # a one-step network has no U
+            if U:
+                (U,), (dU,) = U, dU
+                Uz, Uh, dUz, dUh = U[:, :cut], U[:, cut:], dU[:, :cut], dU[:, cut:]
+            weights, grads = (W0, W, Uz, Uh), (dW0, dW, dUz, dUh, db)
         _backward_fronts(_lstm_back if lstm else _gru_back, cache["fronts"], cache["skew"],
                          d_outputs @ self.W_out, weights, grads, 1 + lstm)
         return out
@@ -529,8 +577,12 @@ class RecurrentNetwork:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RecurrentNetwork":
-        net = cls(NetworkConfig(**doc["config"]), init="zeros")
-        net.set_parameters({name: entry["data"] for name, entry in doc["weights"].items()})
+        config, weights = NetworkConfig(**doc["config"]), doc["weights"]
+        # a one-step network's LSTM W has only the x-columns, its GRU no U
+        one_step = ("layer0.U_z" not in weights if config.cell == "gru"
+                    else weights["layer0.W_i"]["shape"][1] == config.input_size)
+        net = cls(config, init="zeros", one_step=one_step)
+        net.set_parameters({name: entry["data"] for name, entry in weights.items()})
         return net
 
 
@@ -568,17 +620,19 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
     ``positions`` of (count, time, input_size) ``inputs``; ``targets`` is
     (count, len(positions), output_size).
 
-    Weight init, batch shuffling and dropout all derive from ``config.seed``;
-    identical reruns give identical histories.  Divergence (non-finite loss)
-    raises :class:`TrainingDivergedError`.  Returns the network and each
-    epoch's batch-mean :class:`MultistepEpochLoss`.
+    One-step ``inputs`` (time 1) train a one-step network, which has no
+    recurrent weights.  Weight init, batch shuffling and dropout all derive
+    from ``config.seed``; identical reruns give identical histories.
+    Divergence (non-finite loss) raises :class:`TrainingDivergedError`.
+    Returns the network and each epoch's batch-mean
+    :class:`MultistepEpochLoss`.
     """
     n = len(inputs)
     if n == 0:
         raise ValueError("cannot train on an empty window set")
-    net = RecurrentNetwork(config)
+    net = RecurrentNetwork(config, one_step=inputs.shape[1] == 1)
     state = optim.init_optimizer(config.optimizer, net.theta)
-    grads = FlatParameters(config)
+    grads = FlatParameters(config, net.one_step)
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
     batch = min(config.batch_size or n, n)

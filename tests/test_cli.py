@@ -241,6 +241,12 @@ class TestLoadConfig:
          "unknown sarima forecaster keys: epochs"),
         ({"forecasters": [{"kind": "lstm_1day", "grid": {"p": [0, 1]}}]},
          "unknown lstm_1day forecaster keys: grid"),
+        ({"forecasters": [{"kind": "lstm_14day", "input_size": 7}]},
+         "forecaster lstm_14day: input_size must be 1 or 14, got 7"),
+        ({"forecasters": [{"kind": "lstm_1day", "input_size": 3}]},
+         "forecaster lstm_1day: input_size must be 1, got 3"),
+        ({"forecasters": [{"kind": "multistep_14_5", "input_size": 14}]},
+         "forecaster multistep_14_5: input_size must be 1, got 14"),
     ])
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
                                                 command):

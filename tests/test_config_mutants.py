@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from leancast.cli import ConfigError, Plan, load_config, main
+from leancast.forecasters import kind_lookback
 from leancast.neural import NetworkConfig
 from leancast.sarima import GridSpec, SarimaParams, SarimaSpec
 
@@ -122,6 +123,7 @@ def _check_resolved(plan: Plan):
             assert isinstance(fit.config, (SarimaSpec, GridSpec))
         else:
             assert isinstance(fit.config, NetworkConfig) and fit.config.seed == fit.seed
+            assert fit.config.input_size in {1, kind_lookback(fit.kind)}
 
 
 def test_every_mutant_is_rejected_or_fully_resolved(tmp_path):
