@@ -262,7 +262,7 @@ def _ingest_posts(plan: Plan):
     posts = ingest.read_posts_csv(plan.posts_csv)
     table = ingest.read_bias_csv(plan.bias_csv)
     if plan.platform is not None:
-        posts = [p for p in posts if p.platform == plan.platform]
+        posts = posts.select(posts.platform == plan.platform)
     if not posts:
         raise ConfigError("no posts to ingest (empty file or platform filter)")
     return ingest.aggregate(posts, table, plan.window, plan.metrics)

@@ -262,13 +262,16 @@ def forecaster_from_json(text: str) -> TrainedForecaster:
     if kind not in KINDS:
         raise ValueError(f"unknown forecaster kind {kind!r}")
     scaler = ScalerState(doc["scaler"]["min"], doc["scaler"]["max"])
+    metadata = doc.get("metadata", {})
     if kind == "sarima":
+        if "spec" in metadata:          # fit_forecaster records it as a tuple
+            metadata["spec"] = tuple(metadata["spec"])
         payload = doc["model"]
         spec, params = sarima.from_doc({k: payload[k] for k in sarima.MODEL_KEYS})
         fit = sarima.SarimaFit(spec=spec, params=params, residuals=np.array([]),
                                sse=payload.get("sse", 0.0),
                                converged=payload.get("converged", True),
                                train_rmse=payload.get("train_rmse", 0.0))
-        return TrainedForecaster(kind, fit, scaler, doc.get("metadata", {}))
+        return TrainedForecaster(kind, fit, scaler, metadata)
     net = RecurrentNetwork.from_doc(doc["model"])
-    return TrainedForecaster(kind, net, scaler, doc.get("metadata", {}))
+    return TrainedForecaster(kind, net, scaler, metadata)

@@ -1,16 +1,24 @@
 """Post ingestion: parse raw posts and a media-bias table, label each post
 with a political leaning by its news domain, and aggregate daily series.
 
+Posts travel as columns, not per-post objects: :func:`read_posts_csv`
+streams the CSV into one list per field, a block of rows at a time, and
+returns a :class:`PostColumns` of post ids, UTC day ordinals, platforms,
+URLs, likes and sentiments.  A columnar gate checks each block's cells a
+column at a time; only when it fails (or a timestamp has an unusual ISO
+shape) is each row of the block parsed into a :class:`PostRecord`, which
+finds the first bad row and names it.  Lists of ``PostRecord`` still
+aggregate, through :meth:`PostColumns.from_records`.
+
 A post is labeled by the registrable domain of the URL it shares; posts
 whose domain is not in the bias table stay unlabeled and are excluded from
 the series (the summary reports how many).  The domain is parsed once per
 distinct URL authority (scheme and host), not once per post.
-:func:`aggregate` labels every post once and reads its UTC day, likes and
-sentiment into arrays; the summary and every metric's series then come from
-those arrays, each series as one ``np.bincount`` over (leaning, day) cells.
-Count and likes series are zero-filled on empty days; mean-sentiment series
-carry NaN on days with no posts, since a mean over nothing is undefined
-rather than zero.
+:func:`aggregate` labels every post once from its URL; the summary and
+every metric's series then come from the columns, each series as one
+``np.bincount`` over (leaning, day) cells.  Count and likes series are
+zero-filled on empty days; mean-sentiment series carry NaN on days with no
+posts, since a mean over nothing is undefined rather than zero.
 """
 
 from __future__ import annotations
@@ -18,10 +26,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
+import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -73,6 +82,51 @@ class PostRecord:
         if ts.tzinfo is not None:
             ts = ts.astimezone(dt.timezone.utc)
         return ts.date()
+
+
+@dataclass(frozen=True, eq=False)
+class PostColumns:
+    """Posts as columns, one entry per post in file order: ``day`` is the
+    UTC calendar day as a proleptic ordinal, ``sentiment`` is NaN where a
+    post has none."""
+    post_id: list
+    day: np.ndarray             # intp
+    platform: np.ndarray        # str
+    url_or_domain: list
+    likes: np.ndarray           # float64
+    sentiment: np.ndarray       # float64
+
+    def __len__(self):
+        return len(self.post_id)
+
+    @classmethod
+    def from_records(cls, posts) -> "PostColumns":
+        posts = list(posts)
+        return cls(post_id=[p.post_id for p in posts],
+                   day=np.array([p.utc_date.toordinal() for p in posts], dtype=np.intp),
+                   platform=np.array([p.platform for p in posts], dtype=str),
+                   url_or_domain=[p.url_or_domain for p in posts],
+                   likes=np.array([p.likes for p in posts], dtype=np.float64),
+                   sentiment=np.array([np.nan if p.sentiment is None else p.sentiment
+                                       for p in posts], dtype=np.float64))
+
+    @classmethod
+    def concat(cls, parts: list) -> "PostColumns":
+        """The posts of each part in turn; ``parts`` must not be empty."""
+        def joined(name):
+            columns = [getattr(part, name) for part in parts]
+            return (list(itertools.chain.from_iterable(columns))
+                    if isinstance(columns[0], list) else np.concatenate(columns))
+        return cls(*(joined(column.name) for column in fields(cls)))
+
+    def select(self, mask) -> "PostColumns":
+        """The posts where the boolean ``mask`` is true, in order."""
+        keep = np.flatnonzero(mask)
+        take = keep.tolist()
+        return PostColumns(post_id=[self.post_id[i] for i in take], day=self.day[keep],
+                           platform=self.platform[keep],
+                           url_or_domain=[self.url_or_domain[i] for i in take],
+                           likes=self.likes[keep], sentiment=self.sentiment[keep])
 
 
 class DomainParseError(ValueError):
@@ -149,14 +203,25 @@ class BiasTable:
         return self.entries.get(extract_domain(url_or_domain))
 
 
-def label_post(post: PostRecord, table: BiasTable) -> str | None:
-    """The bias table's leaning for the post's domain, or None if unknown."""
-    if not table.entries:
+def _post_domains(post_ids, urls, table: BiasTable) -> list:
+    """The domain of each post's URL, in order.  The first unparseable URL
+    raises with its post named; an empty table raises if there are posts."""
+    if urls and not table.entries:
         raise ValueError("bias table is empty")
     try:
-        return table.leaning_for(post.url_or_domain)
-    except ValueError as exc:           # name the post, keep the exception type
-        raise type(exc)(f"post {post.post_id}: {exc}") from None
+        return list(map(extract_domain, urls))
+    except ValueError:
+        for post_id, url in zip(post_ids, urls):
+            try:
+                extract_domain(url)
+            except ValueError as exc:   # name the post, keep the exception type
+                raise type(exc)(f"post {post_id}: {exc}") from None
+        raise
+
+
+def label_post(post: PostRecord, table: BiasTable) -> str | None:
+    """The bias table's leaning for the post's domain, or None if unknown."""
+    return table.entries.get(_post_domains([post.post_id], [post.url_or_domain], table)[0])
 
 
 @dataclass(frozen=True)
@@ -187,6 +252,7 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
     """Label each post once; return ``(summary, platform, {metric: {leaning:
     DailySeries}})`` with one series per leaning over the window (inclusive).
 
+    ``posts`` is a :class:`PostColumns` or an iterable of :class:`PostRecord`.
     Series drop unlabeled posts and posts outside the window.  "post_count"
     adds 1 per post, "likes_sum" its likes, and "sentiment_mean" averages
     its sentiment, which each kept post must then carry.  Each series is
@@ -198,13 +264,12 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
     start, end = window
     if start > end:
         raise ValueError(f"empty date window: {start} > {end}")
-    posts = list(posts)
-    code_of = {**{leaning: code for code, leaning in enumerate(LEANINGS)}, None: -1}
-    codes = np.array([code_of[label_post(p, table)] for p in posts], dtype=np.intp)
-    days = np.array([p.utc_date.toordinal() for p in posts], dtype=np.intp)
-    likes = np.array([p.likes for p in posts], dtype=np.float64)
-    sentiment = np.array([np.nan if p.sentiment is None else p.sentiment for p in posts],
-                         dtype=np.float64)
+    if not isinstance(posts, PostColumns):
+        posts = PostColumns.from_records(posts)
+    code_of = {domain: LEANINGS.index(leaning) for domain, leaning in table.entries.items()}
+    domains = _post_domains(posts.post_id, posts.url_or_domain, table)
+    codes = np.fromiter(map(code_of.get, domains, itertools.repeat(-1)),
+                        dtype=np.intp, count=len(domains))
 
     labeled = codes >= 0
     n_total, n_labeled = len(posts), int(labeled.sum())
@@ -212,14 +277,14 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
     summary = IngestSummary(
         total_posts=n_total, labeled_posts=n_labeled, unlabeled_posts=n_total - n_labeled,
         per_leaning_counts=dict(zip(LEANINGS, per_leaning)),
-        date_range=(dt.date.fromordinal(int(days.min())),
-                    dt.date.fromordinal(int(days.max()))) if posts else None)
-    platforms = {p.platform for p in posts}
-    platform = (platforms.pop() if len(platforms) == 1
+        date_range=(dt.date.fromordinal(int(posts.day.min())),
+                    dt.date.fromordinal(int(posts.day.max()))) if n_total else None)
+    platforms = [name for name in PLATFORMS if (posts.platform == name).any()]
+    platform = (platforms[0] if len(platforms) == 1
                 else "mixed" if platforms else "unknown")
 
     n_days = (end - start).days + 1
-    day = days - start.toordinal()
+    day = posts.day - start.toordinal()
     kept = labeled & (day >= 0) & (day < n_days)
     cell = codes[kept] * n_days + day[kept]
 
@@ -230,15 +295,15 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
         if metric == "post_count":
             values = daily_sums()
         elif metric == "likes_sum":
-            values = daily_sums(likes[kept])
+            values = daily_sums(posts.likes[kept])
         else:
-            missing = kept & np.isnan(sentiment)
+            missing = kept & np.isnan(posts.sentiment)
             if missing.any():
-                ids = sorted(p.post_id for p, m in zip(posts, missing) if m)
+                ids = sorted(posts.post_id[i] for i in np.flatnonzero(missing).tolist())
                 raise ValueError(f"posts missing sentiment: {', '.join(ids)}")
             counts = daily_sums()
             values = np.where(counts > 0,
-                              daily_sums(sentiment[kept]) / np.maximum(counts, 1), np.nan)
+                              daily_sums(posts.sentiment[kept]) / np.maximum(counts, 1), np.nan)
         return {leaning: DailySeries(start_date=start, values=row, platform=platform,
                                      leaning=leaning, metric=metric)
                 for leaning, row in zip(LEANINGS, values.reshape(len(LEANINGS), n_days))}
@@ -265,56 +330,173 @@ def daily_mean_sentiment(posts, table: BiasTable, window) -> dict:
 # -- CSV I/O ---------------------------------------------------------------
 
 
-def _csv_rows(path, header: list, what: str):
-    """``(line_no, stripped cells)`` per non-blank data row of the CSV at
-    ``path``, once its header is ``header`` and each row has as many fields."""
+_BLOCK_ROWS = 4096     # rows read and checked together; bounds the cells held as str
+
+
+def _csv_blocks(path, header: list, what: str):
+    """Yield ``(line numbers, columns)`` per block of up to ``_BLOCK_ROWS``
+    non-blank data rows of the CSV at ``path``: one list of stripped cells
+    per header field, filled as rows stream in.  The header must be
+    ``header`` and each row must have as many fields; the rows before a
+    short or long row are yielded before it raises, so a bad value above it
+    is reported first.  The last block may be empty."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         got = next(reader, None)
         if got != header:
             raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
+        lines, columns = [], tuple([] for _ in header)
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
                 continue
             if len(cells) != len(header):
+                yield lines, columns
                 raise ValueError(f"{what} row {line_no}: expected {len(header)} fields, "
                                  f"got {len(cells)}")
-            yield line_no, [c.strip() for c in cells]
+            lines.append(line_no)
+            for column, cell in zip(columns, cells):
+                column.append(cell.strip())
+            if len(lines) == _BLOCK_ROWS:
+                yield lines, columns
+                lines, columns = [], tuple([] for _ in header)
+        yield lines, columns
 
 
-def read_posts_csv(path) -> list:
-    """Parse the posts CSV (see POSTS_HEADER); raises with the row number
-    on any malformed field."""
-    posts = []
-    for line_no, cells in _csv_rows(path, POSTS_HEADER, "posts"):
-        where = f"posts row {line_no}"
-        post_id, ts, platform, url, likes, sentiment = cells
-        try:
-            likes_val = int(likes)
-        except ValueError:
-            raise ValueError(f"{where}: likes must be an integer, got {likes!r}") from None
-        try:
-            sent_val = float(sentiment) if sentiment else None
-        except ValueError:
-            raise ValueError(f"{where}: sentiment must be a number, got {sentiment!r}") from None
-        try:
-            timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
-        except ValueError:
-            raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
-        try:
-            posts.append(PostRecord(post_id=post_id, timestamp=timestamp, platform=platform,
-                                    url_or_domain=url, likes=likes_val, sentiment=sent_val))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    return posts
+def _post_record(line_no: int, cells) -> PostRecord:
+    """One posts row as a validated record; raises naming the row.  This is
+    the rule set: :func:`_fast_post_columns` accepts only what it accepts."""
+    where = f"posts row {line_no}"
+    post_id, ts, platform, url, likes, sentiment = cells
+    try:
+        likes_val = int(likes)
+    except ValueError:
+        raise ValueError(f"{where}: likes must be an integer, got {likes!r}") from None
+    try:
+        sent_val = float(sentiment) if sentiment else None
+    except ValueError:
+        raise ValueError(f"{where}: sentiment must be a number, got {sentiment!r}") from None
+    try:
+        timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
+    except ValueError:
+        raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
+    try:
+        record = PostRecord(post_id=post_id, timestamp=timestamp, platform=platform,
+                            url_or_domain=url, likes=likes_val, sentiment=sent_val)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    # what aggregate converts: likes to float64, the timestamp to a UTC day
+    try:
+        float(likes_val)
+    except OverflowError:
+        raise ValueError(f"{where}: likes {likes!r} too large") from None
+    try:
+        record.utc_date
+    except OverflowError:
+        raise ValueError(f"{where}: timestamp {ts!r} is out of range in UTC") from None
+    return record
+
+
+# byte offsets of the digits in "YYYY-MM-DDTHH:MM:SS"
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_MAX_LEN = 48     # longer ones go to the row parse, not into a block-wide array
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_MAX_ORDINAL = dt.date.max.toordinal()
+_US_PER_DAY = 86_400_000_000
+
+
+def _suffix_shift_us(suffix: str) -> int | None:
+    """Microseconds to add to a local "YYYY-MM-DDTHH:MM:SS" time that ends
+    in ``suffix`` (fraction and UTC offset) to reach UTC, or None when
+    ``fromisoformat`` rejects the suffix.  Neither depends on the digits
+    before it, so one parse of a fixed time decides it."""
+    try:
+        stamp = dt.datetime.fromisoformat("2000-01-01T00:00:00" + suffix.replace("Z", "+00:00"))
+    except ValueError:
+        return None
+    offset = stamp.utcoffset() or dt.timedelta(0)
+    return stamp.microsecond - offset // dt.timedelta(microseconds=1)
+
+
+def _utc_day_ordinals(stamps: list) -> np.ndarray | None:
+    """The UTC day ordinal of each timestamp, or None unless every one is
+    an ASCII "YYYY-MM-DDTHH:MM:SS" (or with a space for the "T") naming a
+    valid date and time, followed by a suffix ``fromisoformat`` accepts, and
+    lands on a UTC day in ``datetime``'s range: then the days are exactly
+    those :func:`_post_record` gives."""
+    if max(map(len, stamps), default=0) > _STAMP_MAX_LEN:
+        return None
+    try:
+        text = np.array(stamps, dtype=bytes)
+    except UnicodeEncodeError:
+        return None
+    b = text.view(np.uint8).reshape(len(stamps), text.itemsize)
+    if np.count_nonzero(b) != sum(map(len, stamps)):   # a NUL, which bytes arrays drop
+        return None
+    if b.shape[1] < 20:
+        b = np.pad(b, ((0, 0), (0, 20 - b.shape[1])))
+    if (((b[:, _STAMP_DIGITS] - np.uint8(ord("0"))) > 9).any()
+            or (b[:, :4] == ord("0")).all(axis=1).any()):          # year 0
+        return None
+    try:    # numpy wants the "-", "T" or " ", and ":" marks, and bounds each field
+        local_s = (np.ascontiguousarray(b[:, :19]).view("S19")[:, 0]
+                   .astype("datetime64[s]").astype(np.int64))
+    except ValueError:
+        return None
+    suffixes, which = np.unique(
+        np.ascontiguousarray(b[:, 19:]).view(f"S{b.shape[1] - 19}")[:, 0], return_inverse=True)
+    shifts = [_suffix_shift_us(suffix.decode()) for suffix in suffixes]
+    if None in shifts:
+        return None
+    utc_us = local_s * 1_000_000 + np.array(shifts, dtype=np.int64)[which]
+    ordinal = utc_us // _US_PER_DAY + _EPOCH_ORDINAL
+    if ((ordinal < 1) | (ordinal > _MAX_ORDINAL)).any():
+        return None
+    return ordinal.astype(np.intp)
+
+
+def _fast_post_columns(post_id, stamps, platform, urls, likes, sentiment):
+    """The posts' columns, or None unless every row passes the checks of
+    :func:`_post_record`, checked a column at a time."""
+    if not set(platform) <= set(PLATFORMS):
+        return None
+    try:
+        likes_val = np.array(list(map(int, likes)), dtype=np.float64)
+        sent_val = np.array([float(s) if s else np.nan for s in sentiment], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    # only the empty sentiment cells, read as NaN, may fall outside [-1, 1]
+    n_outside = len(sentiment) - int(((sent_val >= -1.0) & (sent_val <= 1.0)).sum())
+    if (likes_val < 0).any() or n_outside != sentiment.count(""):
+        return None
+    day = _utc_day_ordinals(stamps)
+    if day is None:
+        return None
+    return PostColumns(post_id=post_id, day=day, platform=np.array(platform, dtype=str),
+                       url_or_domain=urls, likes=likes_val, sentiment=sent_val)
+
+
+def read_posts_csv(path) -> PostColumns:
+    """Parse the posts CSV (see POSTS_HEADER) into columns; raises naming
+    the first malformed row.  A block of rows is parsed row by row only when
+    its columnar checks fail, to find that row (or to read a timestamp shape
+    they leave to ``fromisoformat``)."""
+    blocks = []
+    for lines, columns in _csv_blocks(path, POSTS_HEADER, "posts"):
+        block = _fast_post_columns(*columns)
+        if block is None:
+            block = PostColumns.from_records(
+                _post_record(line_no, cells) for line_no, cells in zip(lines, zip(*columns)))
+        blocks.append(block)
+    return PostColumns.concat(blocks)
 
 
 def read_bias_csv(path) -> BiasTable:
     pairs = []
-    for line_no, (domain, leaning) in _csv_rows(path, BIAS_HEADER, "bias"):
-        if leaning not in LEANINGS:
-            raise ValueError(f"bias row {line_no}: unknown leaning {leaning!r}")
-        pairs.append((domain, leaning))
+    for lines, (domains, leanings) in _csv_blocks(path, BIAS_HEADER, "bias"):
+        for line_no, leaning in zip(lines, leanings):
+            if leaning not in LEANINGS:
+                raise ValueError(f"bias row {line_no}: unknown leaning {leaning!r}")
+        pairs += zip(domains, leanings)
     return BiasTable.from_pairs(pairs)
 
 

@@ -19,14 +19,28 @@ included.  It reads the cache of ``per_layer_forward``.
 parsed each distinct authority once: it runs ``urlsplit`` on the whole text
 of every call.  The memoized function must return the same domain, or raise
 the same exception type with the same message, on every input.
+
+The record ingest path as it was before posts became columns:
+``per_row_read_posts_csv`` builds one validated ``PostRecord`` per row, and
+``per_record_aggregate`` labels each record with ``per_record_label_post``
+and reads its UTC day, likes and sentiment one record at a time.  The reader
+adds the two checks the columnar reader moved to read time from crashes
+inside ``aggregate``: likes too large for a float and timestamps whose UTC
+day is outside ``datetime``'s range.  The columnar reader plus ``aggregate``
+must give the same series and summary, or raise the same exception type
+with the same message, on every input.
 """
 
+import csv
+import datetime as dt
 from urllib.parse import urlsplit
 
 import numpy as np
 
 from leancast import neural, optim
-from leancast.ingest import _HOST_RE, _MULTI_SUFFIXES, DomainParseError
+from leancast.ingest import (_HOST_RE, _MULTI_SUFFIXES, INGEST_METRICS, LEANINGS,
+                             POSTS_HEADER, DomainParseError, IngestSummary, PostRecord)
+from leancast.series import DailySeries
 from leancast.neural import FlatParameters, dropout_masks
 from leancast.rng import derive_rng
 
@@ -305,3 +319,115 @@ def per_url_extract_domain(url_or_domain: str) -> str:
         raise DomainParseError(f"cannot extract a domain from {url_or_domain!r}")
     take = 3 if len(labels) >= 3 and ".".join(labels[-2:]) in _MULTI_SUFFIXES else 2
     return ".".join(labels[-take:])
+
+
+def per_row_read_posts_csv(path) -> list:
+    """One ``PostRecord`` per non-blank row of the posts CSV at ``path``."""
+    posts = []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        got = next(reader, None)
+        if got != POSTS_HEADER:
+            raise ValueError(f"posts CSV header must be {','.join(POSTS_HEADER)}, got {got}")
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(POSTS_HEADER):
+                raise ValueError(f"posts row {line_no}: expected {len(POSTS_HEADER)} fields, "
+                                 f"got {len(cells)}")
+            where = f"posts row {line_no}"
+            post_id, ts, platform, url, likes, sentiment = [c.strip() for c in cells]
+            try:
+                likes_val = int(likes)
+            except ValueError:
+                raise ValueError(f"{where}: likes must be an integer, got {likes!r}") from None
+            try:
+                sent_val = float(sentiment) if sentiment else None
+            except ValueError:
+                raise ValueError(f"{where}: sentiment must be a number, "
+                                 f"got {sentiment!r}") from None
+            try:
+                timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
+            try:
+                post = PostRecord(post_id=post_id, timestamp=timestamp, platform=platform,
+                                  url_or_domain=url, likes=likes_val, sentiment=sent_val)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            try:
+                float(likes_val)
+            except OverflowError:
+                raise ValueError(f"{where}: likes {likes!r} too large") from None
+            try:
+                post.utc_date
+            except OverflowError:
+                raise ValueError(f"{where}: timestamp {ts!r} is out of range in UTC") from None
+            posts.append(post)
+    return posts
+
+
+def per_record_label_post(post, table):
+    """The bias table's leaning for the post's domain, or None if unknown."""
+    if not table.entries:
+        raise ValueError("bias table is empty")
+    try:
+        return table.leaning_for(post.url_or_domain)
+    except ValueError as exc:           # name the post, keep the exception type
+        raise type(exc)(f"post {post.post_id}: {exc}") from None
+
+
+def per_record_aggregate(posts, table, window, metrics) -> tuple:
+    """``ingest.aggregate`` over a list of records, one record at a time."""
+    for metric in metrics:
+        if metric not in INGEST_METRICS:
+            raise ValueError(f"unknown aggregation metric {metric!r}")
+    start, end = window
+    if start > end:
+        raise ValueError(f"empty date window: {start} > {end}")
+    posts = list(posts)
+    code_of = {**{leaning: code for code, leaning in enumerate(LEANINGS)}, None: -1}
+    codes = np.array([code_of[per_record_label_post(p, table)] for p in posts], dtype=np.intp)
+    days = np.array([p.utc_date.toordinal() for p in posts], dtype=np.intp)
+    likes = np.array([p.likes for p in posts], dtype=np.float64)
+    sentiment = np.array([np.nan if p.sentiment is None else p.sentiment for p in posts],
+                         dtype=np.float64)
+
+    labeled = codes >= 0
+    n_total, n_labeled = len(posts), int(labeled.sum())
+    per_leaning = np.bincount(codes[labeled], minlength=len(LEANINGS)).tolist()
+    summary = IngestSummary(
+        total_posts=n_total, labeled_posts=n_labeled, unlabeled_posts=n_total - n_labeled,
+        per_leaning_counts=dict(zip(LEANINGS, per_leaning)),
+        date_range=(dt.date.fromordinal(int(days.min())),
+                    dt.date.fromordinal(int(days.max()))) if posts else None)
+    platforms = {p.platform for p in posts}
+    platform = (platforms.pop() if len(platforms) == 1
+                else "mixed" if platforms else "unknown")
+
+    n_days = (end - start).days + 1
+    day = days - start.toordinal()
+    kept = labeled & (day >= 0) & (day < n_days)
+    cell = codes[kept] * n_days + day[kept]
+
+    def daily_sums(weights=None):
+        return np.bincount(cell, weights, minlength=len(LEANINGS) * n_days).astype(np.float64)
+
+    def series_of(metric):
+        if metric == "post_count":
+            values = daily_sums()
+        elif metric == "likes_sum":
+            values = daily_sums(likes[kept])
+        else:
+            missing = kept & np.isnan(sentiment)
+            if missing.any():
+                ids = sorted(p.post_id for p, m in zip(posts, missing) if m)
+                raise ValueError(f"posts missing sentiment: {', '.join(ids)}")
+            counts = daily_sums()
+            values = np.where(counts > 0,
+                              daily_sums(sentiment[kept]) / np.maximum(counts, 1), np.nan)
+        return {leaning: DailySeries(start_date=start, values=row, platform=platform,
+                                     leaning=leaning, metric=metric)
+                for leaning, row in zip(LEANINGS, values.reshape(len(LEANINGS), n_days))}
+
+    return summary, platform, {metric: series_of(metric) for metric in metrics}

@@ -14,6 +14,7 @@ from leancast.cli import ConfigError, load_config, main
 from leancast.forecasters import default_network_config
 from leancast.presets import FALLBACK_GRID, get_preset
 from leancast.rng import derive_seed
+from reference_kernels import per_record_aggregate, per_row_read_posts_csv
 
 REPO = Path(__file__).parent.parent
 DATA = REPO / "tests" / "data"
@@ -411,22 +412,60 @@ class TestIngestCommand:
         assert sum(int(row.split(",")[1]) for row in rows[1:]) == 25
         assert "ingested 100 posts" in capsys.readouterr().out
 
-    def test_each_post_is_labelled_once(self, tmp_path, monkeypatch):
+    def test_each_post_domain_is_extracted_once(self, tmp_path, monkeypatch):
         calls = []
-        label_post = ingest.label_post
+        extract_domain = ingest.extract_domain
 
-        def counting(post, table):
-            calls.append(post.post_id)
-            return label_post(post, table)
+        def counting(url_or_domain):
+            calls.append(url_or_domain)
+            return extract_domain(url_or_domain)
 
-        monkeypatch.setattr(ingest, "label_post", counting)
+        monkeypatch.setattr(ingest, "extract_domain", counting)
         config = write_config(tmp_path, {
             "posts_csv": POSTS, "bias_csv": BIAS, "window": JAN_WINDOW,
             "metrics": ["post_count", "likes_sum", "sentiment_mean"]})
         assert main(["ingest", "--config", config, "--out", str(tmp_path / "out")]) == 0
-        post_ids = [p.post_id for p in ingest.read_posts_csv(POSTS)]
-        assert len(post_ids) == 100
-        assert sorted(calls) == sorted(post_ids)
+        posts = per_row_read_posts_csv(POSTS)
+        bias_domains = [line.split(",")[0] for line in Path(BIAS).read_text().split()[1:]]
+        assert len(posts) == 100
+        assert sorted(calls) == sorted([p.url_or_domain for p in posts] + bias_domains)
+
+    @pytest.mark.parametrize("platform", ["gab", "twitter"])
+    def test_platform_filter_on_a_mixed_file(self, tmp_path, platform):
+        lines = Path(POSTS).read_text().splitlines()
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("\n".join(
+            [lines[0]] + [line.replace(",twitter,", ",gab,") if i % 3 == 0 else line
+                          for i, line in enumerate(lines[1:])]) + "\n")
+        out = tmp_path / "out"
+        metrics = ["post_count", "likes_sum", "sentiment_mean"]
+        config = write_config(tmp_path, {"posts_csv": str(mixed), "bias_csv": BIAS,
+                                         "window": JAN_WINDOW, "platform": platform,
+                                         "metrics": metrics})
+        assert main(["ingest", "--config", config, "--out", str(out)]) == 0
+        # the record path the columns replaced, filtered record by record
+        posts = [p for p in per_row_read_posts_csv(mixed) if p.platform == platform]
+        window = (dt.date(2018, 1, 1), dt.date(2018, 1, 20))
+        summary, got_platform, by_metric = per_record_aggregate(
+            posts, ingest.read_bias_csv(BIAS), window, metrics)
+        assert got_platform == platform and 0 < summary.total_posts < 100
+        assert (out / "summary.json").read_text() == summary.to_json()
+        for metric in metrics:
+            ingest.write_series_csv(by_metric[metric], tmp_path / "want.csv")
+            assert ((out / f"series_{metric}.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes()), metric
+
+    def test_likes_too_large_for_a_float_is_an_error(self, tmp_path, capsys):
+        posts = tmp_path / "posts.csv"
+        posts.write_text("post_id,timestamp,platform,url_or_domain,likes,sentiment\n"
+                         "p1,2018-01-01T09:00:00,twitter,https://www.cnn.com/a,1,\n"
+                         f"p2,2018-01-01T10:00:00,twitter,cnn.com,1{'0' * 400},\n")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"posts_csv": str(posts), "bias_csv": BIAS})
+        assert main(["ingest", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: posts row 3: likes '1{'0' * 400}' too large\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "run"])
     def test_bad_window_fails_before_reading_posts(self, tmp_path, capsys, command):

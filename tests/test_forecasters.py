@@ -382,6 +382,7 @@ class TestSerialization:
         clone = forecaster_from_json(text)
         assert clone.kind == model.kind
         assert clone.scaler == model.scaler
+        assert clone.metadata == model.metadata
         assert forecaster_to_json(clone) == text
         if kind != "sarima":
             # the flat kinds train one step, without recurrent weights

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from leancast import ingest
 from leancast.ingest import (LEANINGS, BiasTable, DomainParseError, IngestSummary,
-                             PostRecord, aggregate, aggregate_daily,
+                             PostColumns, PostRecord, aggregate, aggregate_daily,
                              daily_mean_sentiment,
                              extract_domain, label_post, read_bias_csv,
                              read_posts_csv, summarize, write_series_csv,
                              write_value_series_csv)
 from leancast.series import DailySeries
-from reference_kernels import per_url_extract_domain
+from reference_kernels import (per_record_aggregate, per_row_read_posts_csv,
+                               per_url_extract_domain)
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,10 +118,12 @@ class TestExtractDomainMemo:
         ingest._authority_domain.cache_clear()
         table = read_bias_csv(DATA / "bias.csv")
         posts = read_posts_csv(DATA / "posts_100.csv")
-        labels = [label_post(p, table) for p in posts]
-        want = [table.entries.get(per_url_extract_domain(p.url_or_domain)) for p in posts]
-        authorities = {urlsplit(p.url_or_domain)[:2] for p in posts}
-        assert labels == want and len(posts) == 100
+        summary = summarize(posts, table)
+        want = collections.Counter(table.entries.get(per_url_extract_domain(url))
+                                   for url in posts.url_or_domain)
+        authorities = {urlsplit(url)[:2] for url in posts.url_or_domain}
+        assert summary.per_leaning_counts == {leaning: want[leaning] for leaning in LEANINGS}
+        assert summary.unlabeled_posts == want[None] and len(posts) == 100
         assert 0 < sum(parsed.values()) <= len(authorities) < len(posts)
         assert max(parsed.values()) == 1
 
@@ -567,10 +570,33 @@ class TestPostsCsv:
     def test_parse_fields(self, tmp_path):
         posts = read_posts_csv(csv_file(tmp_path, POSTS_CSV))
         assert len(posts) == 3
-        assert posts[0].likes == 3 and posts[0].sentiment == 0.5
-        assert posts[1].sentiment is None
-        assert posts[1].timestamp.tzinfo is not None
-        assert posts[2].platform == "gab"
+        assert posts.post_id == ["t1", "t2", "g1"]
+        assert posts.url_or_domain == ["https://cnn.com/a", "foxnews.com", "https://wsj.com/b"]
+        assert posts.platform.tolist() == ["twitter", "twitter", "gab"]
+        assert posts.day.tolist() == [dt.date(2018, 1, 1).toordinal()] * 2 + [
+            dt.date(2018, 1, 2).toordinal()]
+        assert posts.likes.dtype == posts.sentiment.dtype == np.float64
+        npt.assert_array_equal(posts.likes, [3, 0, 12])
+        npt.assert_array_equal(posts.sentiment, [0.5, np.nan, -0.25])
+
+    def test_timestamps_converted_to_the_utc_day(self, tmp_path):
+        stamps = ["2018-01-01T23:30:00-05:00", "2018-01-02T01:00:00+03:00",
+                  "2018-01-01 23:59:59.999999-00:00:01", "2018-01-02T00:30:00.5+01:00",
+                  "2018-01-01T20:00:00", "2018-01-01", "2018-01-01T08:00"]
+        text = POSTS_CSV.splitlines()[0] + "\n" + "".join(
+            f"p{i},{stamp},gab,cnn.com,1,\n" for i, stamp in enumerate(stamps))
+        posts = read_posts_csv(csv_file(tmp_path, text))
+        days = [dt.date.fromordinal(d) for d in posts.day.tolist()]
+        assert days == [dt.date(2018, 1, 2), dt.date(2018, 1, 1), dt.date(2018, 1, 2),
+                        dt.date(2018, 1, 1)] + [dt.date(2018, 1, 1)] * 3
+
+    def test_blank_lines_and_padding(self, tmp_path):
+        padded = "\n".join(" , ".join(line.split(",")) for line in POSTS_CSV.splitlines()[1:])
+        text = POSTS_CSV.splitlines()[0] + "\n\n" + padded.replace("\n", "\n\n") + "\n"
+        got, want = (read_posts_csv(csv_file(tmp_path, text)),
+                     read_posts_csv(csv_file(tmp_path, POSTS_CSV, "plain.csv")))
+        for column in ("post_id", "url_or_domain", "platform", "day", "likes", "sentiment"):
+            npt.assert_array_equal(getattr(got, column), getattr(want, column))
 
     def test_header_checked(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
@@ -584,6 +610,20 @@ class TestPostsCsv:
         ("t2,yesterday,twitter,foxnews.com,0,", "cannot parse timestamp 'yesterday'"),
         ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,1.5",
          "post t2: sentiment 1.5 outside [-1, 1]"),
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,nan",
+         "post t2: sentiment nan outside [-1, 1]"),
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,-1,",
+         "post t2: likes must be >= 0, got -1"),
+        ("t2,2018-01-01T09:30:00Z,myspace,foxnews.com,0,",
+         "unknown platform 'myspace'; expected one of ('twitter', 'gab')"),
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,1" + "0" * 400 + ",",
+         f"likes {'1' + '0' * 400!r} too large"),
+        ("t2,0001-01-01T00:30:00+01:00,twitter,foxnews.com,0,",
+         "timestamp '0001-01-01T00:30:00+01:00' is out of range in UTC"),
+        ("t2,9999-12-31T23:30:00-01:00,twitter,foxnews.com,0,",
+         "timestamp '9999-12-31T23:30:00-01:00' is out of range in UTC"),
+        ("t2,2018-02-29T09:30:00,twitter,foxnews.com,0,",
+         "cannot parse timestamp '2018-02-29T09:30:00'"),
     ])
     def test_malformed_field_names_the_row(self, tmp_path, bad, message):
         good = "t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,"
@@ -596,6 +636,54 @@ class TestPostsCsv:
         with pytest.raises(ValueError) as exc:
             read_posts_csv(csv_file(tmp_path, bad))
         assert str(exc.value) == "posts row 6: expected 6 fields, got 3"
+
+    def test_bad_value_above_a_bad_field_count_wins(self, tmp_path):
+        bad = POSTS_CSV.replace(",12,", ",x,") + "x1,2018-01-03T10:00:00,gab\n"
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, bad))
+        assert str(exc.value) == "posts row 4: likes must be an integer, got 'x'"
+
+    def test_first_bad_row_wins_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 2)
+        rows = [f"p{i},2018-01-01T00:00:00,gab,cnn.com,{i},\n" for i in range(9)]
+        rows[5] = rows[5].replace(",gab,", ",myspace,")
+        rows[7] = rows[7].replace(",7,", ",x,")
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, POSTS_CSV.splitlines()[0] + "\n" + "".join(rows)))
+        assert str(exc.value).startswith("posts row 7: unknown platform 'myspace'")
+
+    def test_empty_file_has_no_posts(self, tmp_path):
+        posts = read_posts_csv(csv_file(tmp_path, POSTS_CSV.splitlines()[0] + "\n"))
+        assert len(posts) == 0 and posts.day.dtype == np.intp
+        assert aggregate(posts, BiasTable(), JAN_1_3, METRIC_NAMES)[0].total_posts == 0
+
+    def test_nul_in_a_timestamp_is_left_to_the_row_parse(self):
+        assert ingest._utc_day_ordinals(["2018-01-01T00:00:00Z"]) is not None
+        assert ingest._utc_day_ordinals(["2018-01-01T00:00:00Z\x00"]) is None
+
+    def test_a_long_timestamp_is_left_to_the_row_parse(self):
+        # one long cell must not size an array over the whole block
+        stamps = ["2018-01-01T00:00:00Z"] * 3 + ["2018-01-01T00:00:00." + "1" * 10_000]
+        assert ingest._utc_day_ordinals(stamps) is None
+        assert ingest._utc_day_ordinals(stamps[:3]) is not None
+
+
+class TestPostColumns:
+    def test_from_records_matches_the_reader(self, tmp_path):
+        got = read_posts_csv(csv_file(tmp_path, POSTS_CSV))
+        want = PostColumns.from_records(per_row_read_posts_csv(csv_file(tmp_path, POSTS_CSV)))
+        for column in ("post_id", "url_or_domain", "platform", "day", "likes", "sentiment"):
+            npt.assert_array_equal(getattr(got, column), getattr(want, column))
+
+    def test_select_keeps_order(self, tmp_path):
+        posts = read_posts_csv(csv_file(tmp_path, POSTS_CSV))
+        gab = posts.select(posts.platform == "gab")
+        assert gab.post_id == ["g1"] and gab.url_or_domain == ["https://wsj.com/b"]
+        npt.assert_array_equal(gab.likes, [12])
+        twitter = posts.select(posts.platform == "twitter")
+        assert twitter.post_id == ["t1", "t2"]
+        npt.assert_array_equal(twitter.sentiment, [0.5, np.nan])
+        assert len(posts.select(np.zeros(3, dtype=bool))) == 0
 
 
 class TestBiasCsv:
@@ -653,3 +741,115 @@ class TestValueSeriesCsv:
         path = tmp_path / "value.csv"
         write_value_series_csv(s, path)
         assert path.read_text() == "date,value\n2018-03-01,1.5\n2018-03-02,2\n2018-03-03,-0.25\n"
+
+
+# cells of generated posts CSVs: common ones, and odd ones of every shape the
+# columnar reader must accept or reject exactly as the per-row parse does
+COMMON_DATES = ["2017-12-31", "2018-01-01", "2018-01-02", "2018-01-03", "2018-01-05",
+                "2018-01-06"]
+COMMON_SUFFIXES = ["", "Z", "+05:30", "-03:00", "+09:00", "-11:00", ".5", ".123456+02:00"]
+ODD_STAMPS = [
+    "2018-01-02", "2018-01-02T08:00", "20180102T080000", "2018-01-02T08", "yesterday", "",
+    "2018-01-02t08:00:00", "2018-01-02x08:00:00", "2018-01-02T08:00:00+0100",
+    "2018-01-02T08:00:00+05", "2018-01-02T08:00:00.1234567", "2018-01-02T08:00:00,5",
+    "2018-01-02T08:00:00 +01:00", "2018-01-02T08:00:00-00:00", "2018-01-02T08:00:00+24:00",
+    "2018-01-02T08:00:00Q", "2018-01-02T08:00:00z", "2018-01-02T08:00:00ZZ",
+    "2018-01-02T24:00:00", "2018-01-02T23:59:60", "2018-02-29T00:00:00", "2016-02-29T00:00:00",
+    "2018-13-01T00:00:00", "2018-00-10T00:00:00", "2018-04-31T00:00:00", "0000-01-01T00:00:00",
+    "0001-01-01T00:30:00+01:00", "0001-01-01T01:30:00+01:00", "0001-01-01T00:00:00",
+    "9999-12-31T23:30:00-01:00", "9999-12-31T23:30:00+01:00", "9999-12-31T23:59:59Z",
+    "2018-1-02T08:00:00", "2018-01-02T8:00:00Z", "٢018-01-02T08:00:00",
+    "2018-01-02T08:00:00+01:00:30", "2018-01-02T08:00:00.999999-23:59:59.999999",
+    "2018-01-02T01:00:00.7+01:00:00.5", "2018-01-02T00:59:59.3+01:00:00.5",
+    "0000-12-31T23:30:00-01:00", "2018-01-02Z12:00:00", "2018-01-02+12:00:00",
+    "now", "today", "NaT", "2018", "2018-01", "2018-01-02T08:00:00." + "1" * 60 + "Z",
+]
+ODD_PLATFORMS = ["myspace", "Twitter", ""]
+COMMON_URLS = ["https://www.cnn.com/a", "cnn.com", "http://foxnews.com/x", "wsj.com/b",
+               "https://nytimes.com/q", "reuters.com", "https://example.org/p"]
+ODD_URLS = ["//cnn.com/a", "", "https:///x", "http://[::1", "localhost", "CNN.COM:80/x"]
+ODD_LIKES = ["-1", "-0", "1_000", "+7", "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 300,
+             "x", "2.5", "٣", "0x10", ""]
+COMMON_SENTIMENTS = ["", "0.25", "-0.5", "1", "-1", "0", "0.999", "-0.125"]
+ODD_SENTIMENTS = ["nan", "NaN", "-nan", "inf", "-inf", "1.5", "-1.0001", "1_0", "abc",
+                  "1e-3", "-0.0", "٠.5", "1e400"]
+
+
+@st.composite
+def posts_csv_text(draw):
+    """A posts CSV: valid rows with, at a drawn rate, odd cells, padded
+    cells and blank lines."""
+    odds = draw(st.sampled_from([0, 40, 8]))        # 0: no odd cells at all
+
+    def cell(common, odd):
+        value = (draw(st.sampled_from(odd)) if odds and draw(st.integers(0, odds)) == 0
+                 else draw(common))
+        return f" {value} " if odds and draw(st.integers(0, odds)) == 0 else value
+
+    def stamp():
+        return (draw(st.sampled_from(COMMON_DATES)) + draw(st.sampled_from(["T", " "]))
+                + f"{draw(st.integers(0, 23)):02d}:{draw(st.integers(0, 59)):02d}:"
+                  f"{draw(st.integers(0, 59)):02d}" + draw(st.sampled_from(COMMON_SUFFIXES)))
+
+    lines = [",".join(ingest.POSTS_HEADER)]
+    for i in range(draw(st.integers(0, 12))):
+        if odds and draw(st.integers(0, odds)) == 0:
+            lines.append("")
+        lines.append(",".join([
+            f"p{i}",
+            cell(st.builds(stamp), ODD_STAMPS),
+            cell(st.sampled_from(["twitter", "gab"]), ODD_PLATFORMS),
+            cell(st.sampled_from(COMMON_URLS), ODD_URLS),
+            cell(st.integers(0, 500).map(str), ODD_LIKES),
+            cell(st.sampled_from(COMMON_SENTIMENTS), ODD_SENTIMENTS),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def ingest_outcome(read, aggregate_posts, path, table, metrics):
+    """What reading then aggregating gives: the summary, platform and series
+    bytes, or the exception's type and text."""
+    try:
+        summary, platform, by_metric = aggregate_posts(read(path), table, JAN_1_5, metrics)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return summary.to_json(), platform, {
+        metric: {leaning: (s.start_date, s.platform, s.leaning, s.metric, s.values.dtype,
+                           s.values.tobytes()) for leaning, s in by_leaning.items()}
+        for metric, by_leaning in by_metric.items()}
+
+
+class TestColumnarReadMatchesRecords:
+    """``read_posts_csv`` plus ``aggregate`` against the record path they
+    replaced (``reference_kernels``), on generated CSVs read in blocks of
+    1, 3 or the default number of rows."""
+
+    @given(posts_csv_text(), st.sampled_from([1, 3, ingest._BLOCK_ROWS]),
+           st.sampled_from([("post_count", "likes_sum"), METRIC_NAMES]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_series_summary_or_error(self, tmp_path_factory, text, block_rows, metrics):
+        path = tmp_path_factory.mktemp("posts") / "posts.csv"
+        path.write_text(text)
+        table = BiasTable.from_pairs(ORACLE_TABLE)
+        want = ingest_outcome(per_row_read_posts_csv, per_record_aggregate, path, table,
+                              metrics)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+            got = ingest_outcome(read_posts_csv, aggregate, path, table, metrics)
+        assert got == want
+
+    @pytest.mark.parametrize("column,odd", [
+        *[(1, v) for v in ODD_STAMPS], *[(2, v) for v in ODD_PLATFORMS],
+        *[(3, v) for v in ODD_URLS], *[(4, v) for v in ODD_LIKES],
+        *[(5, v) for v in ODD_SENTIMENTS]])
+    def test_each_odd_cell(self, tmp_path, column, odd):
+        """Every odd cell the strategy draws, alone in the third of five rows."""
+        rows = [[f"p{i}", f"2018-01-0{i + 1}T12:00:00Z", "gab", "cnn.com", "3", "0.5"]
+                for i in range(5)]
+        rows[2][column] = odd
+        path = tmp_path / "posts.csv"
+        path.write_text("\n".join(",".join(row) for row in [ingest.POSTS_HEADER, *rows]))
+        table = BiasTable.from_pairs(ORACLE_TABLE)
+        want = ingest_outcome(per_row_read_posts_csv, per_record_aggregate, path, table,
+                              METRIC_NAMES)
+        assert ingest_outcome(read_posts_csv, aggregate, path, table, METRIC_NAMES) == want
