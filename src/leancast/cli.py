@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-Subcommands: ingest, run, gridsearch, simulate, report.  ``load_config``
-resolves a config and the ``--seed``/``--preset``/``--out`` flags into one
-frozen :class:`Plan`, rejecting up front what could not run; the commands
-only execute it, so reruns produce byte-identical outputs.  Per-model
-randomness is derived from the global seed and a stable "kind/leaning/metric"
-tag, which keeps individual fits reproducible in isolation too.
+Subcommands: ingest, run, gridsearch, simulate, report, each importing only
+the layers it runs.  ``load_config`` resolves a config and the
+``--seed``/``--preset``/``--out`` flags into one frozen :class:`Plan`,
+rejecting up front what could not run; the commands only execute it, so
+reruns produce byte-identical outputs.  Per-model randomness is derived from
+the global seed and a stable "kind/leaning/metric" tag, which keeps
+individual fits reproducible in isolation too.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import evaluation, forecasters, ingest, presets, sarima, svgplot
-from .evaluation import EvalRow, ReportTable
-from .forecasters import default_network_config, fit_forecaster, forecaster_to_json
-from .rng import derive_seed
-from .sarima import GridSpec, SarimaSpec
+from . import ingest
 from .series import chronological_split, generate_synthetic
 
 DEFAULT_WINDOW = {"start": "2018-01-01", "end": "2018-04-30"}
@@ -66,7 +63,7 @@ class Plan:
     split_ratio: float
     seed: int
     out_dir: str
-    grid: GridSpec | None   # the sarima entry's grid, which gridsearch searches
+    grid: object            # the sarima entry's GridSpec or None; gridsearch searches it
     fits: tuple             # PlannedFit per series and forecaster, in run order
 
 
@@ -123,9 +120,11 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
     seed = _setting(doc, "seed", "--seed", seed, 0,
                     lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
                     "a nonnegative integer")
-    preset = _setting(doc, "preset", "--preset", preset, None,
-                      lambda v: isinstance(v, str) and v in presets.PRESETS,
-                      f"one of {', '.join(sorted(presets.PRESETS))}")
+    if preset is not None or "preset" in doc:
+        from . import presets
+        preset = _setting(doc, "preset", "--preset", preset, None,
+                          lambda v: isinstance(v, str) and v in presets.PRESETS,
+                          f"one of {', '.join(sorted(presets.PRESETS))}")
     out_dir = _setting(doc, "out_dir", "--out", out, "leancast_out",
                        lambda v: isinstance(v, str) and v != "", "a nonempty path")
     if "platform" in doc and doc["platform"] not in ingest.PLATFORMS:
@@ -150,8 +149,25 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
                 raise ConfigError(f"unknown {what} {value!r}")
         # each (kind, leaning, metric) is one report cell, so none may repeat
         _reject_repeats(values, what)
+    series = ((("synthetic", None),) if synthetic is not None
+              else tuple(itertools.product(metrics, leanings)))
+    fits, grid = (_plan_fits(doc["forecasters"], series, seed, preset)
+                  if doc.get("forecasters") else ((), None))
+    return Plan(synthetic=synthetic, posts_csv=doc.get("posts_csv"),
+                bias_csv=doc.get("bias_csv"), window=window,
+                platform=doc.get("platform"), metrics=metrics, leanings=leanings,
+                series=series, split_ratio=ratio, seed=seed, out_dir=out_dir,
+                grid=grid, fits=fits)
+
+
+def _plan_fits(entry_docs: list, series: tuple, seed: int, preset: str | None):
+    """(PlannedFit per series and forecaster entry, the sarima entry's grid or None).
+    Loads every fitting layer in the order the package once did: peak RSS follows it."""
+    from . import sarima, forecasters, evaluation, presets, svgplot  # noqa: F401
+    from .rng import derive_seed
+
     entries, grid = [], None
-    for entry in doc.get("forecasters", []):
+    for entry in entry_docs:
         if not isinstance(entry, dict):
             raise ConfigError(f"each forecaster must be an object, got {entry!r}")
         kind = entry.get("kind")
@@ -163,8 +179,9 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
         if kind == "sarima":
             try:
                 # gridsearch reads the grid even when a spec is also given
-                grid = GridSpec.from_doc(entry["grid"]) if "grid" in entry else None
-                fixed = _spec_from_doc(entry["spec"]) if "spec" in entry else grid
+                grid = sarima.GridSpec.from_doc(entry["grid"]) if "grid" in entry else None
+                fixed = (sarima.SarimaSpec.from_orders(*_spec_orders(entry["spec"]))
+                         if "spec" in entry else grid)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"forecaster sarima: {exc}") from None
             entries.append((kind, fixed))
@@ -172,10 +189,8 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
             entries.append((kind, {k: entry[k] for k in _NET_OVERRIDE_KEYS if k in entry}))
     _reject_repeats([kind for kind, _ in entries], "forecaster kind")
 
-    series = ((("synthetic", None),) if synthetic is not None
-              else tuple(itertools.product(metrics, leanings)))
     bundle = presets.PRESETS.get(preset)
-    make_network = default_network_config if bundle is None else bundle.network_config
+    make_network = forecasters.default_network_config if bundle is None else bundle.network_config
     fits = []
     for (metric, leaning), (kind, resolved) in itertools.product(series, entries):
         tag = f"{kind}/{leaning or 'series'}/{metric}"
@@ -196,11 +211,7 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
                 raise ConfigError(f"forecaster {kind}: input_size must be "
                                   f"{' or '.join(map(str, sizes))}, got {config.input_size}")
         fits.append(PlannedFit(metric, leaning, kind, tag, fit_seed, config))
-    return Plan(synthetic=synthetic, posts_csv=doc.get("posts_csv"),
-                bias_csv=doc.get("bias_csv"), window=window,
-                platform=doc.get("platform"), metrics=metrics, leanings=leanings,
-                series=series, split_ratio=ratio, seed=seed, out_dir=out_dir,
-                grid=grid, fits=tuple(fits))
+    return tuple(fits), grid
 
 
 def _synthetic_args(synth) -> dict:
@@ -226,6 +237,7 @@ def _synthetic_args(synth) -> dict:
     if args["kind"] == "seasonal_sarima":
         if "model" not in args:
             raise ConfigError("synthetic kind seasonal_sarima needs a model")
+        from . import sarima
         try:
             args["spec"], args["params"] = sarima.from_doc(args.pop("model"))
         except (TypeError, ValueError) as exc:
@@ -248,12 +260,11 @@ def _config_window(doc: dict):
     return start, end
 
 
-def _spec_from_doc(doc: dict) -> SarimaSpec:
+def _spec_orders(doc: dict) -> tuple:
     if not isinstance(doc, dict):
         raise ConfigError(f"spec must be an object, got {doc!r}")
     _reject_unknown(doc, {"order", "seasonal"}, "spec")
-    return SarimaSpec.from_orders(doc.get("order", [0, 0, 0]),
-                                  doc.get("seasonal", [0, 0, 0, 0]))
+    return doc.get("order", [0, 0, 0]), doc.get("seasonal", [0, 0, 0, 0])
 
 
 def _ingest_posts(plan: Plan):
@@ -268,12 +279,17 @@ def _ingest_posts(plan: Plan):
     return ingest.aggregate(posts, table, plan.window, plan.metrics)
 
 
+def _synthetic_series(plan: Plan):
+    """The synthetic series that ``simulate`` writes and ``run``/``gridsearch`` fit."""
+    from .rng import derive_seed
+    return generate_synthetic(seed=derive_seed(plan.seed, "synthetic"), **plan.synthetic)
+
+
 def _gather_series(plan: Plan):
     """(series, {(metric, leaning): SplitPair}, platform), before any output."""
     if plan.synthetic is not None:
         platform = "synthetic"
-        series_list = [("synthetic", None, generate_synthetic(
-            seed=derive_seed(plan.seed, "synthetic"), **plan.synthetic))]
+        series_list = [("synthetic", None, _synthetic_series(plan))]
     elif "sentiment_mean" in plan.metrics:
         raise ConfigError("metric sentiment_mean is undefined on days without posts, "
                           "so it cannot be fitted; only ingest writes it")
@@ -303,9 +319,16 @@ def cmd_ingest(plan: Plan, fmt: str) -> int:
     return 0
 
 
+def fit_forecaster(kind: str, split, config, seed: int):
+    """:func:`leancast.forecasters.fit_forecaster`, which ``run`` calls by this name."""
+    from .forecasters import fit_forecaster
+    return fit_forecaster(kind, split, config, seed=seed)
+
+
 def cmd_run(plan: Plan, fmt: str) -> int:
     if not plan.fits:
         raise ConfigError("config names no forecasters")
+    from . import evaluation, forecasters, svgplot
     series_list, splits, platform = _gather_series(plan)
     out = plan.out_dir
     models_dir = os.path.join(out, "models")
@@ -327,9 +350,9 @@ def cmd_run(plan: Plan, fmt: str) -> int:
         rows_by_metric.setdefault(fit.metric, []).append(row)
         name = f"{fit.kind}_{fit.leaning or 'series'}_{fit.metric}.json"
         with open(os.path.join(models_dir, name), "w") as handle:
-            handle.write(forecaster_to_json(model))
+            handle.write(forecasters.forecaster_to_json(model))
 
-    tables = [ReportTable(platform=platform, metric=metric, rows=rows)
+    tables = [evaluation.ReportTable(platform=platform, metric=metric, rows=rows)
               for metric, rows in sorted(rows_by_metric.items())]
     report_csv = evaluation.render_report_csv(tables)
     report_text = evaluation.render_report_text(tables)
@@ -373,31 +396,31 @@ def _rows_to_json(tables) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _typed_row(r: dict) -> EvalRow:
-    """A ``rows.json`` row as the report renders it: str model and metric, str
-    or null leaning, number test RMSE, number or null train RMSE, null or
-    five numbers per step."""
-    def number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _typed_row(r: dict) -> tuple:
+    """The EvalRow fields of a ``rows.json`` row, as the report renders them:
+    str model and metric, str or null leaning, number test RMSE, number or
+    null train RMSE, null or five numbers per step."""
     steps = r["per_step_rmse"]
     if not (isinstance(r["model"], str) and isinstance(r["metric"], str)
             and (r["leaning"] is None or isinstance(r["leaning"], str))
-            and (r["train_rmse"] is None or number(r["train_rmse"])) and number(r["test_rmse"])
+            and (r["train_rmse"] is None or _is_number(r["train_rmse"]))
+            and _is_number(r["test_rmse"])
             and (steps is None or isinstance(steps, list) and len(steps) == 5
-                 and all(map(number, steps)))):
+                 and all(map(_is_number, steps)))):
         raise TypeError(f"a row has a value of the wrong type: {r}")
-    return EvalRow(r["model"], r["leaning"], r["metric"], r["train_rmse"], r["test_rmse"],
-                   None if steps is None else tuple(steps))
+    return (r["model"], r["leaning"], r["metric"], r["train_rmse"], r["test_rmse"],
+            None if steps is None else tuple(steps))
 
 
 def _rows_from_json(path: str):
     """The report tables of the ``rows.json`` at ``path``, as ``run`` wrote them."""
+    from .evaluation import EvalRow, ReportTable
     try:
         with open(path) as handle:
             doc = json.load(handle)
         tables = []
         for t in doc["tables"]:
-            rows = [_typed_row(r) for r in t["rows"]]
+            rows = [EvalRow(*_typed_row(r)) for r in t["rows"]]
             tables.append(ReportTable(platform=t["platform"], metric=t["metric"], rows=rows))
         return tables
     except (KeyError, TypeError, ValueError) as exc:
@@ -409,10 +432,14 @@ def cmd_gridsearch(plan: Plan, fmt: str) -> int:
     if plan.grid is None:
         raise ConfigError('gridsearch needs exactly one forecaster entry of '
                           'kind "sarima" with a "grid"')
+    from . import sarima
     _, splits, _ = _gather_series(plan)
     os.makedirs(plan.out_dir, exist_ok=True)
     for (metric, leaning), split in splits.items():
-        result = sarima.grid_search(split.train.values, plan.grid)
+        try:
+            result = sarima.grid_search(split.train.values, plan.grid)
+        except sarima.GridSearchError as exc:
+            raise ConfigError(str(exc)) from None
         base = f"{leaning or 'series'}_{metric}"
         doc = sarima.to_doc(result.spec, result.fit.params)
         with open(os.path.join(plan.out_dir, f"gridsearch_{base}.json"), "w") as handle:
@@ -432,7 +459,7 @@ def cmd_gridsearch(plan: Plan, fmt: str) -> int:
 def cmd_simulate(plan: Plan, fmt: str) -> int:
     if plan.synthetic is None:
         raise ConfigError("simulate needs a synthetic spec in the config")
-    series = generate_synthetic(seed=plan.seed, **plan.synthetic)
+    series = _synthetic_series(plan)
     os.makedirs(plan.out_dir, exist_ok=True)
     path = os.path.join(plan.out_dir, "simulated.csv")
     ingest.write_value_series_csv(series, path)
@@ -441,6 +468,7 @@ def cmd_simulate(plan: Plan, fmt: str) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import evaluation
     rendered = evaluation.render_report(_rows_from_json(args.config), args.format)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -488,7 +516,7 @@ def main(argv=None) -> int:
             return cmd_report(args)
         return args.func(load_config(args.config, args.seed, args.preset, args.out),
                          args.format)
-    except (ConfigError, ValueError, KeyError, OSError, sarima.GridSearchError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -296,6 +296,10 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
             values = daily_sums()
         elif metric == "likes_sum":
             values = daily_sums(posts.likes[kept])
+            if np.isinf(values).any():
+                code, day = divmod(int(np.isinf(values).argmax()), n_days)
+                raise ValueError(f"likes_sum of {LEANINGS[code]} posts on "
+                                 f"{start + dt.timedelta(days=day)} overflows the float range")
         else:
             missing = kept & np.isnan(posts.sentiment)
             if missing.any():

@@ -467,6 +467,20 @@ class TestIngestCommand:
         assert err == f"error: posts row 3: likes '1{'0' * 400}' too large\n"
         assert not out.exists()
 
+    def test_daily_likes_sum_past_the_float_range_is_named(self, tmp_path, capsys):
+        # each cell parses (1e308 is finite); their sum on one day is not
+        posts = tmp_path / "posts.csv"
+        posts.write_text("post_id,timestamp,platform,url_or_domain,likes,sentiment\n"
+                         f"p1,2018-01-01T09:00:00,twitter,cnn.com,1{'0' * 308},\n"
+                         f"p2,2018-01-01T10:00:00,twitter,cnn.com,1{'0' * 308},\n")
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"posts_csv": str(posts), "bias_csv": BIAS,
+                                         "metrics": ["post_count", "likes_sum"]})
+        assert main(["ingest", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: likes_sum of left posts on 2018-01-01 overflows the float range\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ingest", "run"])
     def test_bad_window_fails_before_reading_posts(self, tmp_path, capsys, command):
         # the posts file does not exist: the window must be rejected first
@@ -684,6 +698,22 @@ class TestSimulateCommand:
                      "--out", str(out_b)]) == 0
         assert (out_a / "simulated.csv").read_text() != \
             (out_b / "simulated.csv").read_text()
+
+    def test_writes_the_series_run_fits(self, tmp_path, monkeypatch):
+        fitted = []
+
+        def record(kind, split, config, seed):
+            fitted.append([*split.train.values, *split.test.values])
+            raise ValueError("recorded, not fitted")
+
+        monkeypatch.setattr(cli, "fit_forecaster", record)
+        config = synth_run_config(tmp_path, n=30, seed=3,
+                                  forecasters=[{"kind": "sarima", "spec": {"order": [1, 0, 0]}}])
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run")]) == 1
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+        rows = (tmp_path / "sim" / "simulated.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == fitted[0]
+        assert len(rows) == 30
 
     @pytest.mark.parametrize("command", ["simulate", "run"])
     def test_parameter_the_kind_never_reads_fails(self, tmp_path, capsys, command):
