@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands: ingest, run, gridsearch, simulate, report, each importing only
-the layers it runs.  ``load_config`` resolves a config and the
-``--seed``/``--preset``/``--out`` flags into one frozen :class:`Plan`,
-rejecting up front what could not run; the commands only execute it, so
-reruns produce byte-identical outputs.  Per-model randomness is derived from
-the global seed and a stable "kind/leaning/metric" tag, which keeps
-individual fits reproducible in isolation too.
+the layers it runs and taking only the flags it reads (:data:`COMMANDS`).
+``load_config`` resolves a config and those flags into one frozen
+:class:`Plan`, rejecting up front what could not run; the commands only
+execute it, so reruns produce byte-identical outputs.  ``report`` re-renders
+a ``rows.json`` instead.  Per-model randomness is derived from the global
+seed and a stable "kind/leaning/metric" tag, which keeps individual fits
+reproducible in isolation too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import ingest
-from .series import chronological_split, generate_synthetic
+from .series import chronological_split, generate_synthetic, is_number
 
 DEFAULT_WINDOW = {"start": "2018-01-01", "end": "2018-04-30"}
 
@@ -58,7 +59,6 @@ class Plan:
     window: tuple           # inclusive (start, end) dates
     platform: str | None    # None keeps every platform's posts
     metrics: list
-    leanings: list
     series: tuple           # (metric, leaning) per series, in run order
     split_ratio: float
     seed: int
@@ -77,10 +77,6 @@ def _reject_repeats(values, what: str):
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise ConfigError(f"{what} listed more than once: {', '.join(map(str, repeated))}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _setting(doc: dict, key: str, flag: str, flag_value, default, ok, expected: str):
@@ -131,7 +127,7 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
         raise ConfigError(f"unknown platform {doc['platform']!r}; "
                           f"expected one of {', '.join(ingest.PLATFORMS)}")
     ratio = doc.get("split_ratio", 0.7)
-    if not _is_number(ratio):
+    if not is_number(ratio):
         raise ConfigError(f"split_ratio must be a number, got {ratio!r}")
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split_ratio must lie in (0, 1), got {ratio}")
@@ -155,7 +151,7 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
                   if doc.get("forecasters") else ((), None))
     return Plan(synthetic=synthetic, posts_csv=doc.get("posts_csv"),
                 bias_csv=doc.get("bias_csv"), window=window,
-                platform=doc.get("platform"), metrics=metrics, leanings=leanings,
+                platform=doc.get("platform"), metrics=metrics,
                 series=series, split_ratio=ratio, seed=seed, out_dir=out_dir,
                 grid=grid, fits=fits)
 
@@ -226,7 +222,7 @@ def _synthetic_args(synth) -> dict:
         raise ConfigError(f"synthetic n must be an integer, got {synth['n']!r}")
     args = dict(synth)
     for key in _SYNTH_NUMBERS:
-        if key in args and not _is_number(args[key]):
+        if key in args and not is_number(args[key]):
             raise ConfigError(f"synthetic {key} must be a number, got {args[key]!r}")
     if "start_date" in args:
         try:
@@ -303,7 +299,7 @@ def _gather_series(plan: Plan):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_ingest(plan: Plan, fmt: str) -> int:
+def cmd_ingest(plan: Plan) -> int:
     if plan.synthetic is not None:
         raise ConfigError("ingest needs posts_csv and bias_csv, not a synthetic spec")
     # compute everything first so a failure writes nothing
@@ -364,7 +360,7 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     with open(os.path.join(out, "report.txt"), "w") as handle:
         handle.write(report_text)
     with open(os.path.join(out, "rows.json"), "w") as handle:
-        handle.write(_rows_to_json(tables))
+        handle.write(evaluation.rows_to_json(tables))
     if failures:
         with open(os.path.join(out, "failures.txt"), "w") as handle:
             handle.write("\n".join(failures) + "\n")
@@ -385,50 +381,7 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     return 0
 
 
-def _rows_to_json(tables) -> str:
-    doc = {"tables": [
-        {"platform": t.platform, "metric": t.metric,
-         "rows": [{"model": r.model, "leaning": r.leaning, "metric": r.metric,
-                   "train_rmse": r.train_rmse, "test_rmse": r.test_rmse,
-                   "per_step_rmse": list(r.per_step_rmse) if r.per_step_rmse else None}
-                  for r in t.rows]}
-        for t in tables]}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _typed_row(r: dict) -> tuple:
-    """The EvalRow fields of a ``rows.json`` row, as the report renders them:
-    str model and metric, str or null leaning, number test RMSE, number or
-    null train RMSE, null or five numbers per step."""
-    steps = r["per_step_rmse"]
-    if not (isinstance(r["model"], str) and isinstance(r["metric"], str)
-            and (r["leaning"] is None or isinstance(r["leaning"], str))
-            and (r["train_rmse"] is None or _is_number(r["train_rmse"]))
-            and _is_number(r["test_rmse"])
-            and (steps is None or isinstance(steps, list) and len(steps) == 5
-                 and all(map(_is_number, steps)))):
-        raise TypeError(f"a row has a value of the wrong type: {r}")
-    return (r["model"], r["leaning"], r["metric"], r["train_rmse"], r["test_rmse"],
-            None if steps is None else tuple(steps))
-
-
-def _rows_from_json(path: str):
-    """The report tables of the ``rows.json`` at ``path``, as ``run`` wrote them."""
-    from .evaluation import EvalRow, ReportTable
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-        tables = []
-        for t in doc["tables"]:
-            rows = [EvalRow(*_typed_row(r)) for r in t["rows"]]
-            tables.append(ReportTable(platform=t["platform"], metric=t["metric"], rows=rows))
-        return tables
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} is not a leancast rows file "
-                          f"({type(exc).__name__}: {exc})") from None
-
-
-def cmd_gridsearch(plan: Plan, fmt: str) -> int:
+def cmd_gridsearch(plan: Plan) -> int:
     if plan.grid is None:
         raise ConfigError('gridsearch needs exactly one forecaster entry of '
                           'kind "sarima" with a "grid"')
@@ -456,7 +409,7 @@ def cmd_gridsearch(plan: Plan, fmt: str) -> int:
     return 0
 
 
-def cmd_simulate(plan: Plan, fmt: str) -> int:
+def cmd_simulate(plan: Plan) -> int:
     if plan.synthetic is None:
         raise ConfigError("simulate needs a synthetic spec in the config")
     series = _synthetic_series(plan)
@@ -467,13 +420,13 @@ def cmd_simulate(plan: Plan, fmt: str) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(rows_path: str, out: str | None, fmt: str) -> int:
     from . import evaluation
-    rendered = evaluation.render_report(_rows_from_json(args.config), args.format)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        ext = "csv" if args.format == "csv" else "txt"
-        path = os.path.join(args.out, f"report.{ext}")
+    rendered = evaluation.render_report(evaluation.rows_from_json(rows_path), fmt)
+    if out:
+        os.makedirs(out, exist_ok=True)
+        ext = "csv" if fmt == "csv" else "txt"
+        path = os.path.join(out, f"report.{ext}")
         with open(path, "w") as handle:
             handle.write(rendered)
         print(f"wrote {path}")
@@ -482,40 +435,49 @@ def cmd_report(args) -> int:
     return 0
 
 
+FLAGS = {
+    "--seed": {"type": int, "help": "global seed (overrides the config)"},
+    "--preset": {"help": "named hyperparameter bundle, e.g. twitter-posts"},
+    "--format": {"choices": ["csv", "text"], "default": "csv"},
+}
+
+# name -> (function, help, the flags it reads besides --config and --out)
+COMMANDS = {
+    "ingest": (cmd_ingest, "parse posts, label leanings, write daily series", ()),
+    "run": (cmd_run, "fit and evaluate all configured forecasters",
+            ("--seed", "--preset", "--format")),
+    "gridsearch": (cmd_gridsearch, "search SARIMA orders on the training half", ("--seed",)),
+    "simulate": (cmd_simulate, "generate a synthetic series CSV", ("--seed",)),
+    "report": (cmd_report, "re-render a saved rows.json", ("--format",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leancast",
         description="Daily political-leaning series and forecasting models.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "ingest": (cmd_ingest, "parse posts, label leanings, write daily series"),
-        "run": (cmd_run, "fit and evaluate all configured forecasters"),
-        "gridsearch": (cmd_gridsearch, "search SARIMA orders on the training half"),
-        "simulate": (cmd_simulate, "generate a synthetic series CSV"),
-        "report": (cmd_report, "re-render a saved rows.json"),
-    }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, help_text, flags) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="path to the JSON run config")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="global seed (overrides the config)")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--preset", default=None,
-                         help="named hyperparameter bundle, e.g. twitter-posts")
-        cmd.add_argument("--format", choices=["csv", "text"], default="csv")
+        cmd.add_argument("--out", help="output directory")
+        for flag in flags:
+            cmd.add_argument(flag, **FLAGS[flag])
         cmd.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    command, func, config = flags.pop("command"), flags.pop("func"), flags.pop("config")
+    fmt = flags.pop("format", None)
     try:
-        if not args.config:
-            raise ConfigError(f"{args.command} needs --config <path>")
-        if args.command == "report":
-            return cmd_report(args)
-        return args.func(load_config(args.config, args.seed, args.preset, args.out),
-                         args.format)
+        if not config:
+            raise ConfigError(f"{command} needs --config <path>")
+        if command == "report":
+            return func(config, flags["out"], fmt)
+        plan = load_config(config, **flags)     # the command's --seed, --preset, --out
+        return func(plan) if fmt is None else func(plan, fmt)
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

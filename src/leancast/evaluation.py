@@ -1,4 +1,4 @@
-"""RMSE, train/test evaluation runs, and report rendering.
+"""RMSE, train/test evaluation runs, report rendering and the rows.json codec.
 
 One-step models are scored by rolling-origin evaluation: each test day is
 predicted from the true history up to the previous day (the model never
@@ -16,20 +16,26 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import forecasters, sarima
-from .forecasters import TrainedForecaster, forecast_multistep
-from .series import SplitPair, make_windows
+from .series import SplitPair, is_number, make_windows
+
+if TYPE_CHECKING:   # the scoring functions import forecasters when called
+    from .forecasters import TrainedForecaster
 
 CSV_COLUMNS = ("model", "leaning", "metric", "train_rmse", "test_rmse",
                "step1", "step2", "step3", "step4", "step5")
+STEPS = len(CSV_COLUMNS) - CSV_COLUMNS.index("step1")
 
 
 @dataclass(frozen=True)
 class EvalRow:
+    """One report cell.  A value of the wrong type, or other than ``STEPS`` per-step
+    RMSEs (a list becomes a tuple), is a TypeError; a negative RMSE a ValueError."""
     model: str
     leaning: str | None
     metric: str
@@ -38,10 +44,19 @@ class EvalRow:
     per_step_rmse: tuple | None = None
 
     def __post_init__(self):
-        if self.test_rmse < 0 or (self.train_rmse is not None and self.train_rmse < 0):
+        steps = self.per_step_rmse
+        if isinstance(steps, list):
+            object.__setattr__(self, "per_step_rmse", steps := tuple(steps))
+        typed = (isinstance(self.model, str) and isinstance(self.metric, str)
+                 and (self.leaning is None or isinstance(self.leaning, str))
+                 and (self.train_rmse is None or is_number(self.train_rmse))
+                 and is_number(self.test_rmse)
+                 and (steps is None or isinstance(steps, tuple) and all(map(is_number, steps))))
+        if typed and any(v is not None and v < 0
+                         for v in (self.train_rmse, self.test_rmse, *(steps or ()))):
             raise ValueError("RMSE cannot be negative")
-        if self.per_step_rmse is not None and any(v < 0 for v in self.per_step_rmse):
-            raise ValueError("RMSE cannot be negative")
+        if not typed or steps is not None and len(steps) != STEPS:
+            raise TypeError(f"a row has a value of the wrong type: {self}")
 
 
 @dataclass
@@ -59,6 +74,25 @@ class ReportTable:
             seen.add(key)
 
 
+def rows_to_json(tables) -> str:
+    """The ``rows.json`` document of the report tables, which ``run`` writes."""
+    return json.dumps({"tables": [asdict(t) for t in tables]}, sort_keys=True, indent=2) + "\n"
+
+
+def rows_from_json(path: str) -> list:
+    """The report tables of the ``rows.json`` at ``path``, or a ValueError naming it."""
+    names = [f.name for f in fields(EvalRow)]
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+        return [ReportTable(rows=[EvalRow(*(r[name] for name in names)) for r in t["rows"]],
+                            platform=t["platform"], metric=t["metric"])
+                for t in doc["tables"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is not a leancast rows file "
+                         f"({type(exc).__name__}: {exc})") from None
+
+
 def rmse(predicted, true) -> float:
     predicted = np.asarray(predicted, dtype=np.float64)
     true = np.asarray(true, dtype=np.float64)
@@ -73,6 +107,7 @@ def rmse(predicted, true) -> float:
 def rolling_one_step_predictions(model: TrainedForecaster, split: SplitPair) -> np.ndarray:
     """Predict every test day of a neural one-step model from true history
     (train plus earlier test) in one batched forward."""
+    from . import forecasters
     if model.kind == "sarima":
         raise ValueError("rolling one-step predictions are for neural kinds; "
                          "score SARIMA with sarima.rolling_test_rmse")
@@ -90,18 +125,20 @@ def multistep_window_predictions(model: TrainedForecaster, test_values: np.ndarr
 
     Returns (predictions, targets), each (windows, horizon).
     """
+    from . import forecasters
     lookback, horizon = model.lookback, model.horizon
     windows = make_windows(np.asarray(test_values, dtype=np.float64), lookback, horizon)
     if windows.count == 0:
         raise ValueError(
             f"test half has {len(test_values)} points; multistep evaluation "
             f"needs at least {lookback + horizon}")
-    return forecast_multistep(model, windows.inputs), windows.targets
+    return forecasters.forecast_multistep(model, windows.inputs), windows.targets
 
 
 def require_test_points(kind: str, n_test: int):
     """Raise unless a test half of ``n_test`` points holds one complete
     lookback + horizon window (SARIMA needs none); checked before fitting."""
+    from . import forecasters
     min_test = forecasters.kind_lookback(kind) + forecasters.kind_horizon(kind)
     if kind != "sarima" and n_test < min_test:
         raise ValueError(
@@ -112,6 +149,7 @@ def evaluate(model: TrainedForecaster, split: SplitPair,
              leaning: str | None = None, metric: str | None = None) -> EvalRow:
     """Score one fitted model on its split; see the module docstring for
     the per-kind protocol."""
+    from . import forecasters, sarima
     metric = metric if metric is not None else split.train.metric
     require_test_points(model.kind, len(split.test.values))
 
@@ -149,7 +187,7 @@ def _row_cells(table, blank: str) -> list:
     """Two-decimal cells per row in stable order, ``blank`` for absent values."""
     out = []
     for row in sorted(table.rows, key=lambda r: (r.model, r.leaning or "")):
-        values = (row.train_rmse, row.test_rmse) + (row.per_step_rmse or (None,) * 5)
+        values = (row.train_rmse, row.test_rmse) + (row.per_step_rmse or (None,) * STEPS)
         out.append([row.model, row.leaning or blank, row.metric]
                    + [_cell(v) or blank for v in values])
     return out

@@ -191,16 +191,18 @@ class BiasTable:
     def from_pairs(cls, pairs) -> "BiasTable":
         entries = {}
         for raw_domain, leaning in pairs:
-            domain = extract_domain(raw_domain)
-            if domain in entries and entries[domain] != leaning:
-                raise ValueError(
-                    f"conflicting leanings for domain {domain!r}: "
-                    f"{entries[domain]!r} vs {leaning!r}")
-            entries[domain] = leaning
+            _add_entry(entries, raw_domain, leaning)
         return cls(entries)
 
     def leaning_for(self, url_or_domain: str) -> str | None:
         return self.entries.get(extract_domain(url_or_domain))
+
+
+def _add_entry(entries: dict, raw_domain: str, leaning: str):
+    domain = extract_domain(raw_domain)
+    if entries.setdefault(domain, leaning) != leaning:
+        raise ValueError(f"conflicting leanings for domain {domain!r}: "
+                         f"{entries[domain]!r} vs {leaning!r}")
 
 
 def _post_domains(post_ids, urls, table: BiasTable) -> list:
@@ -495,13 +497,17 @@ def read_posts_csv(path) -> PostColumns:
 
 
 def read_bias_csv(path) -> BiasTable:
-    pairs = []
+    """The bias table of the CSV at ``path``; an error names its row."""
+    entries = {}
     for lines, (domains, leanings) in _csv_blocks(path, BIAS_HEADER, "bias"):
-        for line_no, leaning in zip(lines, leanings):
-            if leaning not in LEANINGS:
-                raise ValueError(f"bias row {line_no}: unknown leaning {leaning!r}")
-        pairs += zip(domains, leanings)
-    return BiasTable.from_pairs(pairs)
+        for line_no, domain, leaning in zip(lines, domains, leanings):
+            try:
+                if leaning not in LEANINGS:
+                    raise ValueError(f"unknown leaning {leaning!r}")
+                _add_entry(entries, domain, leaning)
+            except ValueError as exc:   # name the row, keep the exception type
+                raise type(exc)(f"bias row {line_no}: {exc}") from None
+    return BiasTable(entries)
 
 
 def _format_value(v: float) -> str:

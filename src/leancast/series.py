@@ -20,6 +20,11 @@ SYNTHETIC_PARAMS = {"ar1": ("alpha", "sigma"),
                     "seasonal_sarima": ("spec", "params")}
 
 
+def is_number(value) -> bool:
+    """True for an int or float that is not a bool, as a JSON number reads."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DailySeries:
     """A contiguous per-day numeric sequence for one (platform, leaning, metric).
@@ -147,14 +152,14 @@ def make_windows(values, lookback: int, horizon: int) -> WindowSet:
     if lookback < 1 or horizon < 1:
         raise ValueError("lookback and horizon must be >= 1")
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    count = max(0, n - lookback - horizon + 1)
-    inputs = np.empty((count, lookback))
-    targets = np.empty((count, horizon))
-    for i in range(count):
-        inputs[i] = values[i : i + lookback]
-        targets[i] = values[i + lookback : i + lookback + horizon]
-    return WindowSet(lookback=lookback, horizon=horizon, inputs=inputs, targets=targets)
+    width = lookback + horizon
+    count = max(0, len(values) - width + 1)
+    # row i views values[i : i + width]; sliding_window_view would also run a numpy
+    # reduction, whose first use maps ~256 KiB and so raises a short run's peak RSS
+    windows = np.lib.stride_tricks.as_strided(values, (count, width), values.strides * 2,
+                                              writeable=False)
+    return WindowSet(lookback=lookback, horizon=horizon,
+                     inputs=windows[:, :lookback].copy(), targets=windows[:, lookback:].copy())
 
 
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is raised, not warned

@@ -261,11 +261,12 @@ class TestLoadConfig:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "simulate"])
-    @pytest.mark.parametrize("flags,message", [
-        (["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
-        (["--preset", "nope"], "--preset must be one of gab-likes"),
-        (["--out", ""], "--out must be a nonempty path, got ''"),
+    @pytest.mark.parametrize("command,flags,message", [
+        ("run", ["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+        ("simulate", ["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+        ("run", ["--preset", "nope"], "--preset must be one of gab-likes"),
+        ("run", ["--out", ""], "--out must be a nonempty path, got ''"),
+        ("simulate", ["--out", ""], "--out must be a nonempty path, got ''"),
     ])
     def test_bad_flag_fails_before_any_output(self, tmp_path, capsys, monkeypatch,
                                               flags, message, command):
@@ -791,6 +792,30 @@ class TestReportCommand:
                                                 "rows": [row]}]}))
         assert main(["report", "--config", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("sarima,")
+
+
+# the flags each command reads, and so accepts, besides --config and --out
+COMMAND_FLAGS = {"ingest": [], "run": ["--seed", "--preset", "--format"],
+                 "gridsearch": ["--seed"], "simulate": ["--seed"], "report": ["--format"]}
+FLAG_VALUES = {"--seed": "1", "--preset": "gab-posts", "--format": "text"}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    parser = cli.build_parser()
+    dests = [flag[2:] for flag in COMMAND_FLAGS[command]]
+    assert sorted(vars(parser.parse_args([command]))) == sorted(
+        ["command", "func", "config", "out", *dests])
+    for flag, value in FLAG_VALUES.items():
+        argv = [command, "--config", "c.json", flag, value]
+        if flag in COMMAND_FLAGS[command]:
+            assert vars(parser.parse_args(argv))[flag[2:]] == (
+                int(value) if flag == "--seed" else value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_traced_cli_resolves_every_wrapped_name(tmp_path):

@@ -77,6 +77,12 @@ class TestEvalRow:
         with pytest.raises(ValueError):
             EvalRow("multistep_14_5", None, "post_count", None, 1.0, (0.1, -0.2))
 
+    @pytest.mark.parametrize("leaning,steps", [("left", (1.0, 2.0, 3.0)), (5, None)])
+    def test_wrong_type_rejected(self, leaning, steps):
+        # a 3-step row would render 8 cells under the 10-column header
+        with pytest.raises(TypeError, match="a row has a value of the wrong type"):
+            EvalRow("multistep_14_5", leaning, "post_count", None, 1.0, steps)
+
     def test_train_rmse_may_be_absent(self):
         row = EvalRow("multistep_14_5", None, "post_count", None, 1.0)
         assert row.train_rmse is None

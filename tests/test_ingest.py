@@ -707,6 +707,18 @@ class TestBiasCsv:
             read_bias_csv(csv_file(tmp_path, "domain,leaning\ncnn.com,left,extra\n"))
         assert str(exc.value) == "bias row 2: expected 2 fields, got 3"
 
+    @pytest.mark.parametrize("text,message", [
+        ("cnn.com,left\nfoo bar,right\n", "bias row 3: cannot extract a domain from 'foo bar'"),
+        ("cnn.com,left\n,right\n", "bias row 3: cannot extract a domain from empty text"),
+        ("cnn.com,left\n\nwsj.com,center\nwww.cnn.com,right\n",
+         "bias row 5: conflicting leanings for domain 'cnn.com': 'left' vs 'right'"),
+        ("foo bar,left\ncnn.com,centrist\n", "bias row 2: cannot extract a domain from 'foo bar'"),
+    ])
+    def test_bad_domain_names_the_row(self, tmp_path, text, message):
+        with pytest.raises(ValueError) as exc:
+            read_bias_csv(csv_file(tmp_path, "domain,leaning\n" + text))
+        assert str(exc.value) == message
+
 
 class TestSeriesCsv:
     def test_exact_text(self, table, tmp_path):

@@ -1,6 +1,7 @@
 """What each entry point imports, checked in fresh interpreters: the package
-loads a module on the first use of one of its names, and ``leancast
-ingest`` runs without the fitting layers."""
+loads a module on the first use of one of its names, ``leancast ingest``
+runs without the fitting layers, and ``leancast report`` loads only what
+reads and renders a ``rows.json``."""
 
 import json
 import os
@@ -64,6 +65,22 @@ def test_ingest_loads_no_fitting_layer(tmp_path):
     assert (tmp_path / "out" / "series_post_count.csv").exists()
     assert "leancast.ingest" in loaded[1]
     assert [m for m in loaded[1] if m.rsplit(".", 1)[-1] in FITTING_LAYERS] == []
+
+
+def test_report_loads_only_the_row_codec(tmp_path):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"tables": [{"platform": "p", "metric": "post_count", "rows": [
+        {"model": "multistep_14_5", "leaning": "left", "metric": "post_count",
+         "train_rmse": None, "test_rmse": 2.5, "per_step_rmse": [1, 2, 3, 4, 5]}]}]}))
+    loaded = run_python(
+        "import json, sys\n"
+        "from leancast.cli import main\n"
+        "code = main(['report', '--config', sys.argv[1], '--format', 'text'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules"
+        " if m.startswith('leancast'))]))\n",
+        str(rows))
+    assert loaded == [0, ["leancast", "leancast.cli", "leancast.evaluation",
+                          "leancast.ingest", "leancast.series"]]
 
 
 def test_bare_import_loads_no_submodule():
