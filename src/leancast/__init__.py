@@ -10,7 +10,7 @@ import importlib
 _EXPORTS = {
     "series": "DailySeries SplitPair ScalerState IDENTITY_SCALER WindowSet chronological_split"
               " fit_scaler make_windows generate_synthetic METRICS",
-    "sarima": "SarimaSpec SarimaParams SarimaFit DifferencingContext GridSpec GridSearchResult"
+    "sarima": "SarimaSpec SarimaParams SarimaFit GridSpec GridSearchResult"
               " GridSearchError difference invert_difference css_residuals fit forecast"
               " grid_search simulate",
     "neural": "NetworkConfig RecurrentNetwork CellState LstmLayerWeights GruLayerWeights"

@@ -28,6 +28,7 @@ DEFAULT_WINDOW = {"start": "2018-01-01", "end": "2018-04-30"}
 _TOP_KEYS = {"posts_csv", "bias_csv", "synthetic", "window", "platform",
              "metrics", "leanings", "forecasters", "preset", "split_ratio",
              "seed", "out_dir"}
+_POSTS_ONLY_KEYS = {"window", "platform", "metrics", "leanings"}
 _SYNTH_KEYS = {"kind", "n", "alpha", "sigma", "period", "amplitude",
                "noise_sigma", "model", "start_date"}
 _SYNTH_NUMBERS = ("alpha", "sigma", "period", "amplitude", "noise_sigma")
@@ -145,6 +146,9 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
                 raise ConfigError(f"unknown {what} {value!r}")
         # each (kind, leaning, metric) is one report cell, so none may repeat
         _reject_repeats(values, what)
+    unread = sorted(_POSTS_ONLY_KEYS & set(doc)) if synthetic is not None else []
+    if unread:
+        raise ConfigError(f"a synthetic config does not read {', '.join(unread)}")
     series = ((("synthetic", None),) if synthetic is not None
               else tuple(itertools.product(metrics, leanings)))
     fits, grid = (_plan_fits(doc["forecasters"], series, seed, preset)
@@ -315,12 +319,6 @@ def cmd_ingest(plan: Plan) -> int:
     return 0
 
 
-def fit_forecaster(kind: str, split, config, seed: int):
-    """:func:`leancast.forecasters.fit_forecaster`, which ``run`` calls by this name."""
-    from .forecasters import fit_forecaster
-    return fit_forecaster(kind, split, config, seed=seed)
-
-
 def cmd_run(plan: Plan, fmt: str) -> int:
     if not plan.fits:
         raise ConfigError("config names no forecasters")
@@ -338,7 +336,7 @@ def cmd_run(plan: Plan, fmt: str) -> int:
         split = splits[fit.metric, fit.leaning]
         try:
             evaluation.require_test_points(fit.kind, len(split.test.values))
-            model = fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
+            model = forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
             row = evaluation.evaluate(model, split, leaning=fit.leaning, metric=fit.metric)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{fit.tag}: {exc}")
@@ -369,8 +367,7 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     for metric, leaning, series in series_list:
         by_metric.setdefault(metric, []).append(series)
     for metric, group in sorted(by_metric.items()):
-        labels = [s.leaning or metric for s in group]
-        svg = svgplot.emit_plot(group, labels=labels, title=f"{platform} {metric}")
+        svg = svgplot.emit_plot(group, title=f"{platform} {metric}")
         with open(os.path.join(plots_dir, f"series_{metric}.svg"), "w") as handle:
             handle.write(svg)
 
@@ -387,24 +384,25 @@ def cmd_gridsearch(plan: Plan) -> int:
                           'kind "sarima" with a "grid"')
     from . import sarima
     _, splits, _ = _gather_series(plan)
-    os.makedirs(plan.out_dir, exist_ok=True)
+    # search every series before writing, so a failure writes nothing
+    results = {}
     for (metric, leaning), split in splits.items():
         try:
-            result = sarima.grid_search(split.train.values, plan.grid)
+            results[f"{leaning or 'series'}_{metric}"] = sarima.grid_search(
+                split.train.values, plan.grid)
         except sarima.GridSearchError as exc:
-            raise ConfigError(str(exc)) from None
-        base = f"{leaning or 'series'}_{metric}"
+            raise ConfigError(f"{leaning or 'series'}/{metric}: {exc}") from None
+    os.makedirs(plan.out_dir, exist_ok=True)
+    for base, result in results.items():
         doc = sarima.to_doc(result.spec, result.fit.params)
         with open(os.path.join(plan.out_dir, f"gridsearch_{base}.json"), "w") as handle:
             handle.write(json.dumps(doc, sort_keys=True) + "\n")
         with open(os.path.join(plan.out_dir, f"candidates_{base}.csv"), "w") as handle:
             handle.write("p,d,q,P,D,Q,s,score,error\n")
             for cand in result.candidates:
-                spec = cand.spec
                 score = "" if cand.score is None else repr(cand.score)
                 err = (cand.error or "").replace(",", ";").replace("\n", " ")
-                handle.write(f"{spec.p},{spec.d},{spec.q},{spec.P},{spec.D},"
-                             f"{spec.Q},{spec.s},{score},{err}\n")
+                handle.write(",".join([*map(str, cand.spec.as_tuple()), score, err]) + "\n")
         print(f"{base}: best spec {result.spec.as_tuple()}")
     return 0
 

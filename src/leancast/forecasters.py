@@ -128,10 +128,10 @@ def fit_forecaster(kind: str, split: SplitPair, config=None, seed: int = 0) -> T
     windows = make_windows(scaler.apply(train_values), lookback, horizon)
     if kind == "multistep_14_5":
         net, history = train_multistep_teacher_forced(config, windows)
-        final = history[-1].total if history else float("nan")
+        final = history[-1].total       # NetworkConfig requires epochs >= 1
     else:
         net, losses = neural.train(config, windows)
-        final = losses[-1] if losses else float("nan")
+        final = losses[-1]
     meta = {"seed": config.seed, "epochs_run": config.epochs, "final_loss": final}
     return TrainedForecaster(kind, net, scaler, meta)
 
@@ -267,11 +267,12 @@ def forecaster_from_json(text: str) -> TrainedForecaster:
         if "spec" in metadata:          # fit_forecaster records it as a tuple
             metadata["spec"] = tuple(metadata["spec"])
         payload = doc["model"]
+        facts = ("sse", "converged", "train_rmse")      # read, never assumed
+        missing = [k for k in facts if k not in payload]
+        if missing:
+            raise ValueError(f"sarima model lacks {', '.join(missing)}")
         spec, params = sarima.from_doc({k: payload[k] for k in sarima.MODEL_KEYS})
-        fit = sarima.SarimaFit(spec=spec, params=params, residuals=np.array([]),
-                               sse=payload.get("sse", 0.0),
-                               converged=payload.get("converged", True),
-                               train_rmse=payload.get("train_rmse", 0.0))
+        fit = sarima.SarimaFit(spec, params, np.array([]), **{k: payload[k] for k in facts})
         return TrainedForecaster(kind, fit, scaler, metadata)
     net = RecurrentNetwork.from_doc(doc["model"])
     return TrainedForecaster(kind, net, scaler, metadata)

@@ -112,25 +112,14 @@ class SarimaFit:
     train_rmse: float
 
 
-@dataclass(frozen=True)
-class DifferencingContext:
-    """Everything needed to undo (1-B)^d (1-B^s)^D exactly.
-
-    ``stages[k]`` is the full series as it stood before the k-th differencing
-    pass (ordinary passes first, then seasonal), paired with that pass's lag.
-    Inversion restores the observed range from these retained values, so the
-    round trip is lossless; entries appended beyond the observed range are
-    integrated recursively, which is what forecasting needs.
-    """
-
-    stages: tuple  # ((lag, values), ...) in application order
-
-
-def difference(values, d: int, D: int, s: int) -> tuple[np.ndarray, DifferencingContext]:
+def difference(values, d: int, D: int, s: int) -> tuple[np.ndarray, tuple]:
     """Apply ordinary differencing d times, then seasonal differencing D times.
 
-    Output length is n - d - D*s.  Raises ``ValueError`` when the series is
-    too short to difference.
+    Output length is n - d - D*s; a series too short for that raises
+    ``ValueError``.  Also returns the stages that undo it: ``stages[k]`` is
+    (lag, the full series before the k-th pass).  :func:`invert_difference`
+    restores the observed range from them, so the round trip is lossless,
+    and integrates entries appended past it, which forecasting needs.
     """
     values = np.asarray(values, dtype=np.float64)
     if D > 0 and s < 2:
@@ -146,17 +135,17 @@ def difference(values, d: int, D: int, s: int) -> tuple[np.ndarray, Differencing
     for _ in range(D):
         stages.append((s, cur))
         cur = cur[s:] - cur[:-s]
-    return cur, DifferencingContext(tuple(stages))
+    return cur, tuple(stages)
 
 
-def invert_difference(diffed, context: DifferencingContext) -> np.ndarray:
-    """Undo the differencing recorded in ``context``.
+def invert_difference(diffed, stages: tuple) -> np.ndarray:
+    """Undo the differencing recorded in ``stages`` by :func:`difference`.
 
-    ``diffed`` may extend the series that produced the context (forecast
+    ``diffed`` may extend the series that produced the stages (forecast
     values appended at the end); its leading entries are assumed unchanged.
     """
     cur = np.asarray(diffed, dtype=np.float64)
-    for lag, prev in reversed(context.stages):
+    for lag, prev in reversed(stages):
         out = np.empty(len(cur) + lag)
         n_known = min(len(prev), len(out))
         out[:n_known] = prev[:n_known]
@@ -306,13 +295,13 @@ def forecast(fitted: SarimaFit, history, horizon: int) -> np.ndarray:
         raise ValueError("horizon must be >= 0")
     history = np.asarray(history, dtype=np.float64)
     spec, params = fitted.spec, fitted.params
-    w, ctx = difference(history, spec.d, spec.D, spec.s)
+    w, stages = difference(history, spec.d, spec.D, spec.s)
     _check_history(len(w), spec, params)
     if horizon == 0:
         return np.empty(0)
     w_ext, _ = _arma_pass(np.concatenate([w, np.zeros(horizon)]), np.zeros(len(w) + horizon),
                           len(w), spec.burn_in, spec, params)
-    return invert_difference(w_ext, ctx)[-horizon:]
+    return invert_difference(w_ext, stages)[-horizon:]
 
 
 def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
@@ -365,7 +354,7 @@ class GridSpec:
             raise ValueError(f"unknown selection rule {self.selection!r}")
 
     @classmethod
-    def from_doc(cls, doc, selection: str = "holdout_rmse") -> "GridSpec":
+    def from_doc(cls, doc) -> "GridSpec":
         """The grid of a parsed JSON object.
 
         Each order maps either to a two-element inclusive interval
@@ -375,7 +364,7 @@ class GridSpec:
         if not isinstance(doc, dict):
             raise ValueError(f"a grid must be an object, got {doc!r}")
         obj = dict(doc)
-        selection = obj.pop("selection", selection)
+        selection = obj.pop("selection", "holdout_rmse")
         fields = {}
         for name, val in obj.items():
             if name not in ("p", "d", "q", "P", "D", "Q", "s"):
@@ -483,8 +472,7 @@ def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:
         raise ValueError("n must be >= 1")
     eps = rng.normal(0.0, np.sqrt(params.sigma2), n) if params.sigma2 > 0 else np.zeros(n)
     w, _ = _arma_pass(np.zeros(n), eps, 0, 0, spec, params)
-    zero_start = DifferencingContext(
-        ((1, np.zeros(1)),) * spec.d + ((spec.s, np.zeros(spec.s)),) * spec.D)
+    zero_start = ((1, np.zeros(1)),) * spec.d + ((spec.s, np.zeros(spec.s)),) * spec.D
     return invert_difference(w, zero_start)[-n:]
 
 

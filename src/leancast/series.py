@@ -70,7 +70,6 @@ class SplitPair:
 
     train: DailySeries
     test: DailySeries
-    ratio: float
 
 
 def chronological_split(series: DailySeries, ratio: float = 0.7) -> SplitPair:
@@ -91,7 +90,7 @@ def chronological_split(series: DailySeries, ratio: float = 0.7) -> SplitPair:
         values=series.values[n_train:],
         start_date=series.start_date + dt.timedelta(days=n_train),
     )
-    return SplitPair(train=train, test=test, ratio=ratio)
+    return SplitPair(train=train, test=test)
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,8 @@ class ScalerState:
 IDENTITY_SCALER = ScalerState(min=0.0, max=1.0)
 
 
-def fit_scaler(series) -> ScalerState:
+def fit_scaler(values) -> ScalerState:
     """Fit a min-max scaler.  Fit on the training half only, never on test."""
-    values = series.values if isinstance(series, DailySeries) else np.asarray(series, dtype=np.float64)
     return ScalerState(min=float(np.min(values)), max=float(np.max(values)))
 
 
@@ -169,7 +167,8 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
     Kinds
     -----
     ar1(alpha, sigma)
-        y_t = alpha * y_{t-1} + e_t with e_t ~ Normal(0, sigma^2), y_{-1} = 0.
+        y_t = alpha * y_{t-1} + e_t with e_t ~ Normal(0, sigma^2), y_{-1} = 0:
+        the (1,0,0) seasonal_sarima, so sqrt(sigma^2) must give sigma back.
     sine(period, amplitude, noise_sigma)
         amplitude * sin(2 pi t / period) plus optional Gaussian noise.
     seasonal_sarima(spec, params)
@@ -190,16 +189,7 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
     if unread:
         raise ValueError(f"synthetic kind {kind} does not read {', '.join(unread)}")
     rng = np.random.default_rng(seed)
-    if kind == "ar1":
-        alpha = float(params.get("alpha", 0.0))
-        sigma = float(params.get("sigma", 1.0))
-        eps = rng.normal(0.0, sigma, n)
-        values = np.empty(n)
-        prev = 0.0
-        for t in range(n):
-            prev = alpha * prev + eps[t]
-            values[t] = prev
-    elif kind == "sine":
+    if kind == "sine":
         period = float(params.get("period", 10.0))
         amplitude = float(params.get("amplitude", 1.0))
         noise_sigma = float(params.get("noise_sigma", 0.0))
@@ -210,9 +200,16 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         if noise_sigma > 0:
             values = values + rng.normal(0.0, noise_sigma, n)
     else:
-        from . import sarima as _sarima
+        from . import sarima
 
-        values = _sarima.simulate(params["spec"], params["params"], n, rng)
+        if kind == "ar1":
+            sigma = float(params.get("sigma", 1.0))
+            if not np.sqrt(sigma * sigma) == sigma:     # negative, NaN, too large or small
+                raise ValueError(f"ar1 sigma must be 0 or between about 1.5e-154 and "
+                                 f"1.3e154, got {sigma}")
+            params = {"spec": sarima.SarimaSpec(p=1), "params": sarima.SarimaParams(
+                alpha=(params.get("alpha", 0.0),), sigma2=sigma * sigma)}
+        values = sarima.simulate(params["spec"], params["params"], n, rng)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"synthetic {kind} series overflows within {n} values")
     return DailySeries(start_date=start_date, values=values, platform="synthetic", leaning=None, metric="synthetic")

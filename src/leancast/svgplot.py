@@ -12,6 +12,7 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
+WIDTH, HEIGHT = 800, 400
 MARGIN_LEFT = 60
 MARGIN_RIGHT = 160
 MARGIN_TOP = 30
@@ -22,8 +23,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def emit_plot(series_list, labels=None, title: str = "", width: int = 800,
-              height: int = 400) -> str:
+def emit_plot(series_list, labels=None, title: str = "") -> str:
     """Render DailySeries objects to an SVG document string.
 
     ``labels`` defaults to each series' leaning (or metric).  Non-finite
@@ -51,8 +51,8 @@ def emit_plot(series_list, labels=None, title: str = "", width: int = 800,
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def x_px(day_offset: float) -> float:
         return MARGIN_LEFT + plot_w * day_offset / span_days
@@ -61,9 +61,9 @@ def emit_plot(series_list, labels=None, title: str = "", width: int = 800,
         return MARGIN_TOP + plot_h * (hi - value) / (hi - lo)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(

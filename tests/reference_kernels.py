@@ -29,6 +29,11 @@ inside ``aggregate``: likes too large for a float and timestamps whose UTC
 day is outside ``datetime``'s range.  The columnar reader plus ``aggregate``
 must give the same series and summary, or raise the same exception type
 with the same message, on every input.
+
+``ar1_loop`` is ``generate_synthetic("ar1")`` as it was before it ran the
+(1,0,0) model through ``sarima.simulate``: its own scalar recursion over
+``rng.normal(0, sigma, n)``.  The two must agree bit for bit on every sigma
+the generator accepts.
 """
 
 import csv
@@ -431,3 +436,13 @@ def per_record_aggregate(posts, table, window, metrics) -> tuple:
                 for leaning, row in zip(LEANINGS, values.reshape(len(LEANINGS), n_days))}
 
     return summary, platform, {metric: series_of(metric) for metric in metrics}
+
+
+def ar1_loop(n, seed, alpha=0.0, sigma=1.0) -> np.ndarray:
+    eps = np.random.default_rng(seed).normal(0.0, sigma, n)
+    values = np.empty(n)
+    prev = 0.0
+    for t in range(n):
+        prev = alpha * prev + eps[t]
+        values[t] = prev
+    return values

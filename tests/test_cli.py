@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from leancast import cli, ingest
+from leancast import cli, forecasters, ingest
 from leancast.cli import ConfigError, load_config, main
 from leancast.forecasters import default_network_config
 from leancast.presets import FALLBACK_GRID, get_preset
@@ -248,6 +248,11 @@ class TestLoadConfig:
          "forecaster lstm_1day: input_size must be 1, got 3"),
         ({"forecasters": [{"kind": "multistep_14_5", "input_size": 14}]},
          "forecaster multistep_14_5: input_size must be 1, got 14"),
+        ({"window": {"start": "2019-01-01", "end": "2019-02-01"}},
+         "a synthetic config does not read window"),
+        ({"platform": "gab"}, "a synthetic config does not read platform"),
+        ({"metrics": ["likes_sum"]}, "a synthetic config does not read metrics"),
+        ({"leanings": ["right"]}, "a synthetic config does not read leanings"),
     ])
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
                                                 command):
@@ -332,6 +337,9 @@ class TestLoadConfig:
         ({"kind": "arma", "n": 40}, "unknown synthetic kind 'arma'"),
         ({"kind": "ar1", "n": 1100, "alpha": 2.0},
          "synthetic ar1 series overflows within 1100 values"),
+        ({"kind": "ar1", "n": 40, "sigma": -1.0}, "ar1 sigma must be 0 or between about"),
+        ({"kind": "ar1", "n": 40, "sigma": float("nan")}, "ar1 sigma must be 0 or between"),
+        ({"kind": "ar1", "n": 40, "sigma": 1e160}, "ar1 sigma must be 0 or between about"),
     ])
     def test_series_failure_writes_nothing(self, tmp_path, capsys, synthetic, message,
                                            command):
@@ -579,7 +587,7 @@ class TestRunCommand:
     def test_short_test_half_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
         # 50 days at split 0.7 leave 15 test days; multistep scoring needs 19
         fitted = []
-        monkeypatch.setattr(cli, "fit_forecaster",
+        monkeypatch.setattr(forecasters, "fit_forecaster",
                             lambda *args, **kwargs: fitted.append(args))
         out = tmp_path / "out"
         config = synth_run_config(tmp_path, n=50,
@@ -657,7 +665,30 @@ class TestGridsearchCommand:
             "forecasters": [{"kind": "sarima", "grid": {"p": [0, 1], "q": 0}}]})
         assert main(["gridsearch", "--config", config,
                      "--out", str(tmp_path / "o")]) == 1
-        assert "error: no grid candidate could be fitted" in capsys.readouterr().err
+        assert "error: series/synthetic: no grid candidate could be fitted" in \
+            capsys.readouterr().err
+
+    def test_unfittable_series_is_named_and_nothing_is_written(self, tmp_path, capsys):
+        # the right series' likes square past the float range, so none of its
+        # candidates fits; the left series is searched first and fits
+        rows = "".join(f"l{day},2018-01-{day:02d}T09:00:00,twitter,cnn.com,{3 + day % 3},0.1\n"
+                       f"r{day},2018-01-{day:02d}T10:00:00,twitter,foxnews.com,{10 ** 160},0.1\n"
+                       for day in range(1, 31))
+        posts, bias = tmp_path / "posts.csv", tmp_path / "bias.csv"
+        posts.write_text("post_id,timestamp,platform,url_or_domain,likes,sentiment\n" + rows)
+        bias.write_text("domain,leaning\ncnn.com,left\nfoxnews.com,right\n")
+        config = write_config(tmp_path, {
+            "posts_csv": str(posts), "bias_csv": str(bias),
+            "window": {"start": "2018-01-01", "end": "2018-01-30"},
+            "metrics": ["likes_sum"], "leanings": ["left", "right"],
+            "forecasters": [{"kind": "sarima", "grid": {"p": [0, 1]}}]})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["gridsearch", "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: right/likes_sum: no grid candidate could be fitted\n"
+        assert list(out.iterdir()) == []
 
     def test_sentiment_mean_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path, {
@@ -707,7 +738,7 @@ class TestSimulateCommand:
             fitted.append([*split.train.values, *split.test.values])
             raise ValueError("recorded, not fitted")
 
-        monkeypatch.setattr(cli, "fit_forecaster", record)
+        monkeypatch.setattr(forecasters, "fit_forecaster", record)
         config = synth_run_config(tmp_path, n=30, seed=3,
                                   forecasters=[{"kind": "sarima", "spec": {"order": [1, 0, 0]}}])
         assert main(["run", "--config", config, "--out", str(tmp_path / "run")]) == 1

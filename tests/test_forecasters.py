@@ -433,3 +433,11 @@ class TestSerialization:
         doc["kind"] = "varmax"
         with pytest.raises(ValueError):
             forecaster_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["converged", "sse", "train_rmse"])
+    def test_sarima_model_without_a_fit_fact_rejected(self, key):
+        # a missing fact is not read as converged or as a zero error
+        doc = json.loads(forecaster_to_json(constant_sarima(1.0)))
+        del doc["model"][key]
+        with pytest.raises(ValueError, match=f"^sarima model lacks {key}$"):
+            forecaster_from_json(json.dumps(doc))

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from leancast.series import (DailySeries, ScalerState, chronological_split,
                              fit_scaler, generate_synthetic, make_windows)
+from reference_kernels import ar1_loop
 
 
 def make_series(values, metric="synthetic"):
@@ -140,6 +142,19 @@ class TestSynthetic:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic("brownian", 10, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    @pytest.mark.parametrize("alpha", [-0.9, 0.0, 0.5, 1.0, 1.2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0, 2.5, 1e5])
+    def test_ar1_matches_its_own_recursion_bit_for_bit(self, n, alpha, sigma):
+        for seed in (0, 7):
+            got = generate_synthetic("ar1", n, seed=seed, alpha=alpha, sigma=sigma).values
+            assert got.tobytes() == ar1_loop(n, seed, alpha=alpha, sigma=sigma).tobytes()
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, 1e160, 1e-160])
+    def test_ar1_sigma_that_does_not_square_exactly_rejected(self, sigma):
+        with pytest.raises(ValueError, match="^ar1 sigma must be 0 or between about"):
+            generate_synthetic("ar1", 10, seed=0, sigma=sigma)
 
     @pytest.mark.parametrize("kind,params,unread", [
         ("ar1", {"alpha": 0.5, "model": {"order": [1, 0, 0]}}, "model"),

@@ -20,9 +20,9 @@ EXPORTS = {
     "series": ["DailySeries", "SplitPair", "ScalerState", "IDENTITY_SCALER", "WindowSet",
                "chronological_split", "fit_scaler", "make_windows", "generate_synthetic",
                "METRICS"],
-    "sarima": ["SarimaSpec", "SarimaParams", "SarimaFit", "DifferencingContext", "GridSpec",
-               "GridSearchResult", "GridSearchError", "difference", "invert_difference",
-               "css_residuals", "fit", "forecast", "grid_search", "simulate"],
+    "sarima": ["SarimaSpec", "SarimaParams", "SarimaFit", "GridSpec", "GridSearchResult",
+               "GridSearchError", "difference", "invert_difference", "css_residuals", "fit",
+               "forecast", "grid_search", "simulate"],
     "neural": ["NetworkConfig", "RecurrentNetwork", "CellState", "LstmLayerWeights",
                "GruLayerWeights", "TrainingDivergedError", "lstm_step", "gru_step", "train"],
     "forecasters": ["KINDS", "TrainedForecaster", "fit_forecaster", "predict_next",
