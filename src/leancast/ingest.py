@@ -2,13 +2,11 @@
 with a political leaning by its news domain, and aggregate daily series.
 
 Posts travel as columns, not per-post objects: :func:`read_posts_csv`
-streams the CSV into one list per field, a block of rows at a time, and
-returns a :class:`PostColumns` of post ids, UTC day ordinals, platforms,
-URLs, likes and sentiments.  A columnar gate checks each block's cells a
-column at a time; only when it fails (or a timestamp has an unusual ISO
-shape) is each row of the block parsed into a :class:`PostRecord`, which
-finds the first bad row and names it.  Lists of ``PostRecord`` still
-aggregate, through :meth:`PostColumns.from_records`.
+streams the CSV a block of rows at a time into a :class:`PostColumns` of
+post ids, UTC day ordinals, platforms, URLs, likes and sentiments.  Each
+column of a block is parsed once and each row rule is checked over the
+whole block; an error names the first row that breaks a rule.  Lists of
+:class:`PostRecord` aggregate too, through :meth:`PostColumns.from_records`.
 
 A post is labeled by the registrable domain of the URL it shares; posts
 whose domain is not in the bias table stay unlabeled and are excluded from
@@ -368,43 +366,9 @@ def _csv_blocks(path, header: list, what: str):
         yield lines, columns
 
 
-def _post_record(line_no: int, cells) -> PostRecord:
-    """One posts row as a validated record; raises naming the row.  This is
-    the rule set: :func:`_fast_post_columns` accepts only what it accepts."""
-    where = f"posts row {line_no}"
-    post_id, ts, platform, url, likes, sentiment = cells
-    try:
-        likes_val = int(likes)
-    except ValueError:
-        raise ValueError(f"{where}: likes must be an integer, got {likes!r}") from None
-    try:
-        sent_val = float(sentiment) if sentiment else None
-    except ValueError:
-        raise ValueError(f"{where}: sentiment must be a number, got {sentiment!r}") from None
-    try:
-        timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
-    except ValueError:
-        raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
-    try:
-        record = PostRecord(post_id=post_id, timestamp=timestamp, platform=platform,
-                            url_or_domain=url, likes=likes_val, sentiment=sent_val)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    # what aggregate converts: likes to float64, the timestamp to a UTC day
-    try:
-        float(likes_val)
-    except OverflowError:
-        raise ValueError(f"{where}: likes {likes!r} too large") from None
-    try:
-        record.utc_date
-    except OverflowError:
-        raise ValueError(f"{where}: timestamp {ts!r} is out of range in UTC") from None
-    return record
-
-
 # byte offsets of the digits in "YYYY-MM-DDTHH:MM:SS"
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_STAMP_MAX_LEN = 48     # longer ones go to the row parse, not into a block-wide array
+_STAMP_MAX_LEN = 48     # longer ones are parsed one by one, not in a block-wide array
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _MAX_ORDINAL = dt.date.max.toordinal()
 _US_PER_DAY = 86_400_000_000
@@ -424,11 +388,10 @@ def _suffix_shift_us(suffix: str) -> int | None:
 
 
 def _utc_day_ordinals(stamps: list) -> np.ndarray | None:
-    """The UTC day ordinal of each timestamp, or None unless every one is
-    an ASCII "YYYY-MM-DDTHH:MM:SS" (or with a space for the "T") naming a
-    valid date and time, followed by a suffix ``fromisoformat`` accepts, and
-    lands on a UTC day in ``datetime``'s range: then the days are exactly
-    those :func:`_post_record` gives."""
+    """The UTC day ordinal of each timestamp as :func:`_utc_day` gives it,
+    or None unless every one is an ASCII "YYYY-MM-DDTHH:MM:SS" (or with a
+    space for the "T") naming a valid date and time, followed by a suffix
+    ``fromisoformat`` accepts."""
     if max(map(len, stamps), default=0) > _STAMP_MAX_LEN:
         return None
     try:
@@ -455,45 +418,78 @@ def _utc_day_ordinals(stamps: list) -> np.ndarray | None:
         return None
     utc_us = local_s * 1_000_000 + np.array(shifts, dtype=np.int64)[which]
     ordinal = utc_us // _US_PER_DAY + _EPOCH_ORDINAL
-    if ((ordinal < 1) | (ordinal > _MAX_ORDINAL)).any():
-        return None
-    return ordinal.astype(np.intp)
+    return np.where((ordinal >= 1) & (ordinal <= _MAX_ORDINAL), ordinal, 0).astype(np.intp)
 
 
-def _fast_post_columns(post_id, stamps, platform, urls, likes, sentiment):
-    """The posts' columns, or None unless every row passes the checks of
-    :func:`_post_record`, checked a column at a time."""
-    if not set(platform) <= set(PLATFORMS):
-        return None
+def _parse_cells(parse, cells) -> list:
+    """``parse`` of each cell in turn, up to the first that raises
+    ValueError: the list is as long as the run of good cells."""
+    values = []
     try:
-        likes_val = np.array(list(map(int, likes)), dtype=np.float64)
-        sent_val = np.array([float(s) if s else np.nan for s in sentiment], dtype=np.float64)
-    except (ValueError, OverflowError):
-        return None
-    # only the empty sentiment cells, read as NaN, may fall outside [-1, 1]
-    n_outside = len(sentiment) - int(((sent_val >= -1.0) & (sent_val <= 1.0)).sum())
-    if (likes_val < 0).any() or n_outside != sentiment.count(""):
-        return None
+        values.extend(map(parse, cells))    # keeps what it took before the raise
+    except ValueError:
+        pass
+    return values
+
+
+def _utc_day(stamp: str) -> int:
+    """The UTC day ordinal of an ISO timestamp (a naive one is taken as
+    UTC), or 0 when that day is outside ``datetime``'s range."""
+    timestamp = dt.datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+    try:
+        return (timestamp if timestamp.tzinfo is None
+                else timestamp.astimezone(dt.timezone.utc)).toordinal()
+    except OverflowError:
+        return 0
+
+
+def _first(mask) -> int:
+    """The index of the first true entry of ``mask``, or its length."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _post_columns(lines, post_id, stamps, platform, urls, likes, sentiment) -> PostColumns:
+    """One block's posts as columns.  Raises naming the first row that
+    breaks a rule, with the first rule it breaks in the order below.  A
+    column whose parse fails is read up to that row only, and that row
+    breaks the parse rule, which precedes every rule on the column."""
+    likes_int = _parse_cells(int, likes)
+    sent = _parse_cells(float, [cell or "nan" for cell in sentiment])
     day = _utc_day_ordinals(stamps)
     if day is None:
-        return None
+        day = np.array(_parse_cells(_utc_day, stamps), dtype=np.intp)
+    try:
+        likes_val = np.array(likes_int, dtype=np.float64)
+    except OverflowError:       # float() of the text rounds alike but gives +-inf, not raises
+        likes_val = np.array(list(map(float, likes[:len(likes_int)])))
+    sent_val = np.array(sent, dtype=np.float64)
+    outside = np.flatnonzero(~((sent_val >= -1.0) & (sent_val <= 1.0))).tolist()
+    rules = [   # (first row that breaks it, its message for row i)
+        (len(likes_int), lambda i: f"likes must be an integer, got {likes[i]!r}"),
+        (len(sent), lambda i: f"sentiment must be a number, got {sentiment[i]!r}"),
+        (len(day), lambda i: f"cannot parse timestamp {stamps[i]!r}"),
+        (len(platform) if set(platform) <= set(PLATFORMS)   # the cells: numpy drops a NUL
+         else [cell in PLATFORMS for cell in platform].index(False),
+         lambda i: f"unknown platform {platform[i]!r}; expected one of {PLATFORMS}"),
+        (_first(likes_val < 0),
+         lambda i: f"post {post_id[i]}: likes must be >= 0, got {likes_int[i]}"),
+        (next((i for i in outside if sentiment[i]), len(sent)),     # empty reads as NaN
+         lambda i: f"post {post_id[i]}: sentiment {sent[i]} outside [-1, 1]"),
+        (_first(np.isinf(likes_val)), lambda i: f"likes {likes[i]!r} too large"),
+        (_first(day < 1), lambda i: f"timestamp {stamps[i]!r} is out of range in UTC"),
+    ]
+    row, message = min(rules, key=lambda rule: rule[0])     # the earlier rule on a tie
+    if row < len(lines):
+        raise ValueError(f"posts row {lines[row]}: {message(row)}")
     return PostColumns(post_id=post_id, day=day, platform=np.array(platform, dtype=str),
                        url_or_domain=urls, likes=likes_val, sentiment=sent_val)
 
 
 def read_posts_csv(path) -> PostColumns:
     """Parse the posts CSV (see POSTS_HEADER) into columns; raises naming
-    the first malformed row.  A block of rows is parsed row by row only when
-    its columnar checks fail, to find that row (or to read a timestamp shape
-    they leave to ``fromisoformat``)."""
-    blocks = []
-    for lines, columns in _csv_blocks(path, POSTS_HEADER, "posts"):
-        block = _fast_post_columns(*columns)
-        if block is None:
-            block = PostColumns.from_records(
-                _post_record(line_no, cells) for line_no, cells in zip(lines, zip(*columns)))
-        blocks.append(block)
-    return PostColumns.concat(blocks)
+    the first malformed row."""
+    return PostColumns.concat([_post_columns(lines, *columns) for lines, columns
+                               in _csv_blocks(path, POSTS_HEADER, "posts")])
 
 
 def read_bias_csv(path) -> BiasTable:

@@ -22,6 +22,7 @@ import numpy as np
 
 SSE_TOL = 1e-8   # stop once an accepted step gains less than this share of the SSE
 MAX_ITER = 200   # Levenberg-Marquardt iterations (Jacobians) per fit
+VALIDATION_FRACTION = 0.2   # share of the series that holdout_rmse scores on
 
 
 class GridSearchError(RuntimeError):
@@ -418,22 +419,19 @@ class GridSearchResult:
     candidates: tuple  # CandidateScore per evaluated spec, search order
 
 
-def grid_search(train, grid: GridSpec, validation_fraction: float = 0.2,
-                seed: int = 0) -> GridSearchResult:
+def grid_search(train, grid: GridSpec, seed: int = 0) -> GridSearchResult:
     """Evaluate every candidate spec and return the winner refit on all of
     ``train``.
 
     Under ``holdout_rmse`` each candidate is fitted on the earlier
-    ``1 - validation_fraction`` share and scored by one-step rolling RMSE on
+    ``1 - VALIDATION_FRACTION`` share and scored by one-step rolling RMSE on
     the remainder; under ``aic`` it is fitted on the full series and scored
     by 2k + n*ln(sse/n).  Ties break toward fewer coefficients, then by
     lexicographic (p,d,q,P,D,Q,s) order.  ``seed`` is unused.
     """
     train = np.asarray(train, dtype=np.float64)
-    if not 0.0 < validation_fraction < 1.0:
-        raise ValueError("validation_fraction must lie in (0, 1)")
     specs = grid.candidates()
-    n_fit = int(np.floor((1.0 - validation_fraction) * len(train)))
+    n_fit = int(np.floor((1.0 - VALIDATION_FRACTION) * len(train)))
     fit_part, val_part = train[:n_fit], train[n_fit:]
 
     scored = []

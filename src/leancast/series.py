@@ -170,7 +170,9 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         y_t = alpha * y_{t-1} + e_t with e_t ~ Normal(0, sigma^2), y_{-1} = 0:
         the (1,0,0) seasonal_sarima, so sqrt(sigma^2) must give sigma back.
     sine(period, amplitude, noise_sigma)
-        amplitude * sin(2 pi t / period) plus optional Gaussian noise.
+        amplitude * sin(2 pi t / period) plus Gaussian noise when
+        noise_sigma > 0; period must be >= 2, amplitude finite and
+        noise_sigma >= 0.
     seasonal_sarima(spec, params)
         Draws innovations and runs the seasonal ARMA recursion forward with
         pre-sample values and residuals fixed at 0, then integrates away any
@@ -193,8 +195,12 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         period = float(params.get("period", 10.0))
         amplitude = float(params.get("amplitude", 1.0))
         noise_sigma = float(params.get("noise_sigma", 0.0))
-        if period < 2:
+        if not period >= 2:     # NaN too
             raise ValueError(f"sine period must be >= 2, got {period}")
+        if not np.isfinite(amplitude):
+            raise ValueError(f"sine amplitude must be finite, got {amplitude}")
+        if not noise_sigma >= 0:
+            raise ValueError(f"sine noise_sigma must be >= 0, got {noise_sigma}")
         t = np.arange(n, dtype=np.float64)
         values = amplitude * np.sin(2.0 * np.pi * t / period)
         if noise_sigma > 0:

@@ -1,9 +1,8 @@
 """Derivative-free Nelder-Mead simplex minimization.
 
-Small, self-contained implementation used by the SARIMA fitter.  Avoids the
-need for analytic gradients of the conditional-sum-of-squares objective,
-which would otherwise have to be derived through the moving-average
-recursion.
+Small, self-contained implementation that nothing in leancast calls: the
+SARIMA fitter uses Levenberg-Marquardt.  It stays because perfbench's
+tracer wraps ``nelder_mead`` by name.
 """
 
 from __future__ import annotations

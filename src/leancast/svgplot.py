@@ -23,19 +23,14 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def emit_plot(series_list, labels=None, title: str = "") -> str:
-    """Render DailySeries objects to an SVG document string.
-
-    ``labels`` defaults to each series' leaning (or metric).  Non-finite
-    values are left out of the polyline.
+def emit_plot(series_list, title: str = "") -> str:
+    """Render DailySeries objects to an SVG document string, each labelled
+    in the legend by its leaning (or metric).  Non-finite values are left
+    out of the polyline.
     """
     series_list = list(series_list)
     if not series_list:
         raise ValueError("emit_plot needs at least one series")
-    if labels is None:
-        labels = [s.leaning or s.metric for s in series_list]
-    if len(labels) != len(series_list):
-        raise ValueError("one label per series required")
 
     start = min(s.start_date for s in series_list)
     end = max(s.end_date for s in series_list)
@@ -85,7 +80,7 @@ def emit_plot(series_list, labels=None, title: str = "") -> str:
     parts.append(f'<text x="{x0 - 6}" y="{y0 + 4}" font-size="10" '
                  f'font-family="sans-serif" text-anchor="end">{_fmt(lo)}</text>')
 
-    for idx, (series, label) in enumerate(zip(series_list, labels)):
+    for idx, series in enumerate(series_list):
         color = PALETTE[idx % len(PALETTE)]
         offset0 = (series.start_date - start).days
         points = []
@@ -99,7 +94,8 @@ def emit_plot(series_list, labels=None, title: str = "") -> str:
         parts.append(f'<rect x="{lx}" y="{ly - 9}" width="12" height="12" '
                      f'fill="{color}" class="legend-swatch"/>')
         parts.append(f'<text x="{lx + 18}" y="{ly + 1}" font-size="11" '
-                     f'font-family="sans-serif" class="legend-label">{label}</text>')
+                     f'font-family="sans-serif" class="legend-label">'
+                     f'{series.leaning or series.metric}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

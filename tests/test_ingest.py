@@ -624,6 +624,13 @@ class TestPostsCsv:
          "timestamp '9999-12-31T23:30:00-01:00' is out of range in UTC"),
         ("t2,2018-02-29T09:30:00,twitter,foxnews.com,0,",
          "cannot parse timestamp '2018-02-29T09:30:00'"),
+        # two faults in one row: the rule checked first names it
+        ("t2,0001-01-01T00:30:00+01:00,myspace,foxnews.com,0,",
+         "unknown platform 'myspace'; expected one of ('twitter', 'gab')"),
+        ("t2,2018-01-01T09:30:00Z,myspace,foxnews.com,0,abc",
+         "sentiment must be a number, got 'abc'"),
+        ("t2,2018-01-01T09:30:00Z,twitter,foxnews.com,-1" + "0" * 400 + ",",
+         f"post t2: likes must be >= 0, got {'-1' + '0' * 400}"),
     ])
     def test_malformed_field_names_the_row(self, tmp_path, bad, message):
         good = "t2,2018-01-01T09:30:00Z,twitter,foxnews.com,0,"
@@ -652,6 +659,15 @@ class TestPostsCsv:
             read_posts_csv(csv_file(tmp_path, POSTS_CSV.splitlines()[0] + "\n" + "".join(rows)))
         assert str(exc.value).startswith("posts row 7: unknown platform 'myspace'")
 
+    def test_date_only_stamp_above_a_bad_row_is_read(self, tmp_path):
+        # the date-only stamp sends the block's stamps through fromisoformat
+        bad = POSTS_CSV.replace("2018-01-01T08:00:00", "2018-01-01").replace(
+            "2018-01-01T09:30:00Z", "0001-01-01T00:30:00+01:00")
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, bad))
+        assert str(exc.value) == (
+            "posts row 3: timestamp '0001-01-01T00:30:00+01:00' is out of range in UTC")
+
     def test_empty_file_has_no_posts(self, tmp_path):
         posts = read_posts_csv(csv_file(tmp_path, POSTS_CSV.splitlines()[0] + "\n"))
         assert len(posts) == 0 and posts.day.dtype == np.intp
@@ -660,6 +676,14 @@ class TestPostsCsv:
     def test_nul_in_a_timestamp_is_left_to_the_row_parse(self):
         assert ingest._utc_day_ordinals(["2018-01-01T00:00:00Z"]) is not None
         assert ingest._utc_day_ordinals(["2018-01-01T00:00:00Z\x00"]) is None
+
+    def test_a_nul_in_a_platform_is_not_dropped(self):
+        # numpy's str arrays drop a trailing NUL, so the cells themselves are checked
+        with pytest.raises(ValueError) as exc:
+            ingest._post_columns([2], ["p1"], ["2018-01-01T00:00:00"], ["gab\x00"],
+                                 ["cnn.com"], ["1"], [""])
+        assert str(exc.value) == (
+            "posts row 2: unknown platform 'gab\\x00'; expected one of ('twitter', 'gab')")
 
     def test_a_long_timestamp_is_left_to_the_row_parse(self):
         # one long cell must not size an array over the whole block

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -128,6 +129,17 @@ class TestSynthetic:
     def test_sine_period_below_two_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic("sine", 10, seed=0, period=1)
+
+    @pytest.mark.parametrize("params,message", [
+        ({"period": math.nan}, "sine period must be >= 2, got nan"),
+        ({"amplitude": math.nan}, "sine amplitude must be finite, got nan"),
+        ({"amplitude": math.inf}, "sine amplitude must be finite, got inf"),
+        ({"noise_sigma": -1.0}, "sine noise_sigma must be >= 0, got -1.0"),
+        ({"noise_sigma": math.nan}, "sine noise_sigma must be >= 0, got nan"),
+    ])
+    def test_sine_parameter_out_of_range_named(self, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_synthetic("sine", 10, seed=0, **params)
 
     def test_ar1_alpha_zero_mean(self):
         # plain white noise; LLN puts the sample mean near 0

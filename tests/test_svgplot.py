@@ -32,10 +32,10 @@ class TestEmitPlot:
         assert len(lines[0].get("points").split()) == 3
 
     def test_two_series_two_polylines_and_legend(self):
-        svg = emit_plot([series([1.0, 2.0]), series([3.0, 4.0])],
-                        labels=["observed", "forecast"])
+        svg = emit_plot([series([1.0, 2.0], leaning="left"),
+                         series([3.0, 4.0], leaning="right")])
         assert len(polylines(svg)) == 2
-        assert legend_labels(svg) == ["observed", "forecast"]
+        assert legend_labels(svg) == ["left", "right"]
 
     def test_default_labels_use_leaning_then_metric(self):
         svg = emit_plot([series([1.0], leaning="left"),
@@ -49,10 +49,6 @@ class TestEmitPlot:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             emit_plot([])
-
-    def test_label_count_must_match(self):
-        with pytest.raises(ValueError):
-            emit_plot([series([1.0])], labels=["a", "b"])
 
     def test_non_finite_points_are_dropped(self):
         svg = emit_plot([series([1.0, float("nan"), 2.0], metric="sentiment_mean")])
