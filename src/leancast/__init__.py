@@ -19,7 +19,7 @@ _EXPORTS = {
                    " train_multistep_teacher_forced forecaster_to_json forecaster_from_json"
                    " default_network_config",
     "evaluation": "EvalRow ReportTable rmse evaluate render_report",
-    "ingest": "LEANINGS PostRecord BiasTable IngestSummary extract_domain label_post aggregate"
+    "ingest": "LEANINGS BiasTable IngestSummary extract_domain label_post aggregate"
               " aggregate_daily daily_mean_sentiment summarize",
     "presets": "PRESETS PresetBundle get_preset",
     "svgplot": "emit_plot",

@@ -5,18 +5,18 @@ Posts travel as columns, not per-post objects: :func:`read_posts_csv`
 streams the CSV a block of rows at a time into a :class:`PostColumns` of
 post ids, UTC day ordinals, platforms, URLs, likes and sentiments.  Each
 column of a block is parsed once and each row rule is checked over the
-whole block; an error names the first row that breaks a rule.  Lists of
-:class:`PostRecord` aggregate too, through :meth:`PostColumns.from_records`.
+whole block; an error names the first row that breaks a rule.
 
 A post is labeled by the registrable domain of the URL it shares; posts
 whose domain is not in the bias table stay unlabeled and are excluded from
 the series (the summary reports how many).  The domain is parsed once per
-distinct URL authority (scheme and host), not once per post.
-:func:`aggregate` labels every post once from its URL; the summary and
-every metric's series then come from the columns, each series as one
-``np.bincount`` over (leaning, day) cells.  Count and likes series are
-zero-filled on empty days; mean-sentiment series carry NaN on days with no
-posts, since a mean over nothing is undefined rather than zero.
+distinct URL authority (scheme and host), not once per post;
+:func:`label_post` labels one URL or bare domain.  :func:`aggregate` labels
+every post once from its URL; the summary and every metric's series then
+come from the columns, each series as one ``np.bincount`` over (leaning,
+day) cells.  Count and likes series are zero-filled on empty days;
+mean-sentiment series carry NaN on days with no posts, since a mean over
+nothing is undefined rather than zero.
 """
 
 from __future__ import annotations
@@ -56,32 +56,6 @@ _MULTI_SUFFIXES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class PostRecord:
-    post_id: str
-    timestamp: dt.datetime
-    platform: str
-    url_or_domain: str
-    likes: int
-    sentiment: float | None = None
-
-    def __post_init__(self):
-        if self.platform not in PLATFORMS:
-            raise ValueError(f"unknown platform {self.platform!r}; expected one of {PLATFORMS}")
-        if self.likes < 0:
-            raise ValueError(f"post {self.post_id}: likes must be >= 0, got {self.likes}")
-        if self.sentiment is not None and not -1.0 <= self.sentiment <= 1.0:
-            raise ValueError(
-                f"post {self.post_id}: sentiment {self.sentiment} outside [-1, 1]")
-
-    @property
-    def utc_date(self) -> dt.date:
-        ts = self.timestamp
-        if ts.tzinfo is not None:
-            ts = ts.astimezone(dt.timezone.utc)
-        return ts.date()
-
-
 @dataclass(frozen=True, eq=False)
 class PostColumns:
     """Posts as columns, one entry per post in file order: ``day`` is the
@@ -96,17 +70,6 @@ class PostColumns:
 
     def __len__(self):
         return len(self.post_id)
-
-    @classmethod
-    def from_records(cls, posts) -> "PostColumns":
-        posts = list(posts)
-        return cls(post_id=[p.post_id for p in posts],
-                   day=np.array([p.utc_date.toordinal() for p in posts], dtype=np.intp),
-                   platform=np.array([p.platform for p in posts], dtype=str),
-                   url_or_domain=[p.url_or_domain for p in posts],
-                   likes=np.array([p.likes for p in posts], dtype=np.float64),
-                   sentiment=np.array([np.nan if p.sentiment is None else p.sentiment
-                                       for p in posts], dtype=np.float64))
 
     @classmethod
     def concat(cls, parts: list) -> "PostColumns":
@@ -192,9 +155,6 @@ class BiasTable:
             _add_entry(entries, raw_domain, leaning)
         return cls(entries)
 
-    def leaning_for(self, url_or_domain: str) -> str | None:
-        return self.entries.get(extract_domain(url_or_domain))
-
 
 def _add_entry(entries: dict, raw_domain: str, leaning: str):
     domain = extract_domain(raw_domain)
@@ -203,9 +163,9 @@ def _add_entry(entries: dict, raw_domain: str, leaning: str):
                          f"{entries[domain]!r} vs {leaning!r}")
 
 
-def _post_domains(post_ids, urls, table: BiasTable) -> list:
-    """The domain of each post's URL, in order.  The first unparseable URL
-    raises with its post named; an empty table raises if there are posts."""
+def _url_domains(urls, table: BiasTable, post_ids=()) -> list:
+    """Each URL's domain, in order.  Raises on an empty table if there are URLs,
+    and on the first unparseable URL, naming its post if ``post_ids`` are given."""
     if urls and not table.entries:
         raise ValueError("bias table is empty")
     try:
@@ -219,9 +179,9 @@ def _post_domains(post_ids, urls, table: BiasTable) -> list:
         raise
 
 
-def label_post(post: PostRecord, table: BiasTable) -> str | None:
-    """The bias table's leaning for the post's domain, or None if unknown."""
-    return table.entries.get(_post_domains([post.post_id], [post.url_or_domain], table)[0])
+def label_post(url_or_domain: str, table: BiasTable) -> str | None:
+    """The table's leaning for the domain of a URL or bare domain, or None."""
+    return table.entries.get(_url_domains([url_or_domain], table)[0])
 
 
 @dataclass(frozen=True)
@@ -252,7 +212,7 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
     """Label each post once; return ``(summary, platform, {metric: {leaning:
     DailySeries}})`` with one series per leaning over the window (inclusive).
 
-    ``posts`` is a :class:`PostColumns` or an iterable of :class:`PostRecord`.
+    ``posts`` is the :class:`PostColumns` that :func:`read_posts_csv` gives.
     Series drop unlabeled posts and posts outside the window.  "post_count"
     adds 1 per post, "likes_sum" its likes, and "sentiment_mean" averages
     its sentiment, which each kept post must then carry.  Each series is
@@ -264,10 +224,8 @@ def aggregate(posts, table: BiasTable, window, metrics) -> tuple:
     start, end = window
     if start > end:
         raise ValueError(f"empty date window: {start} > {end}")
-    if not isinstance(posts, PostColumns):
-        posts = PostColumns.from_records(posts)
     code_of = {domain: LEANINGS.index(leaning) for domain, leaning in table.entries.items()}
-    domains = _post_domains(posts.post_id, posts.url_or_domain, table)
+    domains = _url_domains(posts.url_or_domain, table, posts.post_id)
     codes = np.fromiter(map(code_of.get, domains, itertools.repeat(-1)),
                         dtype=np.intp, count=len(domains))
 

@@ -171,8 +171,8 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         the (1,0,0) seasonal_sarima, so sqrt(sigma^2) must give sigma back.
     sine(period, amplitude, noise_sigma)
         amplitude * sin(2 pi t / period) plus Gaussian noise when
-        noise_sigma > 0; period must be >= 2, amplitude finite and
-        noise_sigma >= 0.
+        noise_sigma > 0; period must be finite and >= 2, amplitude finite
+        and noise_sigma >= 0.
     seasonal_sarima(spec, params)
         Draws innovations and runs the seasonal ARMA recursion forward with
         pre-sample values and residuals fixed at 0, then integrates away any
@@ -195,8 +195,8 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         period = float(params.get("period", 10.0))
         amplitude = float(params.get("amplitude", 1.0))
         noise_sigma = float(params.get("noise_sigma", 0.0))
-        if not period >= 2:     # NaN too
-            raise ValueError(f"sine period must be >= 2, got {period}")
+        if not 2 <= period < np.inf:    # NaN too
+            raise ValueError(f"sine period must be finite and >= 2, got {period}")
         if not np.isfinite(amplitude):
             raise ValueError(f"sine amplitude must be finite, got {amplitude}")
         if not noise_sigma >= 0:
@@ -209,12 +209,14 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
         from . import sarima
 
         if kind == "ar1":
-            sigma = float(params.get("sigma", 1.0))
+            alpha, sigma = float(params.get("alpha", 0.0)), float(params.get("sigma", 1.0))
+            if not np.isfinite(alpha):
+                raise ValueError(f"ar1 alpha must be finite, got {alpha}")
             if not np.sqrt(sigma * sigma) == sigma:     # negative, NaN, too large or small
                 raise ValueError(f"ar1 sigma must be 0 or between about 1.5e-154 and "
                                  f"1.3e154, got {sigma}")
-            params = {"spec": sarima.SarimaSpec(p=1), "params": sarima.SarimaParams(
-                alpha=(params.get("alpha", 0.0),), sigma2=sigma * sigma)}
+            params = {"spec": sarima.SarimaSpec(p=1),
+                      "params": sarima.SarimaParams(alpha=(alpha,), sigma2=sigma * sigma)}
         values = sarima.simulate(params["spec"], params["params"], n, rng)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"synthetic {kind} series overflows within {n} values")

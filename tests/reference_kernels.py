@@ -20,15 +20,18 @@ parsed each distinct authority once: it runs ``urlsplit`` on the whole text
 of every call.  The memoized function must return the same domain, or raise
 the same exception type with the same message, on every input.
 
-The record ingest path as it was before posts became columns:
-``per_row_read_posts_csv`` builds one validated ``PostRecord`` per row, and
-``per_record_aggregate`` labels each record with ``per_record_label_post``
-and reads its UTC day, likes and sentiment one record at a time.  The reader
-adds the two checks the columnar reader moved to read time from crashes
-inside ``aggregate``: likes too large for a float and timestamps whose UTC
-day is outside ``datetime``'s range.  The columnar reader plus ``aggregate``
-must give the same series and summary, or raise the same exception type
-with the same message, on every input.
+The record ingest path as it was before posts became columns, with its
+own record type so that it shares no rule code with ``leancast``:
+``per_row_read_posts_csv`` parses and checks one row at a time into an
+``OraclePost``, stating each posts-row rule and the UTC-day conversion
+itself, and ``per_record_aggregate`` labels each record with
+``per_record_label_post`` (through ``per_url_extract_domain``) and reads its
+UTC day, likes and sentiment one record at a time.  The reader adds the two
+checks the columnar reader moved to read time from crashes inside
+``aggregate``: likes too large for a float and timestamps whose UTC day is
+outside ``datetime``'s range.  The columnar reader plus ``aggregate`` must
+give the same series and summary, or raise the same exception type with the
+same message, on every input.
 
 ``ar1_loop`` is ``generate_synthetic("ar1")`` as it was before it ran the
 (1,0,0) model through ``sarima.simulate``: its own scalar recursion over
@@ -38,13 +41,14 @@ the generator accepts.
 
 import csv
 import datetime as dt
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
 
 from leancast import neural, optim
 from leancast.ingest import (_HOST_RE, _MULTI_SUFFIXES, INGEST_METRICS, LEANINGS,
-                             POSTS_HEADER, DomainParseError, IngestSummary, PostRecord)
+                             PLATFORMS, POSTS_HEADER, DomainParseError, IngestSummary)
 from leancast.series import DailySeries
 from leancast.neural import FlatParameters, dropout_masks
 from leancast.rng import derive_rng
@@ -326,8 +330,17 @@ def per_url_extract_domain(url_or_domain: str) -> str:
     return ".".join(labels[-take:])
 
 
+class OraclePost(NamedTuple):
+    post_id: str
+    utc_date: dt.date       # the calendar day of the timestamp in UTC; naive is UTC
+    platform: str
+    url_or_domain: str
+    likes: int
+    sentiment: float | None
+
+
 def per_row_read_posts_csv(path) -> list:
-    """One ``PostRecord`` per non-blank row of the posts CSV at ``path``."""
+    """One ``OraclePost`` per non-blank row of the posts CSV at ``path``."""
     posts = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -355,20 +368,24 @@ def per_row_read_posts_csv(path) -> list:
                 timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
             except ValueError:
                 raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
-            try:
-                post = PostRecord(post_id=post_id, timestamp=timestamp, platform=platform,
-                                  url_or_domain=url, likes=likes_val, sentiment=sent_val)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+            if platform not in PLATFORMS:
+                raise ValueError(f"{where}: unknown platform {platform!r}; "
+                                 f"expected one of {PLATFORMS}")
+            if likes_val < 0:
+                raise ValueError(f"{where}: post {post_id}: likes must be >= 0, got {likes_val}")
+            if sent_val is not None and not -1.0 <= sent_val <= 1.0:
+                raise ValueError(f"{where}: post {post_id}: sentiment {sent_val} outside [-1, 1]")
             try:
                 float(likes_val)
             except OverflowError:
                 raise ValueError(f"{where}: likes {likes!r} too large") from None
             try:
-                post.utc_date
+                if timestamp.tzinfo is not None:
+                    timestamp = timestamp.astimezone(dt.timezone.utc)
             except OverflowError:
                 raise ValueError(f"{where}: timestamp {ts!r} is out of range in UTC") from None
-            posts.append(post)
+            posts.append(OraclePost(post_id, timestamp.date(), platform, url, likes_val,
+                                    sent_val))
     return posts
 
 
@@ -377,7 +394,7 @@ def per_record_label_post(post, table):
     if not table.entries:
         raise ValueError("bias table is empty")
     try:
-        return table.leaning_for(post.url_or_domain)
+        return table.entries.get(per_url_extract_domain(post.url_or_domain))
     except ValueError as exc:           # name the post, keep the exception type
         raise type(exc)(f"post {post.post_id}: {exc}") from None
 

@@ -341,6 +341,9 @@ class TestLoadConfig:
         ({"kind": "ar1", "n": 40, "sigma": float("nan")}, "ar1 sigma must be 0 or between"),
         ({"kind": "ar1", "n": 40, "sigma": 1e160}, "ar1 sigma must be 0 or between about"),
         ({"kind": "sine", "n": 40, "noise_sigma": -1.0}, "sine noise_sigma must be >= 0"),
+        ({"kind": "sine", "n": 40, "period": float("inf")},
+         "sine period must be finite and >= 2, got inf"),
+        ({"kind": "ar1", "n": 40, "alpha": float("nan")}, "ar1 alpha must be finite, got nan"),
     ])
     def test_series_failure_writes_nothing(self, tmp_path, capsys, synthetic, message,
                                            command):

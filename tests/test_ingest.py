@@ -2,6 +2,7 @@ import collections
 import datetime as dt
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leancast import ingest
-from leancast.ingest import (LEANINGS, BiasTable, DomainParseError, IngestSummary,
-                             PostColumns, PostRecord, aggregate, aggregate_daily,
+from leancast.ingest import (LEANINGS, POSTS_HEADER, BiasTable, DomainParseError,
+                             IngestSummary, aggregate, aggregate_daily,
                              daily_mean_sentiment,
                              extract_domain, label_post, read_bias_csv,
                              read_posts_csv, summarize, write_series_csv,
@@ -26,9 +27,32 @@ DATA = Path(__file__).parent / "data"
 
 def post(pid="p1", ts="2018-01-01T12:00:00", platform="twitter",
          url="https://cnn.com/x", likes=0, sentiment=None):
-    return PostRecord(post_id=pid, timestamp=dt.datetime.fromisoformat(ts),
-                      platform=platform, url_or_domain=url, likes=likes,
-                      sentiment=sentiment)
+    """One posts row: (id, timestamp, platform, url, likes, sentiment)."""
+    return pid, ts, platform, url, likes, sentiment
+
+
+def posts_csv(rows) -> str:
+    """Posts CSV text of ``rows``; a None sentiment is an empty cell."""
+    lines = [POSTS_HEADER, *(["" if cell is None else str(cell) for cell in row]
+                             for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def read_rows(read, rows):
+    """``read`` of a posts CSV file holding ``rows``: ``read_posts_csv``
+    gives columns, ``per_row_read_posts_csv`` the oracle's records."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "posts.csv"
+        path.write_text(posts_csv(rows))
+        return read(path)
+
+
+def columns(rows):
+    return read_rows(read_posts_csv, rows)
+
+
+def records(rows):
+    return read_rows(per_row_read_posts_csv, rows)
 
 
 @pytest.fixture
@@ -137,34 +161,10 @@ class TestExtractDomainMemo:
         assert ingest._authority_domain.cache_info().currsize == 0
 
 
-class TestPostRecord:
-    def test_unknown_platform_rejected(self):
-        with pytest.raises(ValueError):
-            post(platform="myspace")
-
-    def test_negative_likes_rejected(self):
-        with pytest.raises(ValueError):
-            post(likes=-1)
-
-    def test_sentiment_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            post(sentiment=1.5)
-
-    def test_utc_date_converts_zone(self):
-        late_eastern = PostRecord(
-            post_id="tz", platform="twitter", url_or_domain="cnn.com", likes=0,
-            timestamp=dt.datetime(2018, 1, 1, 23, 30,
-                                  tzinfo=dt.timezone(dt.timedelta(hours=-5))))
-        assert late_eastern.utc_date == dt.date(2018, 1, 2)
-
-    def test_naive_timestamp_taken_as_is(self):
-        assert post(ts="2018-01-01T23:30:00").utc_date == dt.date(2018, 1, 1)
-
-
 class TestBiasTable:
     def test_pairs_are_normalized(self):
         t = BiasTable.from_pairs([("WWW.FoxNews.com", "right")])
-        assert t.leaning_for("https://foxnews.com/story") == "right"
+        assert label_post("https://foxnews.com/story", t) == "right"
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):
@@ -178,25 +178,25 @@ class TestBiasTable:
         with pytest.raises(ValueError):
             BiasTable(entries={"x.com": "far_left"})
 
-    def test_unknown_domain_maps_to_none(self, table):
-        assert table.leaning_for("https://example.org/a") is None
-
 
 class TestLabelPost:
     def test_label_by_url(self, table):
-        assert label_post(post(url="https://www.cnn.com/a"), table) == "left"
+        assert label_post("https://www.cnn.com/a", table) == "left"
+
+    def test_label_by_bare_domain(self, table):
+        assert label_post("www.foxnews.com", table) == "right"
 
     def test_unlisted_domain_is_unlabeled(self, table):
-        assert label_post(post(url="https://example.org/a"), table) is None
+        assert label_post("https://example.org/a", table) is None
 
     def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            label_post(post(), BiasTable())
+        with pytest.raises(ValueError, match="^bias table is empty$"):
+            label_post("https://cnn.com/x", BiasTable())
 
-    def test_unparseable_url_names_the_post(self, table):
+    def test_unparseable_url_raises_with_the_parse_error(self, table):
         with pytest.raises(DomainParseError) as info:
-            label_post(post(pid="p9", url="//cnn.com/a"), table)
-        assert str(info.value) == "post p9: cannot extract a domain from '//cnn.com/a'"
+            label_post("//cnn.com/a", table)
+        assert str(info.value) == "cannot extract a domain from '//cnn.com/a'"
 
 
 AGG_POSTS = [
@@ -211,7 +211,7 @@ JAN_1_3 = (dt.date(2018, 1, 1), dt.date(2018, 1, 3))
 
 class TestAggregateDaily:
     def test_post_counts_by_hand(self, table):
-        posts = [post(**kw) for kw in AGG_POSTS]
+        posts = columns(post(**kw) for kw in AGG_POSTS)
         series = aggregate_daily(posts, table, "post_count", JAN_1_3)
         npt.assert_array_equal(series["left"].values, [2, 1, 0])
         npt.assert_array_equal(series["right"].values, [1, 0, 0])
@@ -219,43 +219,44 @@ class TestAggregateDaily:
             npt.assert_array_equal(series[leaning].values, [0, 0, 0])
 
     def test_likes_sums_by_hand(self, table):
-        posts = [post(**kw) for kw in AGG_POSTS]
+        posts = columns(post(**kw) for kw in AGG_POSTS)
         series = aggregate_daily(posts, table, "likes_sum", JAN_1_3)
         npt.assert_array_equal(series["left"].values, [10, 2, 0])
         npt.assert_array_equal(series["right"].values, [5, 0, 0])
 
     def test_posts_outside_window_dropped(self, table):
-        posts = [post(ts="2017-12-31T23:00:00"), post(ts="2018-01-05T00:00:00")]
+        posts = columns([post(ts="2017-12-31T23:00:00"), post(ts="2018-01-05T00:00:00")])
         series = aggregate_daily(posts, table, "post_count", JAN_1_3)
         assert series["left"].values.sum() == 0
 
     def test_window_of_study_is_120_days(self, table):
         window = (dt.date(2018, 1, 1), dt.date(2018, 4, 30))
-        series = aggregate_daily([post()], table, "post_count", window)
+        series = aggregate_daily(columns([post()]), table, "post_count", window)
         assert len(series["left"]) == 120
 
     def test_platform_recorded(self, table):
-        series = aggregate_daily([post(), post(pid="p2")], table, "post_count", JAN_1_3)
+        series = aggregate_daily(columns([post(), post(pid="p2")]), table, "post_count", JAN_1_3)
         assert series["left"].platform == "twitter"
-        mixed = aggregate_daily([post(), post(pid="g", platform="gab")],
+        mixed = aggregate_daily(columns([post(), post(pid="g", platform="gab")]),
                                 table, "post_count", JAN_1_3)
         assert mixed["left"].platform == "mixed"
 
     def test_unknown_metric_rejected(self, table):
         with pytest.raises(ValueError):
-            aggregate_daily([post()], table, "sentiment_mean", JAN_1_3)
+            aggregate_daily(columns([post()]), table, "sentiment_mean", JAN_1_3)
 
     def test_inverted_window_rejected(self, table):
         with pytest.raises(ValueError):
-            aggregate_daily([post()], table, "post_count",
+            aggregate_daily(columns([post()]), table, "post_count",
                             (dt.date(2018, 1, 3), dt.date(2018, 1, 1)))
 
     @given(st.permutations(range(len(AGG_POSTS))))
     @settings(max_examples=20, deadline=None)
     def test_order_invariant(self, order):
         t = BiasTable.from_pairs([("cnn.com", "left"), ("foxnews.com", "right")])
-        base = aggregate_daily([post(**kw) for kw in AGG_POSTS], t, "likes_sum", JAN_1_3)
-        shuffled = aggregate_daily([post(**AGG_POSTS[i]) for i in order],
+        base = aggregate_daily(columns(post(**kw) for kw in AGG_POSTS), t, "likes_sum",
+                               JAN_1_3)
+        shuffled = aggregate_daily(columns(post(**AGG_POSTS[i]) for i in order),
                                    t, "likes_sum", JAN_1_3)
         for leaning in base:
             npt.assert_array_equal(base[leaning].values, shuffled[leaning].values)
@@ -263,35 +264,35 @@ class TestAggregateDaily:
 
 class TestDailyMeanSentiment:
     def test_opposite_scores_cancel(self, table):
-        posts = [post(pid="u", sentiment=0.5), post(pid="v", sentiment=-0.5)]
+        posts = columns([post(pid="u", sentiment=0.5), post(pid="v", sentiment=-0.5)])
         series = daily_mean_sentiment(posts, table, JAN_1_3)
         assert series["left"].values[0] == 0.0
 
     def test_singleton_day(self, table):
-        series = daily_mean_sentiment([post(sentiment=-0.8)], table, JAN_1_3)
+        series = daily_mean_sentiment(columns([post(sentiment=-0.8)]), table, JAN_1_3)
         assert series["left"].values[0] == pytest.approx(-0.8)
 
     def test_empty_days_are_nan_not_zero(self, table):
-        series = daily_mean_sentiment([post(sentiment=0.4)], table, JAN_1_3)
+        series = daily_mean_sentiment(columns([post(sentiment=0.4)]), table, JAN_1_3)
         assert np.isnan(series["left"].values[1])
         assert np.isnan(series["right"].values[0])
 
     def test_missing_sentiment_reported_sorted(self, table):
-        posts = [post(pid="p9"), post(pid="p2"), post(pid="ok", sentiment=0.1)]
+        posts = columns([post(pid="p9"), post(pid="p2"), post(pid="ok", sentiment=0.1)])
         with pytest.raises(ValueError, match="p2, p9"):
             daily_mean_sentiment(posts, table, JAN_1_3)
 
     def test_unlabeled_posts_never_block(self, table):
         # sentiment missing on a post we drop anyway
-        posts = [post(pid="x", url="https://example.org/a"),
-                 post(pid="ok", sentiment=0.3)]
+        posts = columns([post(pid="x", url="https://example.org/a"),
+                         post(pid="ok", sentiment=0.3)])
         series = daily_mean_sentiment(posts, table, JAN_1_3)
         assert series["left"].values[0] == pytest.approx(0.3)
 
 
 class TestSummarize:
     def test_counts_and_range(self, table):
-        posts = [post(**kw) for kw in AGG_POSTS]
+        posts = columns(post(**kw) for kw in AGG_POSTS)
         summary = summarize(posts, table)
         assert summary.total_posts == 5
         assert summary.labeled_posts == 4
@@ -301,12 +302,12 @@ class TestSummarize:
         assert summary.date_range == (dt.date(2018, 1, 1), dt.date(2018, 1, 2))
 
     def test_empty_corpus(self, table):
-        summary = summarize([], table)
+        summary = summarize(columns([]), table)
         assert summary.total_posts == 0
         assert summary.date_range is None
 
     def test_json_shape(self, table):
-        doc = json.loads(summarize([post()], table).to_json())
+        doc = json.loads(summarize(columns([post()]), table).to_json())
         assert doc["total_posts"] == 1
         assert doc["date_range"] == ["2018-01-01", "2018-01-01"]
 
@@ -328,7 +329,7 @@ def oracle_summarize(posts, table: BiasTable) -> IngestSummary:
     dates = []
     for post in posts:
         dates.append(post.utc_date)
-        leaning = label_post(post, table)
+        leaning = label_post(post.url_or_domain, table)
         if leaning is not None:
             labeled += 1
             per_leaning[leaning] += 1
@@ -359,7 +360,7 @@ def oracle_aggregate_daily(posts, table: BiasTable, metric: str, window) -> dict
     start, end, n_days = _window_days(window)
     totals = {leaning: np.zeros(n_days) for leaning in LEANINGS}
     for post in posts:
-        leaning = label_post(post, table)
+        leaning = label_post(post.url_or_domain, table)
         if leaning is None:
             continue
         day = post.utc_date
@@ -378,7 +379,7 @@ def oracle_daily_mean_sentiment(posts, table: BiasTable, window) -> dict:
     counts = {leaning: np.zeros(n_days) for leaning in LEANINGS}
     missing = []
     for post in posts:
-        leaning = label_post(post, table)
+        leaning = label_post(post.url_or_domain, table)
         if leaning is None:
             continue
         day = post.utc_date
@@ -435,15 +436,9 @@ ORACLE_TABLE = [("cnn.com", "left"), ("nytimes.com", "left_leaning"),
                 ("foxnews.com", "right")]
 
 
-def oracle_corpus():
-    return [PostRecord(post_id=pid, timestamp=dt.datetime.fromisoformat(
-        ts.replace("Z", "+00:00")), platform=platform, url_or_domain=url, likes=likes,
-        sentiment=sentiment) for pid, ts, platform, url, likes, sentiment in ORACLE_POSTS]
-
-
 def random_corpus(seed: int, n: int = 400):
-    """Posts spread over the window and two days either side, with random
-    offsets, platforms, unlabeled domains and fractional sentiments."""
+    """Posts rows spread over the window and two days either side, with
+    random offsets, platforms, unlabeled domains and fractional sentiments."""
     rng = random.Random(seed)
     domains = [d for d, _ in ORACLE_TABLE] + ["example.org", "blog.example.net"]
     posts = []
@@ -454,10 +449,8 @@ def random_corpus(seed: int, n: int = 400):
         domain = rng.choice(domains)
         labeled = domain not in ("example.org", "blog.example.net")
         sentiment = None if not labeled and rng.random() < 0.5 else round(rng.uniform(-1, 1), 3)
-        posts.append(PostRecord(post_id=f"r{i}", timestamp=stamp,
-                                platform=rng.choice(["twitter", "gab"]),
-                                url_or_domain=f"https://{domain}/{i}",
-                                likes=rng.randrange(1000), sentiment=sentiment))
+        posts.append((f"r{i}", stamp.isoformat(), rng.choice(["twitter", "gab"]),
+                      f"https://{domain}/{i}", rng.randrange(1000), sentiment))
     return posts
 
 
@@ -475,8 +468,11 @@ METRIC_NAMES = ("post_count", "likes_sum", "sentiment_mean")
 
 
 class TestAggregateMatchesPerMetricLoops:
+    """``aggregate`` of the columns ``read_posts_csv`` gives against the
+    per-metric loops over the oracle's records of the same CSV text."""
+
     def test_corpus_covers_the_edge_cases(self):
-        posts, table = oracle_corpus(), BiasTable.from_pairs(ORACLE_TABLE)
+        posts, table = records(ORACLE_POSTS), BiasTable.from_pairs(ORACLE_TABLE)
         counts = oracle_aggregate_daily(posts, table, "post_count", JAN_1_5)
         assert counts["left"].values[0] == 3 and counts["right"].values[1] == 2
         sentiment = oracle_daily_mean_sentiment(posts, table, JAN_1_5)
@@ -487,8 +483,8 @@ class TestAggregateMatchesPerMetricLoops:
 
     @pytest.mark.parametrize("metric", METRIC_NAMES)
     def test_each_metric(self, metric):
-        posts, table = oracle_corpus(), BiasTable.from_pairs(ORACLE_TABLE)
-        want = oracle_series(posts, table, metric, JAN_1_5)
+        posts, table = columns(ORACLE_POSTS), BiasTable.from_pairs(ORACLE_TABLE)
+        want = oracle_series(records(ORACLE_POSTS), table, metric, JAN_1_5)
         got = (daily_mean_sentiment(posts, table, JAN_1_5) if metric == "sentiment_mean"
                else aggregate_daily(posts, table, metric, JAN_1_5))
         assert_same_bytes(got, want)
@@ -496,10 +492,11 @@ class TestAggregateMatchesPerMetricLoops:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("platform", [None, "twitter", "gab"])
     def test_one_pass_for_everything(self, seed, platform):
-        posts = [p for p in oracle_corpus() + random_corpus(seed)
-                 if platform in (None, p.platform)]
-        table = BiasTable.from_pairs(ORACLE_TABLE)
-        summary, got_platform, by_metric = aggregate(posts, table, JAN_1_5, METRIC_NAMES)
+        rows = [row for row in ORACLE_POSTS + random_corpus(seed)
+                if platform in (None, row[2])]
+        posts, table = records(rows), BiasTable.from_pairs(ORACLE_TABLE)
+        summary, got_platform, by_metric = aggregate(columns(rows), table, JAN_1_5,
+                                                     METRIC_NAMES)
         assert summary == oracle_summarize(posts, table)
         assert summary.to_json() == oracle_summarize(posts, table).to_json()
         assert got_platform == _posts_platform(posts) == (platform or "mixed")
@@ -508,11 +505,12 @@ class TestAggregateMatchesPerMetricLoops:
             assert_same_bytes(by_metric[metric], oracle_series(posts, table, metric, JAN_1_5))
 
     def test_windows_shorter_and_longer_than_the_corpus(self):
-        posts, table = oracle_corpus() + random_corpus(9), BiasTable.from_pairs(ORACLE_TABLE)
+        rows, table = ORACLE_POSTS + random_corpus(9), BiasTable.from_pairs(ORACLE_TABLE)
+        got, posts = columns(rows), records(rows)
         for window in [(dt.date(2018, 1, 3), dt.date(2018, 1, 3)),
                        (dt.date(2017, 12, 1), dt.date(2018, 2, 1)),
                        (dt.date(2019, 1, 1), dt.date(2019, 1, 2))]:
-            _, _, by_metric = aggregate(posts, table, window, ("post_count", "likes_sum"))
+            _, _, by_metric = aggregate(got, table, window, ("post_count", "likes_sum"))
             for metric in ("post_count", "likes_sum"):
                 assert_same_bytes(by_metric[metric], oracle_series(posts, table, metric, window))
         # the long window takes in o3, which has a label but no sentiment
@@ -520,37 +518,38 @@ class TestAggregateMatchesPerMetricLoops:
         with pytest.raises(ValueError, match="posts missing sentiment: o3$"):
             oracle_daily_mean_sentiment(posts, table, long_window)
         with pytest.raises(ValueError, match="posts missing sentiment: o3$"):
-            aggregate(posts, table, long_window, METRIC_NAMES)
+            aggregate(got, table, long_window, METRIC_NAMES)
         for window in [(dt.date(2018, 1, 3), dt.date(2018, 1, 3)),
                        (dt.date(2019, 1, 1), dt.date(2019, 1, 2))]:
-            _, _, by_metric = aggregate(posts, table, window, ("sentiment_mean",))
+            _, _, by_metric = aggregate(got, table, window, ("sentiment_mean",))
             assert_same_bytes(by_metric["sentiment_mean"],
                               oracle_daily_mean_sentiment(posts, table, window))
 
     def test_summary_of_no_posts(self):
         table = BiasTable.from_pairs(ORACLE_TABLE)
-        assert summarize([], table) == oracle_summarize([], table)
-        _, platform, by_metric = aggregate([], table, JAN_1_5, METRIC_NAMES)
+        assert summarize(columns([]), table) == oracle_summarize(records([]), table)
+        _, platform, by_metric = aggregate(columns([]), table, JAN_1_5, METRIC_NAMES)
         assert platform == "unknown"
         for metric in METRIC_NAMES:
             assert_same_bytes(by_metric[metric], oracle_series([], table, metric, JAN_1_5))
 
     def test_missing_sentiment_fails_only_for_sentiment_mean(self):
-        posts = oracle_corpus() + [post(pid="m2", url="cnn.com", ts="2018-01-04T10:00:00"),
-                                   post(pid="m1", url="wsj.com", ts="2018-01-02T10:00:00")]
+        rows = ORACLE_POSTS + [post(pid="m2", url="cnn.com", ts="2018-01-04T10:00:00"),
+                               post(pid="m1", url="wsj.com", ts="2018-01-02T10:00:00")]
+        got, posts = columns(rows), records(rows)
         table = BiasTable.from_pairs(ORACLE_TABLE)
-        _, _, by_metric = aggregate(posts, table, JAN_1_5, ("post_count", "likes_sum"))
+        _, _, by_metric = aggregate(got, table, JAN_1_5, ("post_count", "likes_sum"))
         assert_same_bytes(by_metric["likes_sum"],
                           oracle_series(posts, table, "likes_sum", JAN_1_5))
         with pytest.raises(ValueError) as want:
             oracle_daily_mean_sentiment(posts, table, JAN_1_5)
-        with pytest.raises(ValueError) as got:
-            aggregate(posts, table, JAN_1_5, ("post_count", "sentiment_mean"))
-        assert str(got.value) == str(want.value) == "posts missing sentiment: m1, m2"
+        with pytest.raises(ValueError) as error:
+            aggregate(got, table, JAN_1_5, ("post_count", "sentiment_mean"))
+        assert str(error.value) == str(want.value) == "posts missing sentiment: m1, m2"
 
     def test_unknown_metric_rejected(self, table):
         with pytest.raises(ValueError, match="unknown aggregation metric 'likes'"):
-            aggregate([post()], table, JAN_1_3, ("post_count", "likes"))
+            aggregate(columns([post()]), table, JAN_1_3, ("post_count", "likes"))
 
 
 POSTS_CSV = """post_id,timestamp,platform,url_or_domain,likes,sentiment
@@ -693,11 +692,16 @@ class TestPostsCsv:
 
 
 class TestPostColumns:
-    def test_from_records_matches_the_reader(self, tmp_path):
-        got = read_posts_csv(csv_file(tmp_path, POSTS_CSV))
-        want = PostColumns.from_records(per_row_read_posts_csv(csv_file(tmp_path, POSTS_CSV)))
-        for column in ("post_id", "url_or_domain", "platform", "day", "likes", "sentiment"):
-            npt.assert_array_equal(getattr(got, column), getattr(want, column))
+    def test_reader_matches_the_oracle_records(self):
+        rows = ORACLE_POSTS + random_corpus(3)
+        got, want = columns(rows), records(rows)
+        assert got.post_id == [p.post_id for p in want]
+        assert got.day.tolist() == [p.utc_date.toordinal() for p in want]
+        assert got.platform.tolist() == [p.platform for p in want]
+        assert got.url_or_domain == [p.url_or_domain for p in want]
+        assert got.likes.tobytes() == np.array([p.likes for p in want], np.float64).tobytes()
+        assert got.sentiment.tobytes() == np.array(
+            [np.nan if p.sentiment is None else p.sentiment for p in want], np.float64).tobytes()
 
     def test_select_keeps_order(self, tmp_path):
         posts = read_posts_csv(csv_file(tmp_path, POSTS_CSV))
@@ -746,7 +750,7 @@ class TestBiasCsv:
 
 class TestSeriesCsv:
     def test_exact_text(self, table, tmp_path):
-        posts = [post(**kw) for kw in AGG_POSTS]
+        posts = columns(post(**kw) for kw in AGG_POSTS)
         path = tmp_path / "series.csv"
         write_series_csv(aggregate_daily(posts, table, "likes_sum", JAN_1_3), path)
         assert path.read_text() == ("date,left,left_leaning,center,right_leaning,right\n"
@@ -755,7 +759,7 @@ class TestSeriesCsv:
                                     "2018-01-03,0,0,0,0,0\n")
 
     def test_nan_written_as_empty_cell(self, table, tmp_path):
-        series = daily_mean_sentiment([post(sentiment=0.5)], table, JAN_1_3)
+        series = daily_mean_sentiment(columns([post(sentiment=0.5)]), table, JAN_1_3)
         path = tmp_path / "sent.csv"
         write_series_csv(series, path)
         assert path.read_text() == ("date,left,left_leaning,center,right_leaning,right\n"
@@ -764,7 +768,7 @@ class TestSeriesCsv:
                                     "2018-01-03,,,,,\n")
 
     def test_missing_leaning_rejected(self, table, tmp_path):
-        series = aggregate_daily([post()], table, "post_count", JAN_1_3)
+        series = aggregate_daily(columns([post()]), table, "post_count", JAN_1_3)
         del series["center"]
         with pytest.raises(ValueError, match="center"):
             write_series_csv(series, tmp_path / "x.csv")

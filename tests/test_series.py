@@ -131,7 +131,9 @@ class TestSynthetic:
             generate_synthetic("sine", 10, seed=0, period=1)
 
     @pytest.mark.parametrize("params,message", [
-        ({"period": math.nan}, "sine period must be >= 2, got nan"),
+        ({"period": math.nan}, "sine period must be finite and >= 2, got nan"),
+        ({"period": math.inf}, "sine period must be finite and >= 2, got inf"),
+        ({"period": -math.inf}, "sine period must be finite and >= 2, got -inf"),
         ({"amplitude": math.nan}, "sine amplitude must be finite, got nan"),
         ({"amplitude": math.inf}, "sine amplitude must be finite, got inf"),
         ({"noise_sigma": -1.0}, "sine noise_sigma must be >= 0, got -1.0"),
@@ -167,6 +169,11 @@ class TestSynthetic:
     def test_ar1_sigma_that_does_not_square_exactly_rejected(self, sigma):
         with pytest.raises(ValueError, match="^ar1 sigma must be 0 or between about"):
             generate_synthetic("ar1", 10, seed=0, sigma=sigma)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_ar1_non_finite_alpha_named(self, alpha):
+        with pytest.raises(ValueError, match=f"^ar1 alpha must be finite, got {alpha}$"):
+            generate_synthetic("ar1", 10, seed=0, alpha=alpha)
 
     @pytest.mark.parametrize("kind,params,unread", [
         ("ar1", {"alpha": 0.5, "model": {"order": [1, 0, 0]}}, "model"),

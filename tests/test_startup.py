@@ -29,9 +29,8 @@ EXPORTS = {
                     "forecast_multistep", "train_multistep_teacher_forced",
                     "forecaster_to_json", "forecaster_from_json", "default_network_config"],
     "evaluation": ["EvalRow", "ReportTable", "rmse", "evaluate", "render_report"],
-    "ingest": ["LEANINGS", "PostRecord", "BiasTable", "IngestSummary", "extract_domain",
-               "label_post", "aggregate", "aggregate_daily", "daily_mean_sentiment",
-               "summarize"],
+    "ingest": ["LEANINGS", "BiasTable", "IngestSummary", "extract_domain", "label_post",
+               "aggregate", "aggregate_daily", "daily_mean_sentiment", "summarize"],
     "presets": ["PRESETS", "PresetBundle", "get_preset"],
     "svgplot": ["emit_plot"],
     "rng": ["derive_rng", "derive_seed"],
