@@ -23,17 +23,17 @@ and ``backward`` fills a gradient vector of the same layout.  A layer's
 W (and U, b) blocks are adjacent, so its gates are fused (Appleyard,
 Kocisky & Blunsom 2016, "Optimizing performance of recurrent neural
 networks on GPUs"): one GEMM per step for all LSTM gates, and for the GRU's
-inputs.
+inputs; the elementwise gate math after it runs on contiguous gate-major slabs.
 
 A network trained on one-step input (time 1; the flat next-day kinds) runs
 one step from a zero state, so its recurrent weights multiply h = 0: they
 never reach an output and their gradient is exactly zero.  Such a
-``one_step`` network is built without them.  An LSTM layer's W_* hold only
-their x-columns, (H, I), and a GRU layer has no U_*; the rest of the layout
-is unchanged.  Init draws the full layout and keeps the live columns, so
-the weights are those of the full network.  The steps skip the [h, x]
-concatenation and the U products, which only added zeros, so the outputs
-and gradients are the full network's up to summation order.
+``one_step`` network is built without them: an LSTM layer's W_* hold only
+their x-columns, (H, I), and a GRU layer has no U_*.  Init draws the full
+layout and keeps the live columns.  Its steps skip every term of the zero
+state (the [h, x] concatenation, the U products, f * c, (1 - z) * h, and
+the backward's carries and d(f)), so outputs and gradients are the full
+network's up to summation order.
 
 The stack runs in their layer-overlap schedule: cell (l, t) needs only
 (l - 1, t) and (l, t - 1), so wavefront k runs every cell with l + t = k at
@@ -70,9 +70,9 @@ GRAD_CLIP_NORM = 5.0
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, last_finite_loss: float):
+    def __init__(self, epoch: int, last_finite_loss: float, what: str = "loss"):
         super().__init__(
-            f"loss became non-finite at epoch {epoch}; "
+            f"{what} became non-finite at epoch {epoch}; "
             f"last finite loss was {last_finite_loss:.6g}")
         self.epoch = epoch
         self.last_finite_loss = last_finite_loss
@@ -233,9 +233,11 @@ def gru_step(x, h, w: GruLayerWeights) -> np.ndarray:
     return (1.0 - z) * h + z * hcand
 
 
-def _gates(a, count):
-    """The ``count`` gate views of a fused (rows, n, count*H) array."""
-    return a.reshape(a.shape[:-1] + (count, a.shape[-1] // count)).transpose(2, 0, 1, 3)
+def _product(out, first, *factors):
+    """``out`` = the factors multiplied left to right, in place."""
+    np.multiply(first, factors[0], out=out)
+    for factor in factors[1:]:
+        out *= factor
 
 
 @functools.lru_cache
@@ -266,31 +268,35 @@ def _lstm_step(a, x0, below, state, new, lo, hi, weights):
         below = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
     _front_gemm(a, x0, below, lo, hi, W0T, WT)
     a += b[lo:hi + 1]
-    gates = sigmoid(a)
-    np.tanh(a[..., 2 * hidden:3 * hidden], out=gates[..., 2 * hidden:3 * hidden])
-    i, f, g, o = _gates(gates, 4)
-    c_new = np.multiply(f, c, out=new[1])
-    c_new += i * g
+    i, f, g, o = gates = sigmoid(a.reshape(a.shape[:2] + (4, hidden)).transpose(2, 0, 1, 3))
+    np.tanh(a[..., 2 * hidden:3 * hidden], out=g)
+    c_new = np.multiply(i, g, out=new[1])
+    if not one_step:    # a one-step cell's c is zero
+        c_new += f * c
     tc = np.tanh(c_new)
     np.multiply(o, tc, out=new[0])
-    return x0, below, (i, f, g, o), c, tc
+    return x0, below, gates, c, tc
 
 
-def _lstm_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
-    (z0, z3, (i, f, g, o), c, tc), (W0, W), (dW0, dW, db) = cache, weights, grads
+def _lstm_back(d, da, dg, cache, lo, hi, k, weights, grads):
+    (z0, z3, (i, f, g, o), c, tc), (W0, W, one_step), (dW0, dW, db) = cache, weights, grads
     rows, hidden = slice(lo, hi + 1), c.shape[-1]
-    dh = d[0, rows] + d[1, rows]
-    dc = d[2, rows] + dh * o * (1.0 - tc * tc)
-    da_i, da_f, da_g, da_o = da_gates
-    da_i[...] = dc * g * i * (1.0 - i)
-    da_f[...] = dc * c * f * (1.0 - f)
-    da_g[...] = dc * i * (1.0 - g * g)
-    da_o[...] = dh * tc * o * (1.0 - o)
+    (di, df, dgg, do, tmp), dc = dg, d[2, rows]
+    # a one-step cell is its layer's last (no carries) and has c = 0 (d(f) = 0)
+    dh = d[0, rows] if one_step else np.add(d[0, rows], d[1, rows], out=d[0, rows])
+    _product(dc if one_step else di, dh, o, np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp))
+    if not one_step:
+        dc += di
+        _product(df, dc, c, f, np.subtract(1.0, f, out=tmp))
+    _product(di, dc, g, i, np.subtract(1.0, i, out=tmp))
+    _product(dgg, dc, i, np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp))
+    _product(do, dh, tc, o, np.subtract(1.0, o, out=tmp))
+    da.reshape(tmp.shape[:2] + (4, hidden))[...] = dg[:4].transpose(1, 2, 0, 3)
     db[rows] += np.add.reduce(da, axis=1)
     # nothing reads layer 0's d(input), nor a d(h) or d(c) before t = 0; the
     # products stay whole: a column slice of W changes BLAS's order
     if k > lo:
-        np.multiply(dc, f, out=d[2, rows])
+        dc *= f
     if lo == 0:
         dW0 += da[0].T @ z0
         if k:
@@ -306,32 +312,35 @@ def _lstm_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
 
 def _gru_step(a, x0, below, state, new, lo, hi, weights):
     (W0T, WT, UzT, UhT, bz, bh), h = weights, state[0]
-    rows, cut = slice(lo, hi + 1), bz.shape[-1]
+    rows, cut, one_step = slice(lo, hi + 1), bz.shape[-1], UzT is None
     _front_gemm(a, x0, below, lo, hi, W0T, WT)
     # a one-step network has no U: its h is zero, and so are the U terms
-    zr = a[..., :cut] if UzT is None else a[..., :cut] + np.matmul(h, UzT[rows])
-    z, r = _gates(sigmoid(zr + bz[rows]), 2)
-    rh = r * h
-    hcand = a[..., cut:] if UhT is None else a[..., cut:] + np.matmul(rh, UhT[rows])
+    zr = (a[..., :cut] if one_step else a[..., :cut] + np.matmul(h, UzT[rows])) + bz[rows]
+    z, r = gates = sigmoid(zr.reshape(h.shape[:2] + (2, h.shape[-1])).transpose(2, 0, 1, 3))
+    rh = None if one_step else r * h
+    hcand = a[..., cut:] if one_step else a[..., cut:] + np.matmul(rh, UhT[rows])
     hcand = np.tanh(hcand + bh[rows])
-    np.add((1.0 - z) * h, z * hcand, out=new[0])
-    return x0, below, h, (z, r), rh, hcand
+    h_new = np.multiply(z, hcand, out=new[0])
+    if not one_step:
+        h_new += (1.0 - z) * h
+    return x0, below, h, gates, rh, hcand
 
 
-def _gru_back(d, da, da_gates, cache, lo, hi, k, weights, grads):
+def _gru_back(d, da, dg, cache, lo, hi, k, weights, grads):
     (x0, x3, h, (z, r), rh, hcand), (W0, W, Uz, Uh), (dW0, dW, dUz, dUh, db) = cache, weights, grads
     rows, cut = slice(lo, hi + 1), 2 * h.shape[-1]
-    dh = d[0, rows] + d[1, rows]
-    da_z, da_r, da_h = da_gates
-    da_h[...] = dh * z * (1.0 - hcand * hcand)
-    da_z[...] = dh * (hcand - h) * z * (1.0 - z)
-    if Uh is None:    # a one-step network has no U, and its r meets only h = 0
-        da_r[...] = 0.0
-    else:
-        drh = np.matmul(da_h, Uh[rows])
-        da_r[...] = drh * h * r * (1.0 - r)
+    dh, (dz, dr, dhc, tmp) = d[0, rows] + d[1, rows], dg
+    _product(dhc, dh, z, np.subtract(1.0, np.multiply(hcand, hcand, out=tmp), out=tmp))
+    _product(dz, dh, hcand if Uh is None else np.subtract(hcand, h, out=dz), z,
+             np.subtract(1.0, z, out=tmp))
+    da[..., cut:] = dhc    # the GEMM for d(r) reads it from the fused da
+    if Uh is not None:    # a one-step network has no U, and its r meets only h = 0
+        drh = np.matmul(da[..., cut:], Uh[rows])
+        _product(dr, drh, h, r, np.subtract(1.0, r, out=tmp))
+        dUh[rows] += np.matmul(da[..., cut:].swapaxes(1, 2), rh)
+    da.reshape(tmp.shape[:2] + (3, tmp.shape[-1]))[:, :, :2] = dg[:2].transpose(1, 2, 0, 3)
+    if Uh is not None:
         dUz[rows] += np.matmul(da[..., :cut].swapaxes(1, 2), h)
-        dUh[rows] += np.matmul(da_h.swapaxes(1, 2), rh)
     db[rows] += np.add.reduce(da, axis=1)
     if k > lo:    # nothing reads a d(h) before t = 0
         np.add(dh * (1.0 - z) + drh * r, np.matmul(da[..., :cut], Uz[rows]), out=d[1, rows])
@@ -374,17 +383,19 @@ def _backward_fronts(back, fronts, skew, dh_top, weights, grads, states):
     per layer d(loss)/d(h) from the layer above (the readout's for the top
     layer), then d(h) and, for the LSTM, d(c) through the layer's next step,
     zero at its last; each front reads its own rows and writes what the front
-    before it reads.  ``states`` is the number of state arrays a cell carries."""
+    before it reads.  ``back`` forms the d(gates) in ``dg``, a zeroed slab per
+    gate, and copies them into the fused ``da`` its GEMMs read.  ``states``
+    is the number of state arrays a cell carries."""
     layers, (n, steps, hidden) = len(grads[-1]), dh_top.shape
     d = np.zeros((1 + states, layers, n, hidden))
-    # d(pre-activation) (4H LSTM, 3H GRU) of the widest wavefront
+    # d(pre-activation) (4H LSTM, 3H GRU) of the widest wavefront, and d(gates)
     da = np.empty((min(layers, steps), n, (2 + states) * hidden))
-    da_gates = _gates(da, 2 + states)
+    dg = np.zeros((3 + states,) + da.shape[:2] + (hidden,))
     for k, lo, hi in reversed(_fronts(layers, steps)):
         if hi == layers - 1:
             d[0, hi] = dh_top[:, k - hi]
         size = hi - lo + 1
-        dx = back(d, da[:size], da_gates[:, :size], fronts[k], lo, hi, k, weights, grads)
+        dx = back(d, da[:size], dg[:, :size], fronts[k], lo, hi, k, weights, grads)
         if hi:    # the rows below read it, dropout-masked, in the front before
             below = slice(max(lo, 1) - 1, hi)
             if skew is None:
@@ -557,7 +568,7 @@ class RecurrentNetwork:
         out["out.b"][...] = d_outputs.sum(axis=(0, 1))
         lstm, W0, dW0 = self.config.cell == "lstm", self._params.blocks[0][0], out.blocks[0][0]
         if lstm:
-            weights, grads = (W0, self._params.stacks[0]), (dW0, *out.stacks)
+            weights, grads = (W0, self._params.stacks[0], self.one_step), (dW0, *out.stacks)
         else:    # U split into its z and r part and the candidate's
             (W, *U, _), (dW, *dU, db) = self._params.stacks, out.stacks
             cut = 2 * self.config.hidden
@@ -614,6 +625,7 @@ def multistep_loss(preds: np.ndarray, targets: np.ndarray):
     return float(sum(per_step)), tuple(per_step)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a divergence is reported, not warned
 def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.ndarray,
                        positions: list) -> tuple[RecurrentNetwork, list]:
     """Mini-batch training against :func:`multistep_loss` at the readout
@@ -623,7 +635,7 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
     One-step ``inputs`` (time 1) train a one-step network, which has no
     recurrent weights.  Weight init, batch shuffling and dropout all derive
     from ``config.seed``; identical reruns give identical histories.
-    Divergence (non-finite loss) raises :class:`TrainingDivergedError`.
+    Divergence (non-finite loss or parameters) raises :class:`TrainingDivergedError`.
     Returns the network and each epoch's batch-mean
     :class:`MultistepEpochLoss`.
     """
@@ -660,6 +672,8 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
         history.append(MultistepEpochLoss(
             float(np.mean([e.total for e in batch_losses])),
             tuple(np.mean([e.per_step for e in batch_losses], axis=0).tolist())))
+    if not np.isfinite(net.theta).all():    # the last step's update, which no loss saw
+        raise TrainingDivergedError(epoch, last_finite, "parameters")
     return net, history
 
 

@@ -4,10 +4,15 @@ The per-layer stack: ``per_layer_forward`` and ``per_layer_backward`` are
 ``RecurrentNetwork.forward`` and ``.backward`` as they were before the
 layers ran as wavefronts, with their layer kernels (``_lstm_layer_forward``
 and friends): each layer runs its whole time loop before the next layer
-starts.  ``prefix_decode`` is ``forecasters.decode_multistep`` as it was
-before it carried its state: one forward over the whole prefix per step
-ahead.  The wavefront schedule evaluates the same operations on the same
-operands, so every result must match these bit for bit.
+starts.  The kernels take a one-step layout too (an LSTM W without its
+h-columns, a GRU without U) and run the full recursion on it: the LSTM
+still forms f * c, the carries and every d(gate) from its zero state, and
+the GRU its U terms from zero matrices, whose gradient is dropped.
+``prefix_decode`` is ``forecasters.decode_multistep`` as it was before it
+carried its state: one forward over the whole prefix per step ahead.  The
+wavefront schedule evaluates the same operations on the same operands, so
+every result must match these bit for bit; a one-step network's cells,
+which skip the zero terms, must match them too.
 
 The training hot path as it was before it stopped allocating: the
 boolean-mask ``sigmoid``, the allocating RMSProp and Adam steps, and
@@ -59,15 +64,16 @@ def _gates(a, count):
     return a.reshape(len(a), count, -1).swapaxes(0, 1)
 
 
-def _lstm_layer_forward(x_seq, W, b):
-    """W is [W_i; W_f; W_g; W_o] as one (4H, H+I) block: one GEMM per step."""
+def _lstm_layer_forward(x_seq, W, b, one_step=False):
+    """W is [W_i; W_f; W_g; W_o] as one (4H, H+I) block, or (4H, I) for a
+    one-step layer: one GEMM per step."""
     n, steps, _ = x_seq.shape
     hidden = len(b) // 4
     h = c = np.zeros((n, hidden))
     hs = np.empty((n, steps, hidden))
     caches = []
     for t in range(steps):
-        zcat = np.concatenate([h, x_seq[:, t, :]], axis=1)
+        zcat = x_seq[:, t, :] if one_step else np.concatenate([h, x_seq[:, t, :]], axis=1)
         a = zcat @ W.T + b
         gates = neural.sigmoid(a)
         gates[:, 2 * hidden:3 * hidden] = np.tanh(a[:, 2 * hidden:3 * hidden])
@@ -81,12 +87,13 @@ def _lstm_layer_forward(x_seq, W, b):
     return hs, caches
 
 
-def _lstm_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
+def _lstm_layer_backward(dh_seq, caches, weights, grads, input_grad=True, one_step=False):
     """Accumulates into the (dW, db) blocks ``grads``; returns d(input), or
     None when ``input_grad`` is false (layer 0, whose input is the data)."""
     (W, _), (dW, db) = weights, grads
     n, steps, hidden = dh_seq.shape
-    dx_seq = np.empty((n, steps, W.shape[1] - hidden)) if input_grad else None
+    width = W.shape[1] - (0 if one_step else hidden)
+    dx_seq = np.empty((n, steps, width)) if input_grad else None
     dh_next = dc_next = np.zeros((n, hidden))
     da = np.empty((n, 4 * hidden))
     da_i, da_f, da_g, da_o = _gates(da, 4)
@@ -108,7 +115,7 @@ def _lstm_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
             dzcat = da @ W
             dh_next = dzcat[:, :hidden]
             if input_grad:
-                dx_seq[:, t, :] = dzcat[:, hidden:]
+                dx_seq[:, t, :] = dzcat[:, -width:]
     return dx_seq
 
 
@@ -163,13 +170,28 @@ def _gru_layer_backward(dh_seq, caches, weights, grads, input_grad=True):
     return dx_seq
 
 
+def _layer_blocks(net, params, layer_idx):
+    """Layer ``layer_idx``'s blocks of ``params`` (weights or gradients) as the
+    kernels take them: a one-step GRU gets a zero U, into which its dU goes."""
+    blocks = params.blocks[layer_idx]
+    if net.one_step and net.config.cell == "gru":
+        W, b = blocks
+        blocks = (W, np.zeros((len(W), net.config.hidden)), b)
+    return blocks
+
+
+def _layer_kwargs(net):
+    return {"one_step": net.one_step} if net.config.cell == "lstm" else {}
+
+
 def per_layer_forward(net, x, training=False, dropout_rng=None, masks=None):
     x = np.asarray(x, dtype=np.float64)
     rate = net.config.dropout
     layer_forward = _lstm_layer_forward if net.config.cell == "lstm" else _gru_layer_forward
     layer_caches, used_masks, cur = [], [], x
-    for layer_idx, blocks in enumerate(net.parameters().blocks[:-1]):
-        hs, cache = layer_forward(cur, *blocks)
+    for layer_idx in range(len(net.layers)):
+        hs, cache = layer_forward(cur, *_layer_blocks(net, net.parameters(), layer_idx),
+                                  **_layer_kwargs(net))
         layer_caches.append(cache)
         mask = None
         if layer_idx < len(net.layers) - 1 and training and rate > 0.0:
@@ -184,7 +206,7 @@ def per_layer_forward(net, x, training=False, dropout_rng=None, masks=None):
 
 def per_layer_backward(net, cache, d_outputs):
     d_outputs = np.asarray(d_outputs, dtype=np.float64)
-    grads = FlatParameters(net.config)
+    grads = FlatParameters(net.config, net.one_step)
     grads["out.W"][...] = np.einsum("nto,nth->oh", d_outputs, cache["top"])
     grads["out.b"][...] = d_outputs.sum(axis=(0, 1))
     kernel = _lstm_layer_backward if net.config.cell == "lstm" else _gru_layer_backward
@@ -193,8 +215,10 @@ def per_layer_backward(net, cache, d_outputs):
         mask = cache["masks"][layer_idx]
         if mask is not None:
             dh_seq = dh_seq * mask
-        dh_seq = kernel(dh_seq, cache["layers"][layer_idx], net.parameters().blocks[layer_idx],
-                        grads.blocks[layer_idx], input_grad=layer_idx > 0)
+        dh_seq = kernel(dh_seq, cache["layers"][layer_idx],
+                        _layer_blocks(net, net.parameters(), layer_idx),
+                        _layer_blocks(net, grads, layer_idx), input_grad=layer_idx > 0,
+                        **_layer_kwargs(net))
     return grads
 
 

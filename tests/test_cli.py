@@ -370,6 +370,21 @@ class TestLoadConfig:
             "sarima/series/synthetic: the zero model's sum of squares overflows (inf): "
             "the series is too large to fit\n")
 
+    def test_parameters_overflowing_in_the_last_step_are_a_listed_failure(self, tmp_path,
+                                                                           capfd):
+        # every loss is finite (each precedes its step); theta is not after the step
+        path = write_config(tmp_path, {
+            "synthetic": {"kind": "ar1", "n": 80, "alpha": 0.8, "sigma": 1.0}, "seed": 1,
+            "forecasters": [{"kind": "lstm_1day", "epochs": 1, "batch_size": 0, "layers": 1,
+                             "hidden": 4, "learning_rate": 1e308}]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert "Warning" not in capfd.readouterr().err
+        assert (out / "failures.txt").read_text().startswith(
+            "lstm_1day/series/synthetic: parameters became non-finite at epoch 0; ")
+        assert (out / "report.csv").read_text().count("\n") == 1    # the header only
+        assert not list((out / "models").iterdir())
+
     def test_valid_config_accepted(self, tmp_path):
         path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
                                        "metrics": ["post_count"],

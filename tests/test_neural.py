@@ -358,10 +358,21 @@ class TestTrain:
     def test_divergence_raises_with_last_finite_loss(self):
         w = make_windows(np.arange(20.0), 4, 1)
         cfg = small_config(input_size=4, epochs=10, learning_rate=1e200)
+        # pyproject turns a RuntimeWarning into an error: none may escape
         with pytest.raises(TrainingDivergedError) as exc:
-            with np.errstate(over="ignore", invalid="ignore"):
-                train(cfg, w)
+            train(cfg, w)
         assert exc.value.epoch >= 1
+        assert np.isfinite(exc.value.last_finite_loss)
+
+    def test_parameters_overflowing_in_the_last_step_raise(self):
+        """Every loss is finite, because each is computed before its step,
+        but the one step's update leaves theta non-finite."""
+        values = generate_synthetic("ar1", 80, 1, alpha=0.8, sigma=1.0).values
+        cfg = NetworkConfig(cell="lstm", layers=1, hidden=4, input_size=1, epochs=1,
+                            learning_rate=1e308)
+        with pytest.raises(TrainingDivergedError, match="^parameters became non-finite "
+                                                        "at epoch 0; last finite loss") as exc:
+            train(cfg, make_windows(values, 1, 1))
         assert np.isfinite(exc.value.last_finite_loss)
 
     def test_empty_window_set_rejected(self):

@@ -220,8 +220,7 @@ def test_training_matches_allocating_kernels_bit_for_bit(kind, monkeypatch):
 
 def _divergence(train_fn, cfg, windows):
     with pytest.raises(TrainingDivergedError) as exc:
-        with np.errstate(over="ignore", invalid="ignore"):
-            train_fn(cfg, windows)
+        train_fn(cfg, windows)
     return exc.value.epoch, exc.value.last_finite_loss
 
 
@@ -235,6 +234,8 @@ def test_divergence_matches_oracle(kind):
     else:
         windows = make_windows(np.arange(40.0), 14, 5)
         merged, oracle = train_multistep_teacher_forced, _oracle_teacher_forced
+    # the merged loop lets no RuntimeWarning out; the oracle's loop does
     epoch, last_finite = _divergence(merged, cfg, windows)
-    assert (epoch, last_finite) == _divergence(oracle, cfg, windows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (epoch, last_finite) == _divergence(oracle, cfg, windows)
     assert np.isfinite(last_finite)

@@ -5,7 +5,9 @@ and ``backward`` walks those wavefronts in reverse.  Every cell sees the same
 operands as in the former per-layer time loops (``reference_kernels``), so
 outputs, the cache's top hidden states and the gradient vector must match
 bit for bit, over both cells, with and without dropout masks, at shapes where
-the wavefronts hold one cell (T = 1 or L = 1) and many.
+the wavefronts hold one cell (T = 1 or L = 1) and many.  One-step networks,
+whose cells skip the terms of the zero state, are held to the per-layer
+kernels run on the same layout.
 
 ``decode_multistep`` runs the lookback once and then one step per further
 prediction from the carried per-layer state; it must return exactly what a
@@ -30,17 +32,17 @@ def _bits(a):
     return np.asarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("cell,layers,dropout",
-                         [(cell, layers, dropout) for cell in ("lstm", "gru")
-                          for layers in (1, 2, 8) for dropout in (False, True)
-                          if layers > 1 or not dropout])
-def test_wavefronts_match_per_layer_schedule_bit_for_bit(cell, layers, dropout):
-    for n, hidden, steps, input_size in SHAPES:
+LAYOUTS = [(cell, layers, dropout) for cell in ("lstm", "gru") for layers in (1, 2, 8)
+           for dropout in (False, True) if layers > 1 or not dropout]
+
+
+def _match_per_layer_schedule(cell, layers, dropout, shapes, one_step=False):
+    for n, hidden, steps, input_size in shapes:
         shape = f"n={n} H={hidden} T={steps} I={input_size}"
         cfg = NetworkConfig(cell=cell, layers=layers, hidden=hidden, input_size=input_size,
                             output_size=2, dropout=0.3 if dropout else 0.0,
                             seed=n + hidden + steps)
-        net = RecurrentNetwork(cfg)
+        net = RecurrentNetwork(cfg, one_step=one_step)
         rng = np.random.default_rng(n * hidden + steps * input_size)
         # gate pre-activations then cover both saturated and linear regions
         net.theta[:] = rng.normal(0, 0.5, net.theta.size)
@@ -57,6 +59,19 @@ def test_wavefronts_match_per_layer_schedule_bit_for_bit(cell, layers, dropout):
         grads = net.backward(cache, d_outputs).vector
         ref_grads = per_layer_backward(net, ref_cache, d_outputs).vector
         npt.assert_array_equal(_bits(grads), _bits(ref_grads), err_msg=shape)
+
+
+@pytest.mark.parametrize("cell,layers,dropout", LAYOUTS)
+def test_wavefronts_match_per_layer_schedule_bit_for_bit(cell, layers, dropout):
+    _match_per_layer_schedule(cell, layers, dropout, SHAPES)
+
+
+@pytest.mark.parametrize("cell,layers,dropout", LAYOUTS)
+def test_one_step_layout_matches_per_layer_schedule_bit_for_bit(cell, layers, dropout):
+    """A one-step network (no recurrent weights, T = 1 from zero state)
+    against the per-layer kernels' full recursion on the same layout."""
+    _match_per_layer_schedule(cell, layers, dropout,
+                              [shape for shape in SHAPES if shape[2] == 1], one_step=True)
 
 
 def test_dropout_masks_are_drawn_in_layer_order():
