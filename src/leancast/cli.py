@@ -3,10 +3,11 @@
 Subcommands: ingest, run, gridsearch, simulate, report, each importing only
 the layers it runs and taking only the flags it reads (:data:`COMMANDS`).
 ``load_config`` resolves a config and those flags into one frozen
-:class:`Plan`, rejecting up front what could not run; the commands only
-execute it, so reruns produce byte-identical outputs.  ``report`` re-renders
-a ``rows.json`` instead.  Per-model randomness is derived from the global
-seed and a stable "kind/leaning/metric" tag, which keeps individual fits
+:class:`Plan`, rejecting up front what could not run and building a
+synthetic config's series; the commands only execute it, so reruns
+produce byte-identical outputs.  ``report`` re-renders a ``rows.json``
+instead.  Per-model randomness is derived from the global seed and a
+stable "kind/leaning/metric" tag, which keeps individual fits
 reproducible in isolation too.
 """
 
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from . import ingest
-from .series import chronological_split, generate_synthetic, is_number
+from .series import DailySeries, chronological_split, generate_synthetic, is_number
 
 DEFAULT_WINDOW = {"start": "2018-01-01", "end": "2018-04-30"}
 
@@ -29,9 +30,6 @@ _TOP_KEYS = {"posts_csv", "bias_csv", "synthetic", "window", "platform",
              "metrics", "leanings", "forecasters", "preset", "split_ratio",
              "seed", "out_dir"}
 _POSTS_ONLY_KEYS = {"window", "platform", "metrics", "leanings"}
-_SYNTH_KEYS = {"kind", "n", "alpha", "sigma", "period", "amplitude",
-               "noise_sigma", "model", "start_date"}
-_SYNTH_NUMBERS = ("alpha", "sigma", "period", "amplitude", "noise_sigma")
 _NET_OVERRIDE_KEYS = ("epochs", "layers", "hidden", "learning_rate",
                       "batch_size", "dropout", "optimizer", "input_size")
 
@@ -54,7 +52,7 @@ class PlannedFit:
 @dataclass(frozen=True)
 class Plan:
     """A config resolved with the command-line flags; see :func:`load_config`."""
-    synthetic: dict | None  # generate_synthetic keyword arguments but the seed
+    synthetic: DailySeries | None   # the series of a synthetic config
     posts_csv: str | None
     bias_csv: str | None
     window: tuple           # inclusive (start, end) dates
@@ -62,7 +60,6 @@ class Plan:
     metrics: list
     series: tuple           # (metric, leaning) per series, in run order
     split_ratio: float
-    seed: int
     out_dir: str
     grid: object            # the sarima entry's GridSpec or None; gridsearch searches it
     fits: tuple             # PlannedFit per series and forecaster, in run order
@@ -112,7 +109,6 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
     for key in ("posts_csv", "bias_csv"):
         if key in doc and (not isinstance(doc[key], str) or not doc[key]):
             raise ConfigError(f"{key} must be a file path, got {doc[key]!r}")
-    synthetic = None if has_files else _synthetic_args(doc["synthetic"])
     window = _config_window(doc)
     seed = _setting(doc, "seed", "--seed", seed, 0,
                     lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
@@ -146,17 +142,18 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
                 raise ConfigError(f"unknown {what} {value!r}")
         # each (kind, leaning, metric) is one report cell, so none may repeat
         _reject_repeats(values, what)
-    unread = sorted(_POSTS_ONLY_KEYS & set(doc)) if synthetic is not None else []
+    unread = [] if has_files else sorted(_POSTS_ONLY_KEYS & set(doc))
     if unread:
         raise ConfigError(f"a synthetic config does not read {', '.join(unread)}")
-    series = ((("synthetic", None),) if synthetic is not None
-              else tuple(itertools.product(metrics, leanings)))
+    series = (tuple(itertools.product(metrics, leanings)) if has_files
+              else (("synthetic", None),))
     fits, grid = (_plan_fits(doc["forecasters"], series, seed, preset)
                   if doc.get("forecasters") else ((), None))
+    synthetic = None if has_files else _build_synthetic(doc["synthetic"], seed)
     return Plan(synthetic=synthetic, posts_csv=doc.get("posts_csv"),
                 bias_csv=doc.get("bias_csv"), window=window,
                 platform=doc.get("platform"), metrics=metrics,
-                series=series, split_ratio=ratio, seed=seed, out_dir=out_dir,
+                series=series, split_ratio=ratio, out_dir=out_dir,
                 grid=grid, fits=fits)
 
 
@@ -214,20 +211,17 @@ def _plan_fits(entry_docs: list, series: tuple, seed: int, preset: str | None):
     return tuple(fits), grid
 
 
-def _synthetic_args(synth) -> dict:
-    """generate_synthetic's keyword arguments, but the seed, for the block."""
+def _build_synthetic(synth, seed: int) -> DailySeries:
+    """The series of a synthetic block: the block's JSON forms are checked
+    here, every other synthetic rule by ``generate_synthetic``."""
     if not isinstance(synth, dict):
         raise ConfigError(f"synthetic must be an object, got {synth!r}")
-    _reject_unknown(synth, _SYNTH_KEYS, "synthetic")
     missing = [key for key in ("kind", "n") if key not in synth]
     if missing:
         raise ConfigError(f"synthetic block must name {' and '.join(missing)}")
-    if isinstance(synth["n"], bool) or not isinstance(synth["n"], int):
-        raise ConfigError(f"synthetic n must be an integer, got {synth['n']!r}")
+    # spec and params are objects, which a config gives as the model document
+    _reject_unknown(synth, set(synth) - {"spec", "params"}, "synthetic")
     args = dict(synth)
-    for key in _SYNTH_NUMBERS:
-        if key in args and not is_number(args[key]):
-            raise ConfigError(f"synthetic {key} must be a number, got {args[key]!r}")
     if "start_date" in args:
         try:
             args["start_date"] = dt.date.fromisoformat(args["start_date"])
@@ -242,7 +236,11 @@ def _synthetic_args(synth) -> dict:
             args["spec"], args["params"] = sarima.from_doc(args.pop("model"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"synthetic model: {exc}") from None
-    return args
+    from .rng import derive_seed
+    try:
+        return generate_synthetic(seed=derive_seed(seed, "synthetic"), **args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _config_window(doc: dict):
@@ -279,17 +277,11 @@ def _ingest_posts(plan: Plan):
     return ingest.aggregate(posts, table, plan.window, plan.metrics)
 
 
-def _synthetic_series(plan: Plan):
-    """The synthetic series that ``simulate`` writes and ``run``/``gridsearch`` fit."""
-    from .rng import derive_seed
-    return generate_synthetic(seed=derive_seed(plan.seed, "synthetic"), **plan.synthetic)
-
-
 def _gather_series(plan: Plan):
     """(series, {(metric, leaning): SplitPair}, platform), before any output."""
     if plan.synthetic is not None:
         platform = "synthetic"
-        series_list = [("synthetic", None, _synthetic_series(plan))]
+        series_list = [("synthetic", None, plan.synthetic)]
     elif "sentiment_mean" in plan.metrics:
         raise ConfigError("metric sentiment_mean is undefined on days without posts, "
                           "so it cannot be fitted; only ingest writes it")
@@ -410,11 +402,10 @@ def cmd_gridsearch(plan: Plan) -> int:
 def cmd_simulate(plan: Plan) -> int:
     if plan.synthetic is None:
         raise ConfigError("simulate needs a synthetic spec in the config")
-    series = _synthetic_series(plan)
     os.makedirs(plan.out_dir, exist_ok=True)
     path = os.path.join(plan.out_dir, "simulated.csv")
-    ingest.write_value_series_csv(series, path)
-    print(f"wrote {len(series)} values to {path}")
+    ingest.write_value_series_csv(plan.synthetic, path)
+    print(f"wrote {len(plan.synthetic)} values to {path}")
     return 0
 
 

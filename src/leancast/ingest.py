@@ -7,10 +7,11 @@ post ids, UTC day ordinals, platforms, URLs, likes and sentiments.  Each
 column of a block is parsed once and each row rule is checked over the
 whole block; an error names the first row that breaks a rule.
 
-A post is labeled by the registrable domain of the URL it shares; posts
-whose domain is not in the bias table stay unlabeled and are excluded from
-the series (the summary reports how many).  The domain is parsed once per
-distinct URL authority (scheme and host), not once per post;
+A post is labeled by the registrable domain of the URL it shares, through
+the bias table that :func:`read_bias_csv`, its only way in, checks row by
+row; posts whose domain is not in the table stay unlabeled and are excluded
+from the series (the summary reports how many).  The domain is parsed once
+per distinct URL authority (scheme and host), not once per post;
 :func:`label_post` labels one URL or bare domain.  :func:`aggregate` labels
 every post once from its URL; the summary and every metric's series then
 come from the columns, each series as one ``np.bincount`` over (leaning,
@@ -138,29 +139,11 @@ def _authority_domain(authority: str) -> str:
 
 @dataclass
 class BiasTable:
-    entries: dict = field(default_factory=dict)   # registrable domain -> leaning
-
-    def __post_init__(self):
-        for domain, leaning in self.entries.items():
-            if leaning not in LEANINGS:
-                raise ValueError(f"unknown leaning {leaning!r} for domain {domain!r}")
+    """Registrable domain -> leaning; only :func:`read_bias_csv` fills one."""
+    entries: dict = field(default_factory=dict, init=False)
 
     def __len__(self):
         return len(self.entries)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "BiasTable":
-        entries = {}
-        for raw_domain, leaning in pairs:
-            _add_entry(entries, raw_domain, leaning)
-        return cls(entries)
-
-
-def _add_entry(entries: dict, raw_domain: str, leaning: str):
-    domain = extract_domain(raw_domain)
-    if entries.setdefault(domain, leaning) != leaning:
-        raise ValueError(f"conflicting leanings for domain {domain!r}: "
-                         f"{entries[domain]!r} vs {leaning!r}")
 
 
 def _url_domains(urls, table: BiasTable, post_ids=()) -> list:
@@ -451,17 +434,22 @@ def read_posts_csv(path) -> PostColumns:
 
 
 def read_bias_csv(path) -> BiasTable:
-    """The bias table of the CSV at ``path``; an error names its row."""
-    entries = {}
-    for lines, (domains, leanings) in _csv_blocks(path, BIAS_HEADER, "bias"):
-        for line_no, domain, leaning in zip(lines, domains, leanings):
+    """The bias table of the CSV at ``path``: each row's leaning is one of LEANINGS
+    and its domain parses and keeps one leaning.  An error names the row."""
+    table = BiasTable()
+    entries = table.entries
+    for lines, (raw_domains, leanings) in _csv_blocks(path, BIAS_HEADER, "bias"):
+        for line_no, raw_domain, leaning in zip(lines, raw_domains, leanings):
             try:
                 if leaning not in LEANINGS:
                     raise ValueError(f"unknown leaning {leaning!r}")
-                _add_entry(entries, domain, leaning)
+                domain = extract_domain(raw_domain)
+                if entries.setdefault(domain, leaning) != leaning:
+                    raise ValueError(f"conflicting leanings for domain {domain!r}: "
+                                     f"{entries[domain]!r} vs {leaning!r}")
             except ValueError as exc:   # name the row, keep the exception type
                 raise type(exc)(f"bias row {line_no}: {exc}") from None
-    return BiasTable(entries)
+    return table
 
 
 def _format_value(v: float) -> str:

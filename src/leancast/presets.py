@@ -18,9 +18,6 @@ from .sarima import GridSpec, SarimaSpec
 
 @dataclass(frozen=True)
 class PresetBundle:
-    name: str
-    platform: str
-    metric: str
     sarima_specs: dict
     lstm_epochs: int
     gru_epochs: int
@@ -46,15 +43,12 @@ _TWITTER_LIKES_SPEC = _spec(11, 1, 3, 3, 1, 3, 12)
 
 PRESETS = {
     "twitter-posts": PresetBundle(
-        name="twitter-posts", platform="twitter", metric="post_count",
         sarima_specs={leaning: _TWITTER_POSTS_SPEC for leaning in LEANINGS},
         lstm_epochs=100, gru_epochs=100, multistep_epochs=125),
     "twitter-likes": PresetBundle(
-        name="twitter-likes", platform="twitter", metric="likes_sum",
         sarima_specs={leaning: _TWITTER_LIKES_SPEC for leaning in LEANINGS},
         lstm_epochs=100, gru_epochs=100, multistep_epochs=100),
     "gab-posts": PresetBundle(
-        name="gab-posts", platform="gab", metric="post_count",
         sarima_specs={
             "left": _spec(7, 1, 10, 3, 1, 1, 14),
             "right": _spec(6, 2, 10, 4, 1, 1, 11),
@@ -62,7 +56,6 @@ PRESETS = {
         },
         lstm_epochs=200, gru_epochs=100, multistep_epochs=150),
     "gab-likes": PresetBundle(
-        name="gab-likes", platform="gab", metric="likes_sum",
         sarima_specs={
             "left": _spec(11, 1, 6, 3, 0, 4, 12),
             "right": _spec(9, 1, 11, 1, 1, 3, 12),

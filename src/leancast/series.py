@@ -52,6 +52,8 @@ class DailySeries:
                 raise ValueError(f"{self.metric} series must be fully observed")
             if np.any(vals < 0):
                 raise ValueError(f"{self.metric} series must be nonnegative")
+        if self.start_date.toordinal() + vals.size - 1 > dt.date.max.toordinal():
+            raise ValueError(f"{vals.size} days from {self.start_date} run past {dt.date.max}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -181,8 +183,11 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
 
     Noise comes from ``numpy.random.default_rng`` (PCG64), so one (kind, n,
     seed) triple always reproduces bit-identical output within this package.
-    A parameter the kind does not read, or a value that overflows, is an error.
+    ``n`` must be an int and each ar1 or sine parameter a number, not a bool; a
+    parameter the kind does not read, or a value that overflows, is an error.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"synthetic n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not isinstance(kind, str) or kind not in SYNTHETIC_PARAMS:
@@ -190,6 +195,9 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
     unread = sorted(set(params) - set(SYNTHETIC_PARAMS[kind]))
     if unread:
         raise ValueError(f"synthetic kind {kind} does not read {', '.join(unread)}")
+    for key, value in params.items() if kind != "seasonal_sarima" else ():
+        if not is_number(value):
+            raise ValueError(f"synthetic {key} must be a number, got {value!r}")
     rng = np.random.default_rng(seed)
     if kind == "sine":
         period = float(params.get("period", 10.0))

@@ -227,6 +227,9 @@ class TestLoadConfig:
          "synthetic alpha must be a number, got [0.5]"),
         ({"synthetic": {"kind": "seasonal_sarima", "n": 40}},
          "synthetic kind seasonal_sarima needs a model"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 40, "spec": {"order": [1, 0, 0]},
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0]}}},
+         "unknown synthetic keys: spec"),
         ({"synthetic": {"kind": "seasonal_sarima", "n": 40,
                         "model": {"order": [1, 0], "seasonal": [0, 0, 0, 0]}}},
          "synthetic model: spec order must be [p, d, q], got [1, 0]"),
@@ -293,14 +296,15 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, doc))
 
     def test_flag_over_config_key_over_default(self, tmp_path):
+        tag = "sarima/series/synthetic"
         bare = load_config(synth_run_config(tmp_path))
-        assert (bare.seed, bare.out_dir) == (0, "leancast_out")
+        assert (bare.fits[0].seed, bare.out_dir) == (derive_seed(0, tag), "leancast_out")
         path = synth_run_config(tmp_path, seed=3, out_dir="from_config",
                                 preset="twitter-likes")
         keyed = load_config(path)
-        assert (keyed.seed, keyed.out_dir) == (3, "from_config")
+        assert (keyed.fits[0].seed, keyed.out_dir) == (derive_seed(3, tag), "from_config")
         flagged = load_config(path, seed=5, preset="gab-posts", out="from_flag")
-        assert (flagged.seed, flagged.out_dir) == (5, "from_flag")
+        assert (flagged.fits[0].seed, flagged.out_dir) == (derive_seed(5, tag), "from_flag")
         # the preset only sets epochs the entry leaves out; the entry's 3 wins
         entry = {"kind": "lstm_1day", "layers": 1, "hidden": 4}
         path = synth_run_config(tmp_path, forecasters=[entry], preset="twitter-likes")
@@ -344,13 +348,19 @@ class TestLoadConfig:
         ({"kind": "sine", "n": 40, "period": float("inf")},
          "sine period must be finite and >= 2, got inf"),
         ({"kind": "ar1", "n": 40, "alpha": float("nan")}, "ar1 alpha must be finite, got nan"),
+        ({"kind": "sine", "n": 40, "period": 1}, "sine period must be finite and >= 2, got 1.0"),
+        ({"kind": "sine", "n": 40, "alpha": 0.5}, "synthetic kind sine does not read alpha"),
+        ({"kind": "ar1", "n": 40, "trend": 1.0}, "synthetic kind ar1 does not read trend"),
+        ({"kind": "sine", "n": 40, "start_date": "9999-12-25"},
+         "40 days from 9999-12-25 run past 9999-12-31"),
     ])
     def test_series_failure_writes_nothing(self, tmp_path, capsys, synthetic, message,
                                            command):
-        # load_config accepts these; only building the series fails
+        # load_config builds the series, so the generator's rules reject these
         path = write_config(tmp_path, {"synthetic": synthetic, "forecasters": [
             {"kind": "sarima", "grid": {"p": [0, 1]}}]})
-        load_config(path)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err

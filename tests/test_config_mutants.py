@@ -8,12 +8,15 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from leancast.cli import ConfigError, Plan, load_config, main
 from leancast.forecasters import kind_lookback
 from leancast.neural import NetworkConfig
-from leancast.sarima import GridSpec, SarimaParams, SarimaSpec
+from leancast.rng import derive_seed
+from leancast.sarima import GridSpec, SarimaSpec
+from leancast.series import DailySeries
 
 DATA = Path(__file__).parent / "data"
 SEED = 2018
@@ -101,24 +104,25 @@ def _load(tmp_path, index, doc):
         return str(path), None
 
 
-def _check_resolved(plan: Plan):
-    assert isinstance(plan.seed, int) and plan.seed >= 0
+def _check_resolved(plan: Plan, doc: dict):
     assert isinstance(plan.out_dir, str) and plan.out_dir
     start, end = plan.window
     assert isinstance(start, dt.date) and start <= end
     assert 0.0 < plan.split_ratio < 1.0
     assert plan.grid is None or isinstance(plan.grid, GridSpec)
     if plan.synthetic is not None:
-        assert isinstance(plan.synthetic.get("start_date", dt.date.min), dt.date)
-        if plan.synthetic["kind"] == "seasonal_sarima":
-            assert isinstance(plan.synthetic["spec"], SarimaSpec)
-            assert isinstance(plan.synthetic["params"], SarimaParams)
+        series, block = plan.synthetic, doc["synthetic"]
+        assert isinstance(series, DailySeries) and series.metric == "synthetic"
+        assert len(series) == block["n"] and np.all(np.isfinite(series.values))
+        assert series.start_date == dt.date.fromisoformat(
+            block.get("start_date", "2018-01-01"))
     else:
         assert isinstance(plan.posts_csv, str) and isinstance(plan.bias_csv, str)
     keys = set(plan.series)
     for fit in plan.fits:
         assert (fit.metric, fit.leaning) in keys
         assert fit.tag == f"{fit.kind}/{fit.leaning or 'series'}/{fit.metric}"
+        assert fit.seed == derive_seed(doc.get("seed", 0), fit.tag)
         if fit.kind == "sarima":
             assert isinstance(fit.config, (SarimaSpec, GridSpec))
         else:
@@ -131,7 +135,7 @@ def test_every_mutant_is_rejected_or_fully_resolved(tmp_path):
     for index, doc in enumerate(_mutants()):
         _, plan = _load(tmp_path, index, doc)
         if plan is not None:
-            _check_resolved(plan)
+            _check_resolved(plan, doc)
             accepted += 1
     # both outcomes must occur often, or the mutations test little
     assert 30 <= accepted <= N_MUTANTS - 30, accepted
@@ -144,7 +148,7 @@ def run_sample(tmp_path_factory):
     sample = []
     for index, doc in enumerate(_mutants()):
         path, plan = _load(tmp_path, index, doc)
-        if plan is not None and plan.synthetic is not None and plan.synthetic["n"] <= 40:
+        if plan is not None and plan.synthetic is not None and len(plan.synthetic) <= 40:
             sample.append((path, doc))
     assert len(sample) >= N_RUNS
     return sample[:N_RUNS]

@@ -314,10 +314,6 @@ class TestPresets:
         with pytest.raises(KeyError, match="gab-likes"):
             get_preset("reddit-posts")
 
-    def test_bundle_names_match_keys(self):
-        for name, bundle in PRESETS.items():
-            assert bundle.name == name
-
     def test_twitter_posts_shares_one_order_across_leanings(self):
         bundle = get_preset("twitter-posts")
         for leaning in ("left", "left_leaning", "center", "right_leaning", "right"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leancast import ingest
-from leancast.ingest import (LEANINGS, POSTS_HEADER, BiasTable, DomainParseError,
+from leancast.ingest import (BIAS_HEADER, LEANINGS, POSTS_HEADER, BiasTable, DomainParseError,
                              IngestSummary, aggregate, aggregate_daily,
                              daily_mean_sentiment,
                              extract_domain, label_post, read_bias_csv,
@@ -51,13 +51,21 @@ def columns(rows):
     return read_rows(read_posts_csv, rows)
 
 
+def bias_table(pairs) -> BiasTable:
+    """``read_bias_csv`` of a bias CSV file holding the (domain, leaning) ``pairs``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "bias.csv"
+        path.write_text("".join(f"{d},{l}\n" for d, l in [BIAS_HEADER, *pairs]))
+        return read_bias_csv(path)
+
+
 def records(rows):
     return read_rows(per_row_read_posts_csv, rows)
 
 
 @pytest.fixture
 def table():
-    return BiasTable.from_pairs([
+    return bias_table([
         ("cnn.com", "left"), ("nytimes.com", "left_leaning"),
         ("reuters.com", "center"), ("wsj.com", "right_leaning"),
         ("foxnews.com", "right"),
@@ -163,20 +171,20 @@ class TestExtractDomainMemo:
 
 class TestBiasTable:
     def test_pairs_are_normalized(self):
-        t = BiasTable.from_pairs([("WWW.FoxNews.com", "right")])
+        t = bias_table([("WWW.FoxNews.com", "right")])
         assert label_post("https://foxnews.com/story", t) == "right"
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):
-            BiasTable.from_pairs([("cnn.com", "left"), ("www.cnn.com", "center")])
+            bias_table([("cnn.com", "left"), ("www.cnn.com", "center")])
 
     def test_agreeing_duplicate_allowed(self):
-        t = BiasTable.from_pairs([("cnn.com", "left"), ("www.cnn.com", "left")])
+        t = bias_table([("cnn.com", "left"), ("www.cnn.com", "left")])
         assert len(t) == 1
 
     def test_unknown_leaning_rejected(self):
-        with pytest.raises(ValueError):
-            BiasTable(entries={"x.com": "far_left"})
+        with pytest.raises(ValueError, match=r"^bias row 2: unknown leaning 'far_left'$"):
+            bias_table([("x.com", "far_left")])
 
 
 class TestLabelPost:
@@ -253,7 +261,7 @@ class TestAggregateDaily:
     @given(st.permutations(range(len(AGG_POSTS))))
     @settings(max_examples=20, deadline=None)
     def test_order_invariant(self, order):
-        t = BiasTable.from_pairs([("cnn.com", "left"), ("foxnews.com", "right")])
+        t = bias_table([("cnn.com", "left"), ("foxnews.com", "right")])
         base = aggregate_daily(columns(post(**kw) for kw in AGG_POSTS), t, "likes_sum",
                                JAN_1_3)
         shuffled = aggregate_daily(columns(post(**AGG_POSTS[i]) for i in order),
@@ -472,7 +480,7 @@ class TestAggregateMatchesPerMetricLoops:
     per-metric loops over the oracle's records of the same CSV text."""
 
     def test_corpus_covers_the_edge_cases(self):
-        posts, table = records(ORACLE_POSTS), BiasTable.from_pairs(ORACLE_TABLE)
+        posts, table = records(ORACLE_POSTS), bias_table(ORACLE_TABLE)
         counts = oracle_aggregate_daily(posts, table, "post_count", JAN_1_5)
         assert counts["left"].values[0] == 3 and counts["right"].values[1] == 2
         sentiment = oracle_daily_mean_sentiment(posts, table, JAN_1_5)
@@ -483,7 +491,7 @@ class TestAggregateMatchesPerMetricLoops:
 
     @pytest.mark.parametrize("metric", METRIC_NAMES)
     def test_each_metric(self, metric):
-        posts, table = columns(ORACLE_POSTS), BiasTable.from_pairs(ORACLE_TABLE)
+        posts, table = columns(ORACLE_POSTS), bias_table(ORACLE_TABLE)
         want = oracle_series(records(ORACLE_POSTS), table, metric, JAN_1_5)
         got = (daily_mean_sentiment(posts, table, JAN_1_5) if metric == "sentiment_mean"
                else aggregate_daily(posts, table, metric, JAN_1_5))
@@ -494,7 +502,7 @@ class TestAggregateMatchesPerMetricLoops:
     def test_one_pass_for_everything(self, seed, platform):
         rows = [row for row in ORACLE_POSTS + random_corpus(seed)
                 if platform in (None, row[2])]
-        posts, table = records(rows), BiasTable.from_pairs(ORACLE_TABLE)
+        posts, table = records(rows), bias_table(ORACLE_TABLE)
         summary, got_platform, by_metric = aggregate(columns(rows), table, JAN_1_5,
                                                      METRIC_NAMES)
         assert summary == oracle_summarize(posts, table)
@@ -505,7 +513,7 @@ class TestAggregateMatchesPerMetricLoops:
             assert_same_bytes(by_metric[metric], oracle_series(posts, table, metric, JAN_1_5))
 
     def test_windows_shorter_and_longer_than_the_corpus(self):
-        rows, table = ORACLE_POSTS + random_corpus(9), BiasTable.from_pairs(ORACLE_TABLE)
+        rows, table = ORACLE_POSTS + random_corpus(9), bias_table(ORACLE_TABLE)
         got, posts = columns(rows), records(rows)
         for window in [(dt.date(2018, 1, 3), dt.date(2018, 1, 3)),
                        (dt.date(2017, 12, 1), dt.date(2018, 2, 1)),
@@ -526,7 +534,7 @@ class TestAggregateMatchesPerMetricLoops:
                               oracle_daily_mean_sentiment(posts, table, window))
 
     def test_summary_of_no_posts(self):
-        table = BiasTable.from_pairs(ORACLE_TABLE)
+        table = bias_table(ORACLE_TABLE)
         assert summarize(columns([]), table) == oracle_summarize(records([]), table)
         _, platform, by_metric = aggregate(columns([]), table, JAN_1_5, METRIC_NAMES)
         assert platform == "unknown"
@@ -537,7 +545,7 @@ class TestAggregateMatchesPerMetricLoops:
         rows = ORACLE_POSTS + [post(pid="m2", url="cnn.com", ts="2018-01-04T10:00:00"),
                                post(pid="m1", url="wsj.com", ts="2018-01-02T10:00:00")]
         got, posts = columns(rows), records(rows)
-        table = BiasTable.from_pairs(ORACLE_TABLE)
+        table = bias_table(ORACLE_TABLE)
         _, _, by_metric = aggregate(got, table, JAN_1_5, ("post_count", "likes_sum"))
         assert_same_bytes(by_metric["likes_sum"],
                           oracle_series(posts, table, "likes_sum", JAN_1_5))
@@ -870,7 +878,7 @@ class TestColumnarReadMatchesRecords:
     def test_same_series_summary_or_error(self, tmp_path_factory, text, block_rows, metrics):
         path = tmp_path_factory.mktemp("posts") / "posts.csv"
         path.write_text(text)
-        table = BiasTable.from_pairs(ORACLE_TABLE)
+        table = bias_table(ORACLE_TABLE)
         want = ingest_outcome(per_row_read_posts_csv, per_record_aggregate, path, table,
                               metrics)
         with pytest.MonkeyPatch.context() as patch:
@@ -889,7 +897,7 @@ class TestColumnarReadMatchesRecords:
         rows[2][column] = odd
         path = tmp_path / "posts.csv"
         path.write_text("\n".join(",".join(row) for row in [ingest.POSTS_HEADER, *rows]))
-        table = BiasTable.from_pairs(ORACLE_TABLE)
+        table = bias_table(ORACLE_TABLE)
         want = ingest_outcome(per_row_read_posts_csv, per_record_aggregate, path, table,
                               METRIC_NAMES)
         assert ingest_outcome(read_posts_csv, aggregate, path, table, METRIC_NAMES) == want

@@ -37,6 +37,12 @@ class TestDailySeries:
         with pytest.raises(ValueError):
             make_series([1.0, float("nan")], metric="likes_sum")
 
+    def test_last_day_must_be_a_date(self):
+        last = DailySeries(start_date=dt.date(9999, 12, 30), values=[1.0, 2.0])
+        assert last.end_date == dt.date.max
+        with pytest.raises(ValueError, match="^3 days from 9999-12-30 run past 9999-12-31$"):
+            DailySeries(start_date=dt.date(9999, 12, 30), values=[1.0, 2.0, 3.0])
+
     def test_sentiment_series_may_hold_nan(self):
         s = make_series([0.5, float("nan")], metric="sentiment_mean")
         assert np.isnan(s.values[1])
@@ -142,6 +148,20 @@ class TestSynthetic:
     def test_sine_parameter_out_of_range_named(self, params, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_synthetic("sine", 10, seed=0, **params)
+
+    @pytest.mark.parametrize("n", [True, 40.0, "40"])
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match=f"^synthetic n must be an integer, got {n!r}$"):
+            generate_synthetic("sine", n, seed=0)
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("ar1", {"alpha": True}, "synthetic alpha must be a number, got True"),
+        ("ar1", {"alpha": "0.5"}, "synthetic alpha must be a number, got '0.5'"),
+        ("sine", {"amplitude": [1.0]}, "synthetic amplitude must be a number, got [1.0]"),
+    ])
+    def test_parameters_must_be_numbers(self, kind, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(kind, 40, seed=0, **params)
 
     def test_ar1_alpha_zero_mean(self):
         # plain white noise; LLN puts the sample mean near 0
