@@ -50,6 +50,12 @@ buffers.  ``final_state`` reads each layer's state after the last step out
 of the history; a later forward continues the sequence from it (the
 multistep decoder steps on this way).
 
+Training holds one activation cache: ``forward(..., out=cache)`` refills
+an earlier cache of the same shapes (``forward`` lists what it overwrites)
+with the same ufuncs in the same order, bit for bit a fresh forward, and
+the earlier cache must not be read afterwards; other shapes (a last,
+smaller batch) get fresh arrays.  ``backward`` keeps its scratch in the cache.
+
 All math is float64 numpy; gradients are exact reverse-mode derivatives of
 the forward recursion (checked against finite differences in the tests).
 """
@@ -78,13 +84,15 @@ class TrainingDivergedError(RuntimeError):
         self.last_finite_loss = last_finite_loss
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, as float64, branch-free:
     both forms share e = e^-|x|, which never overflows."""
-    # the result goes into the first buffer, allocated before any temporary:
-    # the forward caches every gate array, and a result allocated after the
-    # temporaries left a hole below each one (+1 MiB peak RSS on neural_run)
-    e = np.abs(x, out=np.empty(np.shape(x)))
+    # the result goes into the first buffer: ``out`` (a training forward
+    # refills the gate slabs of the step before), else one allocated before
+    # any temporary: the forward caches every gate array, and a result
+    # allocated after the temporaries left a hole below each one (+1 MiB
+    # peak RSS on neural_run)
+    e = np.abs(x, out=np.empty(np.shape(x)) if out is None else out)
     np.negative(e, out=e)
     np.exp(e, out=e)
     numerator = np.minimum(x, 0.0)    # e^0 = 1 exactly, and e^x = e for x < 0
@@ -261,21 +269,35 @@ def _front_gemm(a, x0, x3, lo, hi, W0, W):
         np.matmul(x3, W[max(lo, 1) - 1:hi], out=a[max(lo, 1) - lo:])
 
 
-def _lstm_step(a, x0, below, state, new, lo, hi, weights):
+def _masked(below, mask, out=None):
+    """The layer-below outputs a front reads, times their dropout ``mask``
+    (into ``out``) when there is one."""
+    return below if mask is None else np.multiply(below, mask, out=out)
+
+
+# A step returns its front's cache; ``was``, the same front's cache from an
+# earlier forward of these shapes or None, lends the arrays it refills.
+
+def _lstm_step(a, x0, below, mask, state, new, lo, hi, weights, was):
     (W0T, WT, b, one_step), h, c, hidden = weights, state[0], state[1], state.shape[-1]
-    if not one_step:    # a one-step network's W has no h-columns: its h is zero
-        x0 = np.concatenate([h[0], x0], axis=1) if lo == 0 else None
-        below = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
-    _front_gemm(a, x0, below, lo, hi, W0T, WT)
+    z0, z3, gates, _, tc = was or (None,) * 5
+    if one_step:    # a one-step network's W has no h-columns: its h is zero
+        z0, z3 = x0, _masked(below, mask, z3)
+    else:
+        z0 = np.concatenate([h[0], x0], axis=1, out=z0) if lo == 0 else None
+        z3 = (np.concatenate([h[max(lo, 1) - lo:], _masked(below, mask)], axis=2, out=z3)
+              if hi else None)
+    _front_gemm(a, z0, z3, lo, hi, W0T, WT)
     a += b[lo:hi + 1]
-    i, f, g, o = gates = sigmoid(a.reshape(a.shape[:2] + (4, hidden)).transpose(2, 0, 1, 3))
+    i, f, g, o = gates = sigmoid(a.reshape(a.shape[:2] + (4, hidden)).transpose(2, 0, 1, 3),
+                                 out=gates)
     np.tanh(a[..., 2 * hidden:3 * hidden], out=g)
     c_new = np.multiply(i, g, out=new[1])
     if not one_step:    # a one-step cell's c is zero
         c_new += f * c
-    tc = np.tanh(c_new)
+    tc = np.tanh(c_new, out=tc)
     np.multiply(o, tc, out=new[0])
-    return x0, below, gates, c, tc
+    return z0, z3, gates, c, tc
 
 
 def _lstm_back(d, da, dg, cache, lo, hi, k, weights, grads):
@@ -310,16 +332,19 @@ def _lstm_back(d, da, dg, cache, lo, hi, k, weights, grads):
         return dz[..., -hidden:]    # the x-columns, all of a one-step network's
 
 
-def _gru_step(a, x0, below, state, new, lo, hi, weights):
+def _gru_step(a, x0, below, mask, state, new, lo, hi, weights, was):
     (W0T, WT, UzT, UhT, bz, bh), h = weights, state[0]
     rows, cut, one_step = slice(lo, hi + 1), bz.shape[-1], UzT is None
+    _, below_was, _, gates, rh, hcand_was = was or (None,) * 6
+    below = _masked(below, mask, below_was)
     _front_gemm(a, x0, below, lo, hi, W0T, WT)
     # a one-step network has no U: its h is zero, and so are the U terms
     zr = (a[..., :cut] if one_step else a[..., :cut] + np.matmul(h, UzT[rows])) + bz[rows]
-    z, r = gates = sigmoid(zr.reshape(h.shape[:2] + (2, h.shape[-1])).transpose(2, 0, 1, 3))
-    rh = None if one_step else r * h
+    z, r = gates = sigmoid(zr.reshape(h.shape[:2] + (2, h.shape[-1])).transpose(2, 0, 1, 3),
+                           out=gates)
+    rh = None if one_step else np.multiply(r, h, out=rh)
     hcand = a[..., cut:] if one_step else a[..., cut:] + np.matmul(rh, UhT[rows])
-    hcand = np.tanh(hcand + bh[rows])
+    hcand = np.tanh(hcand + bh[rows], out=hcand_was)
     h_new = np.multiply(z, hcand, out=new[0])
     if not one_step:
         h_new += (1.0 - z) * h
@@ -353,31 +378,31 @@ def _gru_back(d, da, dg, cache, lo, hi, k, weights, grads):
         return np.matmul(da3, W[above])
 
 
-def _forward_fronts(step, weights, x, skew, history):
+def _forward_fronts(step, weights, x, skew, history, pre, was):
     """Run ``step`` (``_lstm_step`` or ``_gru_step``) over every wavefront.
     ``history`` is (states, L, T + 1, n, H): ``[:, l, t]`` is layer l's
-    state before step t, given at t = 0 and written here for t > 0.
+    state before step t, given at t = 0 and written here for t > 0.  ``pre``
+    holds the pre-activations (4H LSTM, 3H GRU) of the widest wavefront.
+    ``was`` is an earlier forward's per-front caches to refill, or None.
     Returns the per-front caches."""
     states, layers, span, n, hidden = history.shape
     steps, flat, fronts = span - 1, history.reshape(states, layers * span, n, hidden), []
-    # pre-activations (4H LSTM, 3H GRU) of the widest wavefront
-    pre = np.empty((min(layers, steps), n, weights[0].shape[-1]))
     for k, lo, hi in _fronts(layers, steps):
         # in the flat history cell (l, k - l) sits at l * T + k, its next
         # state one further on, and the layer below's output it reads (that
         # layer's state after step k - l) T before it
-        first, stop, below = lo * steps + k, hi * steps + k + 1, None
+        first, stop, below, mask = lo * steps + k, hi * steps + k + 1, None, None
         if hi:
             below = flat[0, first - steps if lo else k:stop - steps:steps]
             if skew is not None:
-                below = below * skew[k, max(lo, 1) - 1:hi]
-        fronts.append(step(pre[:hi - lo + 1], x[:, k] if lo == 0 else None, below,
-                           flat[:, first:stop:steps],
-                           flat[:, first + 1:stop + 1:steps], lo, hi, weights))
+                mask = skew[k, max(lo, 1) - 1:hi]
+        fronts.append(step(pre[:hi - lo + 1], x[:, k] if lo == 0 else None, below, mask,
+                           flat[:, first:stop:steps], flat[:, first + 1:stop + 1:steps],
+                           lo, hi, weights, was and was[k]))
     return fronts
 
 
-def _backward_fronts(back, fronts, skew, dh_top, weights, grads, states):
+def _backward_fronts(back, fronts, skew, dh_top, weights, grads, states, scratch):
     """Walk the wavefronts in reverse: ``back`` (``_lstm_back`` or
     ``_gru_back``) adds each front's gradients into ``grads``.  ``d`` holds
     per layer d(loss)/d(h) from the layer above (the readout's for the top
@@ -385,12 +410,18 @@ def _backward_fronts(back, fronts, skew, dh_top, weights, grads, states):
     zero at its last; each front reads its own rows and writes what the front
     before it reads.  ``back`` forms the d(gates) in ``dg``, a zeroed slab per
     gate, and copies them into the fused ``da`` its GEMMs read.  ``states``
-    is the number of state arrays a cell carries."""
+    is the number of state arrays a cell carries.  ``scratch``, the (d, da,
+    dg) an earlier walk over these shapes returned, is refilled, or None;
+    returns the scratch used."""
     layers, (n, steps, hidden) = len(grads[-1]), dh_top.shape
-    d = np.zeros((1 + states, layers, n, hidden))
-    # d(pre-activation) (4H LSTM, 3H GRU) of the widest wavefront, and d(gates)
-    da = np.empty((min(layers, steps), n, (2 + states) * hidden))
-    dg = np.zeros((3 + states,) + da.shape[:2] + (hidden,))
+    if scratch is None:
+        # da is d(pre-activation) (4H LSTM, 3H GRU) of the widest wavefront
+        da = np.empty((min(layers, steps), n, (2 + states) * hidden))
+        scratch = (np.empty((1 + states, layers, n, hidden)), da,
+                   np.empty((3 + states,) + da.shape[:2] + (hidden,)))
+    d, da, dg = scratch
+    d.fill(0.0)
+    dg.fill(0.0)
     for k, lo, hi in reversed(_fronts(layers, steps)):
         if hi == layers - 1:
             d[0, hi] = dh_top[:, k - hi]
@@ -402,6 +433,7 @@ def _backward_fronts(back, fronts, skew, dh_top, weights, grads, states):
                 d[0, below] = dx
             else:
                 np.multiply(dx, skew[k, below], out=d[0, below])
+    return scratch
 
 
 def dropout_masks(rng, shape, rate: float) -> np.ndarray:
@@ -494,7 +526,8 @@ class RecurrentNetwork:
         for name, view in self._params.items():
             view[...] = np.reshape(params[name], view.shape)
 
-    def forward(self, x, training: bool = False, dropout_rng=None, masks=None, state=None):
+    def forward(self, x, training: bool = False, dropout_rng=None, masks=None, state=None,
+                out: dict | None = None):
         """Run the stack over (batch, time, input_size) input.
 
         Returns (outputs, cache) where outputs is (batch, time, output_size).
@@ -503,6 +536,16 @@ class RecurrentNetwork:
         ``final_state`` returns for an earlier forward's cache, so that this
         forward continues that sequence.  A one-step network takes neither
         ``state`` nor more than one step.
+
+        ``out``, an earlier forward's cache of this network, is refilled and
+        returned as this forward's cache when its arrays have this forward's
+        shapes: the same batch and steps, and dropout between layers or not
+        as here.  Its state history, ``top``, pre-activations, wavefront
+        dropout masks and each front's gate slabs, ``tanh(c)`` (LSTM),
+        ``r * h`` and candidate (GRU), ``[h, x]`` operands and masked inputs
+        are overwritten, so nothing may read it as the earlier forward's
+        cache afterwards.  When the shapes differ, ``out`` is left alone and
+        the forward allocates, as it does without ``out``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.config.input_size:
@@ -512,18 +555,24 @@ class RecurrentNetwork:
         if self.one_step and (steps > 1 or state):
             raise ValueError("a one-step network runs one step from zero state, "
                              f"got {steps} steps" + (" and a state" if state else ""))
+        lstm, hidden = self.config.cell == "lstm", self.config.hidden
+        dropout = training and rate > 0.0 and layers > 1
+        history_shape = (1 + lstm, layers, steps + 1, n, hidden)
+        # every array out holds then has this forward's shape
+        refill = (out is not None and out["history"].shape == history_shape
+                  and (out["skew"] is not None) == dropout)
         used_masks, skew = [None] * layers, None
-        if training and rate > 0.0 and layers > 1:
+        if dropout:
             dropout_rng = dropout_rng or derive_rng(self.config.seed, "dropout")
             shape = (n, steps, self.config.hidden)
             used_masks[:-1] = [dropout_masks(dropout_rng, shape, rate) if masks is None
                                else masks[layer_idx] for layer_idx in range(layers - 1)]
             # skew[k, l]: the mask on what layer l + 1 reads in wavefront k
             # (entries of no cell stay unset and are never read)
-            skew = np.empty((layers + steps, layers - 1, n, self.config.hidden))
+            skew = (out["skew"] if refill
+                    else np.empty((layers + steps, layers - 1, n, self.config.hidden)))
             for layer_idx, mask in enumerate(used_masks[:-1]):
                 skew[layer_idx + 1:layer_idx + 1 + steps, layer_idx] = mask.swapaxes(0, 1)
-        lstm, hidden = self.config.cell == "lstm", self.config.hidden
         W0T, (W, *U, b) = self._params.blocks[0][0].T, self._params.stacks
         WT, b = W.swapaxes(1, 2), b[:, None]
         if lstm:
@@ -535,13 +584,21 @@ class RecurrentNetwork:
                 UT = U[0].swapaxes(1, 2)
                 UzT, UhT = UT[..., zr], UT[..., cand]
             weights = (W0T, WT, UzT, UhT, b[..., zr], b[..., cand])
-        history = np.empty((1 + lstm, layers, steps + 1, n, hidden))
+        if refill:
+            history, top, pre = out["history"], out["top"], out["pre"]
+        else:
+            history, top = np.empty(history_shape), np.empty((n, steps, hidden))
+            # pre-activations (4H LSTM, 3H GRU) of the widest wavefront
+            pre = np.empty((min(layers, steps), n, (3 + lstm) * hidden))
         history[:, :, 0] = np.swapaxes(state, 0, 1) if state else 0.0
-        fronts = _forward_fronts(_lstm_step if lstm else _gru_step, weights, x, skew, history)
-        top = history[0, -1, 1:].swapaxes(0, 1).copy()
+        fronts = _forward_fronts(_lstm_step if lstm else _gru_step, weights, x, skew, history,
+                                 pre, out["fronts"] if refill else None)
+        np.copyto(top, history[0, -1, 1:].swapaxes(0, 1))
         outputs = top @ self.W_out.T + self.b_out
-        return outputs, {"top": top, "fronts": fronts, "history": history, "masks": used_masks,
-                         "skew": skew}
+        cache = out if refill else {}
+        cache.update(top=top, fronts=fronts, history=history, masks=used_masks, skew=skew,
+                     pre=pre)
+        return outputs, cache
 
     def final_state(self, cache) -> list:
         """Each layer's (h, c) (LSTM) or (h,) (GRU) after the last step of the
@@ -577,8 +634,10 @@ class RecurrentNetwork:
                 (U,), (dU,) = U, dU
                 Uz, Uh, dUz, dUh = U[:, :cut], U[:, cut:], dU[:, :cut], dU[:, cut:]
             weights, grads = (W0, W, Uz, Uh), (dW0, dW, dUz, dUh, db)
-        _backward_fronts(_lstm_back if lstm else _gru_back, cache["fronts"], cache["skew"],
-                         d_outputs @ self.W_out, weights, grads, 1 + lstm)
+        # the walk's scratch stays in the cache, which a training loop refills
+        cache["scratch"] = _backward_fronts(
+            _lstm_back if lstm else _gru_back, cache["fronts"], cache["skew"],
+            d_outputs @ self.W_out, weights, grads, 1 + lstm, cache.get("scratch"))
         return out
 
     def to_doc(self) -> dict:
@@ -639,23 +698,32 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
     Returns the network and each epoch's batch-mean
     :class:`MultistepEpochLoss`.
     """
-    n = len(inputs)
+    n, steps = len(inputs), inputs.shape[1]
     if n == 0:
         raise ValueError("cannot train on an empty window set")
-    net = RecurrentNetwork(config, one_step=inputs.shape[1] == 1)
+    if targets.shape != (n, len(positions), config.output_size):
+        raise ValueError(f"targets {targets.shape} do not fit inputs {inputs.shape} read at "
+                         f"{len(positions)} positions: need ({n}, {len(positions)}, "
+                         f"{config.output_size})")
+    if not all(-steps <= p < steps for p in positions):
+        raise ValueError(f"positions {list(positions)} lie outside the time axis of "
+                         f"inputs {inputs.shape}")
+    net = RecurrentNetwork(config, one_step=steps == 1)
     state = optim.init_optimizer(config.optimizer, net.theta)
     grads = FlatParameters(config, net.one_step)
     shuffle_rng = derive_rng(config.seed, "shuffle")
     dropout_rng = derive_rng(config.seed, "dropout")
     batch = min(config.batch_size or n, n)
 
-    history, last_finite = [], float("nan")
+    history, last_finite, cache = [], float("nan"), None
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         batch_losses = []
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            outputs, cache = net.forward(inputs[idx], training=True, dropout_rng=dropout_rng)
+            # each step refills the step before's activation cache, if its shapes match
+            outputs, cache = net.forward(inputs[idx], training=True, dropout_rng=dropout_rng,
+                                         out=cache)
             preds = outputs[:, positions, :]
             target = targets[idx]
             total, per_step = multistep_loss(preds, target)

@@ -198,6 +198,9 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
     for key, value in params.items() if kind != "seasonal_sarima" else ():
         if not is_number(value):
             raise ValueError(f"synthetic {key} must be a number, got {value!r}")
+    missing = [key for key in SYNTHETIC_PARAMS[kind] if key not in params]
+    if kind == "seasonal_sarima" and missing:    # ar1 and sine parameters have defaults
+        raise ValueError(f"synthetic kind seasonal_sarima needs {' and '.join(missing)}")
     rng = np.random.default_rng(seed)
     if kind == "sine":
         period = float(params.get("period", 10.0))

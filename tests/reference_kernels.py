@@ -184,7 +184,8 @@ def _layer_kwargs(net):
     return {"one_step": net.one_step} if net.config.cell == "lstm" else {}
 
 
-def per_layer_forward(net, x, training=False, dropout_rng=None, masks=None):
+def per_layer_forward(net, x, training=False, dropout_rng=None, masks=None, out=None):
+    # out (an earlier cache to refill) is accepted and ignored: this forward allocates
     x = np.asarray(x, dtype=np.float64)
     rate = net.config.dropout
     layer_forward = _lstm_layer_forward if net.config.cell == "lstm" else _gru_layer_forward

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from leancast.neural import (CellState, FlatParameters, GruLayerWeights,
                              LstmLayerWeights, NetworkConfig, RecurrentNetwork,
                              TrainingDivergedError, dropout_masks, gru_step,
-                             layout_windows, lstm_step, sigmoid, train,
+                             layout_windows, lstm_step, sigmoid, train, train_at_positions,
                              zero_gru_weights, zero_lstm_weights)
 from leancast.rng import derive_rng
 from leancast.series import make_windows, generate_synthetic
@@ -379,6 +379,25 @@ class TestTrain:
         w = make_windows(np.arange(3.0), 4, 1)
         with pytest.raises(ValueError):
             train(small_config(input_size=4), w)
+
+    @pytest.mark.parametrize("targets", [
+        (6, 1, 1),    # once broadcast into every readout
+        (9, 5, 1),    # once cut to the six inputs
+        (6, 5, 2),
+    ])
+    def test_targets_of_another_shape_rejected(self, targets):
+        cfg = small_config(input_size=1, epochs=1)
+        with pytest.raises(ValueError, match=fr"^targets \({targets[0]}, {targets[1]}, "
+                                             fr"{targets[2]}\) do not fit inputs \(6, 18, 1\) "
+                                             r"read at 5 positions: need \(6, 5, 1\)$"):
+            train_at_positions(cfg, np.zeros((6, 18, 1)), np.zeros(targets), [13, 14, 15, 16, 17])
+
+    @pytest.mark.parametrize("positions", [[18], [-19], [0, 17, 18]])
+    def test_positions_outside_the_time_axis_rejected(self, positions):
+        cfg = small_config(input_size=1, epochs=1)
+        with pytest.raises(ValueError, match=r"lie outside the time axis of inputs \(6, 18, 1\)$"):
+            train_at_positions(cfg, np.zeros((6, 18, 1)), np.zeros((6, len(positions), 1)),
+                               positions)
 
     def test_horizon_must_match_output_size(self):
         w = make_windows(np.arange(12.0), 4, 2)

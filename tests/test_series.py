@@ -204,3 +204,11 @@ class TestSynthetic:
     def test_parameter_the_kind_never_reads_rejected(self, kind, params, unread):
         with pytest.raises(ValueError, match=f"synthetic kind {kind} does not read {unread}$"):
             generate_synthetic(kind, 10, seed=0, **params)
+
+    @pytest.mark.parametrize("given,missing", [
+        ((), "spec and params"), (("spec",), "params"), (("params",), "spec")])
+    def test_seasonal_sarima_without_its_model_names_what_is_missing(self, given, missing):
+        from leancast.sarima import SarimaParams, SarimaSpec
+        model = {"spec": SarimaSpec(p=1), "params": SarimaParams(alpha=(0.5,), sigma2=1.0)}
+        with pytest.raises(ValueError, match=f"^synthetic kind seasonal_sarima needs {missing}$"):
+            generate_synthetic("seasonal_sarima", 40, seed=0, **{key: model[key] for key in given})
