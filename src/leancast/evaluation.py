@@ -35,7 +35,8 @@ STEPS = len(CSV_COLUMNS) - CSV_COLUMNS.index("step1")
 @dataclass(frozen=True)
 class EvalRow:
     """One report cell.  A value of the wrong type, or other than ``STEPS`` per-step
-    RMSEs (a list becomes a tuple), is a TypeError; a negative RMSE a ValueError."""
+    RMSEs (a list becomes a tuple), is a TypeError; a negative, infinite or NaN RMSE
+    a ValueError."""
     model: str
     leaning: str | None
     metric: str
@@ -52,9 +53,9 @@ class EvalRow:
                  and (self.train_rmse is None or is_number(self.train_rmse))
                  and is_number(self.test_rmse)
                  and (steps is None or isinstance(steps, tuple) and all(map(is_number, steps))))
-        if typed and any(v is not None and v < 0
-                         for v in (self.train_rmse, self.test_rmse, *(steps or ()))):
-            raise ValueError("RMSE cannot be negative")
+        if typed and not all(v is None or 0 <= v < np.inf
+                             for v in (self.train_rmse, self.test_rmse, *(steps or ()))):
+            raise ValueError(f"an RMSE must be finite and non-negative: {self}")
         if not typed or steps is not None and len(steps) != STEPS:
             raise TypeError(f"a row has a value of the wrong type: {self}")
 
@@ -93,6 +94,7 @@ def rows_from_json(path: str) -> list:
                          f"({type(exc).__name__}: {exc})") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")    # EvalRow rejects a non-finite score
 def rmse(predicted, true) -> float:
     predicted = np.asarray(predicted, dtype=np.float64)
     true = np.asarray(true, dtype=np.float64)

@@ -24,4 +24,4 @@ def derive_rng(seed: int, tag: str) -> np.random.Generator:
 
 def derive_seed(seed: int, tag: str) -> int:
     """A plain integer sub-seed, for components that take one (e.g. sarima.fit)."""
-    return int(np.random.default_rng([int(seed), tag_entropy(tag)]).integers(0, 2**63))
+    return int(derive_rng(seed, tag).integers(0, 2**63))

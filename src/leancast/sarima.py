@@ -387,14 +387,14 @@ class GridSpec:
     def candidates(self) -> list[SarimaSpec]:
         """Cartesian product in lexicographic (p,d,q,P,D,Q,s) order.
 
-        Combinations with s < 2 have their seasonal orders collapsed to zero
-        (there are no seasonal terms to order), then duplicates are dropped.
+        Combinations with s < 2 or no seasonal terms (P = D = Q = 0) fold
+        into s = 0, the one model they all are, then duplicates are dropped.
         """
         seen = set()
         out = []
         for p, d, q, P, D, Q, s in itertools.product(
                 self.p, self.d, self.q, self.P, self.D, self.Q, self.s):
-            if s < 2:
+            if s < 2 or P == D == Q == 0:
                 P, D, Q, s = 0, 0, 0, 0
             key = (p, d, q, P, D, Q, s)
             if key in seen:

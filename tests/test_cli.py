@@ -395,6 +395,18 @@ class TestLoadConfig:
         assert (out / "report.csv").read_text().count("\n") == 1    # the header only
         assert not list((out / "models").iterdir())
 
+    def test_non_finite_score_is_a_listed_failure(self, tmp_path, capfd):
+        # values near 1e155: training is finite, but the squared errors overflow
+        path = write_config(tmp_path, {
+            "synthetic": {"kind": "sine", "n": 60, "period": 7, "amplitude": 1e155},
+            "forecasters": [{"kind": "lstm_1day", "epochs": 2, "layers": 1, "hidden": 4}]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert "Warning" not in capfd.readouterr().err
+        assert (out / "failures.txt").read_text().startswith(
+            "lstm_1day/series/synthetic: an RMSE must be finite and non-negative: ")
+        assert json.loads((out / "rows.json").read_text()) == {"tables": []}
+
     def test_valid_config_accepted(self, tmp_path):
         path = write_config(tmp_path, {"posts_csv": POSTS, "bias_csv": BIAS,
                                        "metrics": ["post_count"],
@@ -842,6 +854,21 @@ class TestReportCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path} is not a leancast rows file "
                                        "(TypeError: a row has a value of the wrong type")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,value", [    # json writes NaN and Infinity tokens
+        ("test_rmse", float("nan")), ("train_rmse", float("inf")),
+        ("per_step_rmse", [1.0, float("nan"), 3.0, 4.0, 5.0]),
+    ])
+    def test_non_finite_rmse_is_named(self, tmp_path, capsys, field, value):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"tables": [{"platform": "p", "metric": "m",
+                                                "rows": [{**self.ROW, field: value}]}]}))
+        assert main(["report", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not a leancast rows file "
+                                       "(ValueError: an RMSE must be finite and non-negative")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("leaning,steps", [(None, None), ("left", [1, 2.5, 3, 4, 5])])

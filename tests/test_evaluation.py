@@ -77,6 +77,16 @@ class TestEvalRow:
         with pytest.raises(ValueError):
             EvalRow("multistep_14_5", None, "post_count", None, 1.0, (0.1, -0.2))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rmse_rejected(self, value):
+        match = "an RMSE must be finite and non-negative"
+        with pytest.raises(ValueError, match=match):
+            EvalRow("sarima", "left", "post_count", 1.0, value)
+        with pytest.raises(ValueError, match=match):
+            EvalRow("sarima", "left", "post_count", value, 0.5)
+        with pytest.raises(ValueError, match=match):
+            EvalRow("multistep_14_5", None, "post_count", None, 1.0, (0.1, value, 0.3, 0.4, 0.5))
+
     @pytest.mark.parametrize("leaning,steps", [("left", (1.0, 2.0, 3.0)), (5, None)])
     def test_wrong_type_rejected(self, leaning, steps):
         # a 3-step row would render 8 cells under the 10-column header

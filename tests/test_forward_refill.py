@@ -2,11 +2,12 @@
 
 A training loop passes each step's activation cache to the next forward, so
 a fit holds one cache instead of building the next beside the last.  The
-refilled cache must hold exactly what a fresh forward's holds, in the
-arrays of the cache passed in, except for what is this forward's own: views
-into its input and the dropout masks it was given.  Shapes that differ
-leave the earlier cache alone.  Training with the refill must match
-training with fresh caches bit for bit, and must not hold two caches at once.
+refilled cache must hold exactly what a fresh forward's holds: its state
+history, ``top`` and pre-activations in the arrays of the cache passed in,
+and every other array in memory of its own, none of the earlier forward's.
+A state history of another shape leaves the earlier cache alone.  Training
+with the refill must match training with fresh caches bit for bit, and must
+not hold two caches at once.
 """
 
 import tracemalloc
@@ -51,6 +52,28 @@ def _assert_same_contents(path, got, want, layers, steps):
     npt.assert_array_equal(_bits(got), _bits(want), err_msg=str(path))
 
 
+# the arrays a refilled cache keeps from the cache passed in
+REUSED = (("history",), ("top",), ("pre",))
+
+
+def _assert_refilled(old, before, cache, fresh, own, layers, steps):
+    """``cache``, refilled from ``old`` whose arrays were ``before``, holds
+    what ``fresh`` holds: the REUSED arrays are the earlier ones, and every
+    other array is a view into those or into this forward's ``own`` inputs,
+    or shares no memory with any earlier array."""
+    assert cache is old
+    got, want = _arrays(cache), _arrays(fresh)
+    assert set(got) == set(want)
+    for path in REUSED:
+        assert got[path] is before[path], path
+    viewed = [got[path] for path in REUSED] + own
+    for path, array in want.items():
+        _assert_same_contents(path, got[path], array, layers, steps)
+        if path in REUSED or any(np.shares_memory(got[path], a) for a in viewed):
+            continue
+        assert not any(np.may_share_memory(got[path], a) for a in before.values()), path
+
+
 # (cell, layers, one_step, dropout, state): state="own" continues from the
 # final state of the very cache that is refilled
 CASES = [(cell, layers, one_step, dropout, state)
@@ -72,7 +95,6 @@ def test_refilled_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, 
     masks1, masks2 = ([dropout_masks(rng, (n, steps, hidden), 0.3) for _ in range(layers - 1)]
                       + [None] if dropout else None for _ in range(2))
     _, old = net.forward(x1, training=dropout, masks=masks1)
-    net.backward(old, rng.normal(0, 1, (n, steps, 2)))    # leaves its scratch in the cache
     before = _arrays(old)
     carried = copied = None
     if state:
@@ -81,39 +103,47 @@ def test_refilled_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, 
 
     outputs, cache = net.forward(x2, training=dropout, masks=masks2, state=carried, out=old)
     fresh_outputs, fresh = net.forward(x2, training=dropout, masks=masks2, state=copied)
-    assert cache is old
     npt.assert_array_equal(_bits(outputs), _bits(fresh_outputs))
-    got, want = _arrays(cache), _arrays(fresh)
-    assert set(got) - set(want) == {path for path in got if path[0] == "scratch"}
-    assert set(want) <= set(got)
     own = [x2] + [mask for mask in masks2 or () if mask is not None]
-    for path, array in want.items():
-        _assert_same_contents(path, got[path], array, layers, steps)
-        if any(np.shares_memory(got[path], a) for a in own):
-            continue
-        assert np.shares_memory(got[path], before[path]), path
+    _assert_refilled(old, before, cache, fresh, own, layers, steps)
 
     d = rng.normal(0, 1, (n, steps, 2))
     npt.assert_array_equal(_bits(net.backward(cache, d).vector),
                            _bits(net.backward(fresh, d).vector))
-    for j, scratch in enumerate(cache["scratch"]):
-        assert scratch is before[("scratch", j)]
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
-@pytest.mark.parametrize("change", ["batch", "steps", "dropout"])
+@pytest.mark.parametrize("dropout_before", [False, True])
+def test_a_cache_is_refilled_whether_either_forward_drops_out(cell, dropout_before):
+    """Only the state history's shape decides: a forward with dropout
+    between layers refills the cache of one without, and the other way round."""
+    cfg = NetworkConfig(cell=cell, layers=3, hidden=4, input_size=1, dropout=0.3, seed=2)
+    net = RecurrentNetwork(cfg)
+    rng = np.random.default_rng(3)
+    _, old = net.forward(rng.normal(0, 1, (5, 6, 1)), training=dropout_before,
+                         dropout_rng=np.random.default_rng(4))
+    before = _arrays(old)
+    x = rng.normal(0, 1, (5, 6, 1))
+    outputs, cache = net.forward(x, training=not dropout_before,
+                                 dropout_rng=np.random.default_rng(5), out=old)
+    fresh_outputs, fresh = net.forward(x, training=not dropout_before,
+                                       dropout_rng=np.random.default_rng(5))
+    npt.assert_array_equal(_bits(outputs), _bits(fresh_outputs))
+    _assert_refilled(old, before, cache, fresh, [x], 3, 6)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("change", ["batch", "steps"])
 def test_a_cache_of_other_shapes_is_left_alone(cell, change):
     cfg = NetworkConfig(cell=cell, layers=3, hidden=4, input_size=1, dropout=0.3, seed=2)
     net = RecurrentNetwork(cfg)
     rng = np.random.default_rng(3)
     _, old = net.forward(rng.normal(0, 1, (5, 6, 1)), training=True)
     kept = {path: array.copy() for path, array in _arrays(old).items()}
-    shape = {"batch": (4, 6, 1), "steps": (5, 7, 1)}.get(change, (5, 6, 1))
-    x, training = rng.normal(0, 1, shape), change != "dropout"
-    outputs, cache = net.forward(x, training=training, dropout_rng=np.random.default_rng(4),
+    x = rng.normal(0, 1, {"batch": (4, 6, 1), "steps": (5, 7, 1)}[change])
+    outputs, cache = net.forward(x, training=True, dropout_rng=np.random.default_rng(4),
                                  out=old)
-    fresh_outputs, fresh = net.forward(x, training=training,
-                                       dropout_rng=np.random.default_rng(4))
+    fresh_outputs, fresh = net.forward(x, training=True, dropout_rng=np.random.default_rng(4))
     assert cache is not old
     npt.assert_array_equal(_bits(outputs), _bits(fresh_outputs))
     npt.assert_array_equal(_bits(cache["top"]), _bits(fresh["top"]))

@@ -528,6 +528,7 @@ class TestGridSearch:
         assert len(specs) == len(set(specs))
         assert SarimaSpec(1, 0, 0, 0, 0, 0, 0) in specs
         assert SarimaSpec(1, 0, 0, 1, 0, 0, 7) in specs
+        assert SarimaSpec(1, 0, 0, 0, 0, 0, 7) not in specs
 
     def test_all_failures_raise_with_diagnostics(self):
         grid = GridSpec(p=(3,), d=(0,), q=(3,), P=(0,), D=(0,), Q=(0,), s=(0,))
