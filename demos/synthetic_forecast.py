@@ -21,7 +21,7 @@ print(f"split: {len(split.train)} train / {len(split.test)} test\n")
 # an AR(1) spec matches the generating process, so this should do well
 sarima_model = fit_forecaster("sarima", split, SarimaSpec(1, 0, 0, 0, 0, 0, 0))
 print(f"sarima fitted: alpha={sarima_model.model.params.alpha[0]:+.3f} "
-      f"(true +0.800), converged={sarima_model.metadata['converged']}")
+      f"(true +0.800), converged={sarima_model.model.converged}")
 
 # the network sees only yesterday's value; keep it small so this runs fast
 config = default_network_config("lstm_1day", seed=7, layers=2, hidden=16,

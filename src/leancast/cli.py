@@ -200,13 +200,6 @@ def _plan_fits(entry_docs: list, series: tuple, seed: int, preset: str | None):
                 config = make_network(kind, seed=fit_seed, **resolved)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"forecaster {kind}: {exc}") from None
-            # the lookback is presented as one flat step or as scalar steps;
-            # the teacher-forced decoder feeds back one value per step
-            lookback = forecasters.kind_lookback(kind)
-            sizes = [1] if kind == "multistep_14_5" else sorted({1, lookback})
-            if config.input_size not in sizes:
-                raise ConfigError(f"forecaster {kind}: input_size must be "
-                                  f"{' or '.join(map(str, sizes))}, got {config.input_size}")
         fits.append(PlannedFit(metric, leaning, kind, tag, fit_seed, config))
     return tuple(fits), grid
 

@@ -72,7 +72,9 @@ class TrainedForecaster:
 
 
 def default_network_config(kind: str, seed: int = 0, **overrides) -> NetworkConfig:
-    """Per-kind network defaults; keyword overrides win."""
+    """Per-kind network defaults; keyword overrides win.  The lookback is
+    presented as one flat step or as scalar steps; a multistep kind's
+    decoder feeds back one value per step, so it takes scalar steps only."""
     if kind not in _NEURAL_SHAPES:
         raise ValueError(f"no network config for kind {kind!r}")
     cell, lookback, horizon = _NEURAL_SHAPES[kind]
@@ -86,7 +88,12 @@ def default_network_config(kind: str, seed: int = 0, **overrides) -> NetworkConf
         base.update(layers=8, hidden=8, input_size=1, epochs=125,
                     learning_rate=0.005, batch_size=0)
     base.update(overrides)
-    return NetworkConfig(**base)
+    config = NetworkConfig(**base)
+    sizes = [1] if horizon > 1 else sorted({1, lookback})
+    if config.input_size not in sizes:
+        raise ValueError(f"input_size must be {' or '.join(map(str, sizes))}, "
+                         f"got {config.input_size}")
+    return config
 
 
 def fit_forecaster(kind: str, split: SplitPair, config=None, seed: int = 0) -> TrainedForecaster:
@@ -99,19 +106,15 @@ def fit_forecaster(kind: str, split: SplitPair, config=None, seed: int = 0) -> T
         raise ValueError(f"unknown forecaster kind {kind!r}; expected one of {KINDS}")
     train_values = split.train.values
 
+    # metadata holds only what the model document lacks
     if kind == "sarima":
         if isinstance(config, sarima.GridSpec):
             result = sarima.grid_search(train_values, config)
-            fit, spec = result.fit, result.spec
-            meta = {"grid_candidates": len(result.candidates),
-                    "converged": fit.converged, "sse": fit.sse}
+            fit, meta = result.fit, {"grid_candidates": len(result.candidates)}
         elif isinstance(config, sarima.SarimaSpec):
-            fit = sarima.fit(train_values, config)
-            spec = config
-            meta = {"converged": fit.converged, "sse": fit.sse}
+            fit, meta = sarima.fit(train_values, config), {}
         else:
             raise TypeError("sarima requires a SarimaSpec or GridSpec config")
-        meta["spec"] = spec.as_tuple()
         return TrainedForecaster("sarima", fit, IDENTITY_SCALER, meta)
 
     cell, lookback, horizon = _NEURAL_SHAPES[kind]
@@ -132,8 +135,7 @@ def fit_forecaster(kind: str, split: SplitPair, config=None, seed: int = 0) -> T
     else:
         net, losses = neural.train(config, windows)
         final = losses[-1]
-    meta = {"seed": config.seed, "epochs_run": config.epochs, "final_loss": final}
-    return TrainedForecaster(kind, net, scaler, meta)
+    return TrainedForecaster(kind, net, scaler, {"final_loss": final})
 
 
 def predict_next(model: TrainedForecaster, history) -> float:
@@ -243,36 +245,20 @@ def forecast_multistep(model: TrainedForecaster, last_values) -> np.ndarray:
 
 
 def forecaster_to_json(model: TrainedForecaster) -> str:
-    if model.kind == "sarima":
-        fit = model.model
-        payload = {**sarima.to_doc(fit.spec, fit.params), "train_rmse": fit.train_rmse,
-                   "sse": fit.sse, "converged": fit.converged}
-    else:
-        payload = model.model.to_doc()
     doc = {"kind": model.kind,
            "scaler": {"min": model.scaler.min, "max": model.scaler.max},
-           "model": payload,
+           "model": model.model.to_doc(),
            "metadata": model.metadata}
     return json.dumps(doc, sort_keys=True)
 
 
 def forecaster_from_json(text: str) -> TrainedForecaster:
+    """A model file's forecaster; files whose metadata repeats model facts,
+    as older ones do, load too."""
     doc = json.loads(text)
     kind = doc["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown forecaster kind {kind!r}")
     scaler = ScalerState(doc["scaler"]["min"], doc["scaler"]["max"])
-    metadata = doc.get("metadata", {})
-    if kind == "sarima":
-        if "spec" in metadata:          # fit_forecaster records it as a tuple
-            metadata["spec"] = tuple(metadata["spec"])
-        payload = doc["model"]
-        facts = ("sse", "converged", "train_rmse")      # read, never assumed
-        missing = [k for k in facts if k not in payload]
-        if missing:
-            raise ValueError(f"sarima model lacks {', '.join(missing)}")
-        spec, params = sarima.from_doc({k: payload[k] for k in sarima.MODEL_KEYS})
-        fit = sarima.SarimaFit(spec, params, np.array([]), **{k: payload[k] for k in facts})
-        return TrainedForecaster(kind, fit, scaler, metadata)
-    net = RecurrentNetwork.from_doc(doc["model"])
-    return TrainedForecaster(kind, net, scaler, metadata)
+    model = (sarima.SarimaFit if kind == "sarima" else RecurrentNetwork).from_doc(doc["model"])
+    return TrainedForecaster(kind, model, scaler, doc.get("metadata", {}))

@@ -283,27 +283,32 @@ def _csv_blocks(path, header: list, what: str):
     non-blank data rows of the CSV at ``path``: one list of stripped cells
     per header field, filled as rows stream in.  The header must be
     ``header`` and each row must have as many fields; the rows before a
-    short or long row are yielded before it raises, so a bad value above it
-    is reported first.  The last block may be empty."""
+    short or long row, or one the csv module rejects (a cell over its field
+    size limit), are yielded before it raises, so a bad value above it is
+    reported first.  The last block may be empty."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        got = next(reader, None)
-        if got != header:
-            raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
         lines, columns = [], tuple([] for _ in header)
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                yield lines, columns
-                raise ValueError(f"{what} row {line_no}: expected {len(header)} fields, "
-                                 f"got {len(cells)}")
-            lines.append(line_no)
-            for column, cell in zip(columns, cells):
-                column.append(cell.strip())
-            if len(lines) == _BLOCK_ROWS:
-                yield lines, columns
-                lines, columns = [], tuple([] for _ in header)
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
+            for line_no, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    yield lines, columns
+                    raise ValueError(f"{what} row {line_no}: expected {len(header)} fields, "
+                                     f"got {len(cells)}")
+                lines.append(line_no)
+                for column, cell in zip(columns, cells):
+                    column.append(cell.strip())
+                if len(lines) == _BLOCK_ROWS:
+                    yield lines, columns
+                    lines, columns = [], tuple([] for _ in header)
+        except csv.Error as exc:
+            yield lines, columns
+            raise ValueError(f"{what} CSV line {reader.line_num}: {exc}") from None
         yield lines, columns
 
 

@@ -683,7 +683,7 @@ def train_at_positions(config: NetworkConfig, inputs: np.ndarray, targets: np.nd
         batch_losses = []
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            # each step refills the step before's activation cache, if its shapes match
+            # each step reuses the step before's state history, top and pre, if shapes match
             outputs, cache = net.forward(inputs[idx], training=True, dropout_rng=dropout_rng,
                                          out=cache)
             preds = outputs[:, positions, :]

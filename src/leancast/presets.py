@@ -34,12 +34,8 @@ class PresetBundle:
         return self.sarima_specs.get(leaning)
 
 
-def _spec(p, d, q, P, D, Q, s):
-    return SarimaSpec(p=p, d=d, q=q, P=P, D=D, Q=Q, s=s)
-
-
-_TWITTER_POSTS_SPEC = _spec(9, 0, 10, 2, 1, 1, 12)
-_TWITTER_LIKES_SPEC = _spec(11, 1, 3, 3, 1, 3, 12)
+_TWITTER_POSTS_SPEC = SarimaSpec(9, 0, 10, 2, 1, 1, 12)
+_TWITTER_LIKES_SPEC = SarimaSpec(11, 1, 3, 3, 1, 3, 12)
 
 PRESETS = {
     "twitter-posts": PresetBundle(
@@ -50,16 +46,16 @@ PRESETS = {
         lstm_epochs=100, gru_epochs=100, multistep_epochs=100),
     "gab-posts": PresetBundle(
         sarima_specs={
-            "left": _spec(7, 1, 10, 3, 1, 1, 14),
-            "right": _spec(6, 2, 10, 4, 1, 1, 11),
-            "center": _spec(11, 1, 10, 2, 1, 1, 14),
+            "left": SarimaSpec(7, 1, 10, 3, 1, 1, 14),
+            "right": SarimaSpec(6, 2, 10, 4, 1, 1, 11),
+            "center": SarimaSpec(11, 1, 10, 2, 1, 1, 14),
         },
         lstm_epochs=200, gru_epochs=100, multistep_epochs=150),
     "gab-likes": PresetBundle(
         sarima_specs={
-            "left": _spec(11, 1, 6, 3, 0, 4, 12),
-            "right": _spec(9, 1, 11, 1, 1, 3, 12),
-            "center": _spec(8, 1, 11, 4, 0, 0, 12),
+            "left": SarimaSpec(11, 1, 6, 3, 0, 4, 12),
+            "right": SarimaSpec(9, 1, 11, 1, 1, 3, 12),
+            "center": SarimaSpec(8, 1, 11, 4, 0, 0, 12),
         },
         lstm_epochs=200, gru_epochs=100, multistep_epochs=100),
 }

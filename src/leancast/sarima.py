@@ -105,12 +105,30 @@ class SarimaParams:
 
 @dataclass(frozen=True)
 class SarimaFit:
+    """A spec's fitted parameters (sigma2 the mean squared residual), the
+    training SSE and whether the search converged."""
+
     spec: SarimaSpec
     params: SarimaParams
-    residuals: np.ndarray        # one per evaluated time step, differenced scale
     sse: float
     converged: bool
-    train_rmse: float
+
+    @property
+    def train_rmse(self) -> float:
+        return float(np.sqrt(self.params.sigma2))
+
+    def to_doc(self) -> dict:
+        return {**to_doc(self.spec, self.params), "sse": self.sse, "converged": self.converged}
+
+    @classmethod
+    def from_doc(cls, doc) -> "SarimaFit":
+        """The fit of a parsed document; its sse and convergence are read, never
+        assumed, and the train_rmse that older files store is derived instead."""
+        missing = [k for k in ("sse", "converged") if k not in doc]
+        if missing:
+            raise ValueError(f"sarima model lacks {', '.join(missing)}")
+        model = {k: v for k, v in doc.items() if k not in ("sse", "converged", "train_rmse")}
+        return cls(*from_doc(model), doc["sse"], doc["converged"])
 
 
 def difference(values, d: int, D: int, s: int) -> tuple[np.ndarray, tuple]:
@@ -280,9 +298,8 @@ def fit(values, spec: SarimaSpec, seed: int = 0) -> SarimaFit:
             if converged:
                 break
 
-    n_eval = len(residuals)
-    return SarimaFit(spec, replace(_unpack(beta, spec), sigma2=sse / n_eval), residuals, sse,
-                     converged, float(np.sqrt(sse / n_eval)))
+    return SarimaFit(spec, replace(_unpack(beta, spec), sigma2=sse / len(residuals)), sse,
+                     converged)
 
 
 def forecast(fitted: SarimaFit, history, horizon: int) -> np.ndarray:
@@ -414,9 +431,12 @@ class CandidateScore:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    spec: SarimaSpec
     fit: SarimaFit
     candidates: tuple  # CandidateScore per evaluated spec, search order
+
+    @property
+    def spec(self) -> SarimaSpec:
+        return self.fit.spec
 
 
 def grid_search(train, grid: GridSpec, seed: int = 0) -> GridSearchResult:
@@ -446,7 +466,7 @@ def grid_search(train, grid: GridSpec, seed: int = 0) -> GridSearchResult:
             else:
                 candidate_fit = fit(train, spec)
                 k = 1 + spec.n_coefficients
-                n_eval = len(candidate_fit.residuals)
+                n_eval = len(train) - spec.d - spec.D * spec.s - spec.burn_in
                 sse = max(candidate_fit.sse, 1e-300)  # guard ln(0) on exact fits
                 score = 2.0 * k + n_eval * np.log(sse / n_eval)
             scored.append((score, spec.n_coefficients, spec.as_tuple(), spec))
@@ -458,8 +478,7 @@ def grid_search(train, grid: GridSpec, seed: int = 0) -> GridSearchResult:
 
     scored.sort(key=lambda item: item[:3])
     winner = scored[0][3]
-    final = fit(train, winner)
-    return GridSearchResult(spec=winner, fit=final, candidates=tuple(diagnostics))
+    return GridSearchResult(fit=fit(train, winner), candidates=tuple(diagnostics))
 
 
 def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:

@@ -543,6 +543,34 @@ class TestIngestCommand:
         assert capsys.readouterr().err.startswith("error: window needs ISO dates")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("which,above,message", [
+        ("posts", "", "posts CSV line 3: field larger than field limit (131072)"),
+        ("posts", "1.5", "posts row 2: likes must be an integer, got '1.5'"),
+        ("bias", "", "bias CSV line 3: field larger than field limit (131072)"),
+        ("bias", "centrist", "bias row 2: unknown leaning 'centrist'"),
+    ], ids=["posts", "posts-below-a-bad-value", "bias", "bias-below-a-bad-value"])
+    def test_cell_past_the_csv_field_limit_is_one_error_line(
+            self, tmp_path, capsys, command, which, above, message):
+        # the csv module rejects a cell over 131072 characters; a bad value
+        # in a row above it is still the one reported
+        long_cell = "x" * 200_000
+        likes, leaning = (above or "1", "left") if which == "posts" else ("1", above or "left")
+        posts, bias = tmp_path / "posts.csv", tmp_path / "bias.csv"
+        posts.write_text("post_id,timestamp,platform,url_or_domain,likes,sentiment\n"
+                         f"p1,2018-01-01T09:00:00,twitter,cnn.com,{likes},\n"
+                         + (f"p2,2018-01-01T10:00:00,twitter,{long_cell},1,\n"
+                            if which == "posts" else ""))
+        bias.write_text(f"domain,leaning\ncnn.com,{leaning}\n"
+                        + (f"{long_cell}.com,right\n" if which == "bias" else ""))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {
+            "posts_csv": str(posts), "bias_csv": str(bias),
+            "forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}}]})
+        assert main([command, "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_empty_posts_writes_nothing(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("post_id,timestamp,platform,url_or_domain,likes,sentiment\n")

@@ -27,11 +27,10 @@ def split_of(values, ratio=0.7, metric="synthetic"):
     return chronological_split(series, ratio)
 
 
-def manual_sarima(spec, c=0.0, alpha=(), train_rmse=0.0):
+def manual_sarima(spec, c=0.0, alpha=(), sigma2=1.0):
     params = SarimaParams(c=c, alpha=alpha, theta=(0.0,) * spec.q,
-                          phi=(0.0,) * spec.P, eta=(0.0,) * spec.Q, sigma2=1.0)
-    fit = SarimaFit(spec=spec, params=params, residuals=np.array([]),
-                    sse=0.0, converged=True, train_rmse=train_rmse)
+                          phi=(0.0,) * spec.P, eta=(0.0,) * spec.Q, sigma2=sigma2)
+    fit = SarimaFit(spec=spec, params=params, sse=0.0, converged=True)
     return TrainedForecaster("sarima", fit, IDENTITY_SCALER, {})
 
 
@@ -184,7 +183,8 @@ class TestRollingPredictions:
 
 class TestEvaluate:
     def test_sarima_row_uses_stored_train_rmse(self):
-        model = manual_sarima(SarimaSpec(0, 0, 0, 0, 0, 0, 0), c=5.0, train_rmse=0.125)
+        # the fit's train_rmse is sqrt(sigma2), not recomputed on the split
+        model = manual_sarima(SarimaSpec(0, 0, 0, 0, 0, 0, 0), c=5.0, sigma2=0.125 ** 2)
         row = evaluate(model, split_of(np.full(30, 5.0)), leaning="left")
         assert row.model == "sarima"
         assert row.leaning == "left"

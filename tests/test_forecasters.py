@@ -14,7 +14,7 @@ from leancast.forecasters import (KINDS, MultistepEpochLoss, TrainedForecaster,
                                   multistep_positions, predict_next,
                                   teacher_forced_inputs,
                                   train_multistep_teacher_forced)
-from leancast.neural import RecurrentNetwork
+from leancast.neural import NetworkConfig, RecurrentNetwork
 from leancast.presets import FALLBACK_GRID, PRESETS, get_preset
 from leancast.sarima import (GridSpec, SarimaFit, SarimaParams, SarimaSpec)
 from leancast.series import (DailySeries, IDENTITY_SCALER, ScalerState,
@@ -44,8 +44,7 @@ def tiny_config(kind, **over):
 def constant_sarima(c):
     spec = SarimaSpec(0, 0, 0, 0, 0, 0, 0)
     params = SarimaParams(c=c, alpha=(), theta=(), phi=(), eta=(), sigma2=1.0)
-    fit = SarimaFit(spec=spec, params=params, residuals=np.array([]),
-                    sse=0.0, converged=True, train_rmse=0.0)
+    fit = SarimaFit(spec=spec, params=params, sse=0.0, converged=True)
     return TrainedForecaster("sarima", fit, IDENTITY_SCALER, {})
 
 
@@ -87,6 +86,17 @@ class TestDefaultConfigs:
     def test_overrides_win(self):
         assert default_network_config("lstm_14day", epochs=7).epochs == 7
 
+    @pytest.mark.parametrize("kind,size,message", [
+        ("lstm_14day", 7, "input_size must be 1 or 14, got 7"),
+        ("lstm_1day", 3, "input_size must be 1, got 3"),
+        ("multistep_14_5", 14, "input_size must be 1, got 14"),
+    ])
+    def test_input_layout_checked_for_every_caller(self, kind, size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_network_config(kind, input_size=size)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            get_preset("twitter-posts").network_config(kind, input_size=size)
+
     def test_sarima_has_no_network_config(self):
         with pytest.raises(ValueError):
             default_network_config("sarima")
@@ -103,15 +113,15 @@ class TestFitForecaster:
         model = fit_forecaster("sarima", ar1_split(n=80), SarimaSpec(1, 0, 0, 0, 0, 0, 0))
         assert model.kind == "sarima"
         assert model.scaler is IDENTITY_SCALER
-        assert model.metadata["spec"] == (1, 0, 0, 0, 0, 0, 0)
-        assert isinstance(model.metadata["converged"], bool)
-        assert "seed" not in model.metadata     # the fit is deterministic
+        assert model.model.spec == SarimaSpec(1, 0, 0, 0, 0, 0, 0)
+        assert isinstance(model.model.converged, bool)
+        assert model.metadata == {}     # the fit is deterministic: no seed
 
     def test_sarima_with_singleton_grid(self):
         grid = GridSpec(p=(1,), d=(0,), q=(0,), P=(0,), D=(0,), Q=(0,), s=(0,))
         model = fit_forecaster("sarima", ar1_split(n=80), grid)
-        assert model.metadata["grid_candidates"] == 1
-        assert model.metadata["spec"] == (1, 0, 0, 0, 0, 0, 0)
+        assert model.metadata == {"grid_candidates": 1}
+        assert model.model.spec == SarimaSpec(1, 0, 0, 0, 0, 0, 0)
 
     def test_sarima_rejects_other_configs(self):
         with pytest.raises(TypeError):
@@ -189,8 +199,9 @@ class TestTeacherForcing:
 
     def test_sequence_mode_required(self):
         w = make_windows(np.arange(40.0), 14, 5)
-        cfg = tiny_config("multistep_14_5", input_size=14)
-        with pytest.raises(ValueError):
+        # default_network_config rejects this layout too; train's own guard is tested here
+        cfg = NetworkConfig(cell="lstm", layers=1, hidden=4, input_size=14, epochs=3)
+        with pytest.raises(ValueError, match="input_size must be 1"):
             train_multistep_teacher_forced(cfg, w)
 
     def test_single_step_horizon_rejected(self):
@@ -412,7 +423,7 @@ class TestSerialization:
             fit = model.model
             payload = json.loads(json.dumps(sarima.to_doc(fit.spec, fit.params),
                                             sort_keys=True))
-            payload.update(train_rmse=fit.train_rmse, sse=fit.sse, converged=fit.converged)
+            payload.update(sse=fit.sse, converged=fit.converged)
         else:
             model = fit_forecaster(kind, split, config=tiny_config(kind))
             payload = json.loads(json.dumps(model.model.to_doc(), sort_keys=True))
@@ -424,13 +435,80 @@ class TestSerialization:
         assert text == want
         assert forecaster_to_json(forecaster_from_json(text)) == text
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_metadata_states_only_what_the_model_lacks(self, kind):
+        """No metadata key repeats a model key, and a file whose metadata
+        does (and whose SARIMA model stores train_rmse), as older files do,
+        loads and predicts bit-identically."""
+        split = ar1_split(n=80)
+        configs = ([SarimaSpec(1, 0, 1, 1, 0, 1, 7), GridSpec(p=(0, 1), q=(0, 1))]
+                   if kind == "sarima" else [tiny_config(kind, layers=2)])
+        for config in configs:
+            model = fit_forecaster(kind, split, config=config)
+            doc = json.loads(forecaster_to_json(model))
+            model_keys = set(doc["model"]) | set(doc["model"].get("config", ()))
+            assert not set(doc["metadata"]) & model_keys
+            if kind == "sarima":
+                assert set(doc["metadata"]) <= {"grid_candidates"}
+                fit = model.model
+                doc["model"]["train_rmse"] = fit.train_rmse
+                doc["metadata"].update(converged=fit.converged, sse=fit.sse,
+                                       spec=list(fit.spec.as_tuple()))
+            else:
+                assert set(doc["metadata"]) == {"final_loss"}
+                doc["metadata"].update(seed=config.seed, epochs_run=config.epochs)
+            clone = forecaster_from_json(json.dumps(doc, sort_keys=True))
+            history = split.train.values
+            assert predict_next(clone, history) == predict_next(model, history)
+            if kind == "sarima":
+                assert clone.model == model.model
+            else:
+                npt.assert_array_equal(clone.model.theta, model.model.theta)
+
+    # written before the model facts left the metadata, with each file's
+    # one-step prediction from ar1_split(n=40)'s training half then
+    OLDER_FILES = [
+        ('{"kind": "sarima", "metadata": {"converged": true, "spec": [1, 0, 0, 0, 0, 0, 0], '
+         '"sse": 32.05156969687243}, "model": {"alpha": [0.6401990132379631], '
+         '"c": -0.06652064256953366, "converged": true, "eta": [], "order": [1, 0, 0], '
+         '"phi": [], "seasonal": [0, 0, 0, 0], "sigma2": 1.187095173958238, '
+         '"sse": 32.05156969687243, "theta": [], "train_rmse": 1.089538973124981}, '
+         '"scaler": {"max": 1.0, "min": 0.0}}', 1.1578785469379653),
+        ('{"kind": "lstm_1day", "metadata": {"epochs_run": 2, "final_loss": 0.28191305615486134, '
+         '"seed": 3}, "model": {"config": {"batch_size": 8, "cell": "lstm", "dropout": 0.0, '
+         '"epochs": 2, "hidden": 1, "input_size": 1, "layers": 1, "learning_rate": 0.001, '
+         '"optimizer": "rmsprop", "output_size": 1, "seed": 3}, "weights": {'
+         '"layer0.W_f": {"data": [0.14364953489555077], "shape": [1, 1]}, '
+         '"layer0.W_g": {"data": [-0.08982785394979027], "shape": [1, 1]}, '
+         '"layer0.W_i": {"data": [0.4304397636520771], "shape": [1, 1]}, '
+         '"layer0.W_o": {"data": [0.6635610930026018], "shape": [1, 1]}, '
+         '"layer0.b_f": {"data": [0.0], "shape": [1]}, '
+         '"layer0.b_g": {"data": [0.014504755580207886], "shape": [1]}, '
+         '"layer0.b_i": {"data": [-0.012665829699001445], "shape": [1]}, '
+         '"layer0.b_o": {"data": [-0.012703513280894916], "shape": [1]}, '
+         '"out.W": {"data": [0.18278963692453412], "shape": [1, 1]}, '
+         '"out.b": {"data": [0.014849291671074877], "shape": [1]}}}, '
+         '"scaler": {"max": 2.7276866804959785, "min": -2.9093380328498157}}',
+         -2.8495803346257245),
+    ]
+
+    @pytest.mark.parametrize("text,prediction", OLDER_FILES, ids=["sarima", "lstm_1day"])
+    def test_an_older_file_predicts_as_it_did(self, text, prediction):
+        model = forecaster_from_json(text)
+        assert predict_next(model, ar1_split(n=40).train.values) == prediction
+        doc = json.loads(text)
+        if model.kind == "sarima":
+            assert model.model.train_rmse == doc["model"].pop("train_rmse")
+        # re-encoding drops only the derived train_rmse; metadata passes through
+        assert json.loads(forecaster_to_json(model)) == doc
+
     def test_unknown_kind_rejected(self):
         doc = json.loads(forecaster_to_json(constant_sarima(1.0)))
         doc["kind"] = "varmax"
         with pytest.raises(ValueError):
             forecaster_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["converged", "sse", "train_rmse"])
+    @pytest.mark.parametrize("key", ["converged", "sse"])
     def test_sarima_model_without_a_fit_fact_rejected(self, key):
         # a missing fact is not read as converged or as a zero error
         doc = json.loads(forecaster_to_json(constant_sarima(1.0)))

@@ -1,12 +1,12 @@
-"""``RecurrentNetwork.forward(out=cache)`` refills an earlier forward's cache.
+"""``RecurrentNetwork.forward(out=cache)`` reuses an earlier forward's cache.
 
 A training loop passes each step's activation cache to the next forward, so
 a fit holds one cache instead of building the next beside the last.  The
-refilled cache must hold exactly what a fresh forward's holds: its state
+reused cache must hold exactly what a fresh forward's holds: its state
 history, ``top`` and pre-activations in the arrays of the cache passed in,
 and every other array in memory of its own, none of the earlier forward's.
 A state history of another shape leaves the earlier cache alone.  Training
-with the refill must match training with fresh caches bit for bit, and must
+with the reuse must match training with fresh caches bit for bit, and must
 not hold two caches at once.
 """
 
@@ -52,12 +52,12 @@ def _assert_same_contents(path, got, want, layers, steps):
     npt.assert_array_equal(_bits(got), _bits(want), err_msg=str(path))
 
 
-# the arrays a refilled cache keeps from the cache passed in
+# the arrays a reused cache keeps from the cache passed in
 REUSED = (("history",), ("top",), ("pre",))
 
 
-def _assert_refilled(old, before, cache, fresh, own, layers, steps):
-    """``cache``, refilled from ``old`` whose arrays were ``before``, holds
+def _assert_reused(old, before, cache, fresh, own, layers, steps):
+    """``cache``, reused from ``old`` whose arrays were ``before``, holds
     what ``fresh`` holds: the REUSED arrays are the earlier ones, and every
     other array is a view into those or into this forward's ``own`` inputs,
     or shares no memory with any earlier array."""
@@ -75,7 +75,7 @@ def _assert_refilled(old, before, cache, fresh, own, layers, steps):
 
 
 # (cell, layers, one_step, dropout, state): state="own" continues from the
-# final state of the very cache that is refilled
+# final state of the very cache that is reused
 CASES = [(cell, layers, one_step, dropout, state)
          for cell in ("lstm", "gru") for layers in (1, 2, 8) for one_step in (False, True)
          for dropout in (False, True) for state in (None, "own")
@@ -83,8 +83,8 @@ CASES = [(cell, layers, one_step, dropout, state)
 
 
 @pytest.mark.parametrize("cell,layers,one_step,dropout,state", CASES)
-def test_refilled_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, one_step,
-                                                                  dropout, state):
+def test_reused_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, one_step,
+                                                                dropout, state):
     n, hidden, steps, input_size = 5, 4, 1 if one_step else 6, 3
     cfg = NetworkConfig(cell=cell, layers=layers, hidden=hidden, input_size=input_size,
                         output_size=2, dropout=0.3 if dropout else 0.0, seed=layers)
@@ -105,7 +105,7 @@ def test_refilled_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, 
     fresh_outputs, fresh = net.forward(x2, training=dropout, masks=masks2, state=copied)
     npt.assert_array_equal(_bits(outputs), _bits(fresh_outputs))
     own = [x2] + [mask for mask in masks2 or () if mask is not None]
-    _assert_refilled(old, before, cache, fresh, own, layers, steps)
+    _assert_reused(old, before, cache, fresh, own, layers, steps)
 
     d = rng.normal(0, 1, (n, steps, 2))
     npt.assert_array_equal(_bits(net.backward(cache, d).vector),
@@ -114,9 +114,9 @@ def test_refilled_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 @pytest.mark.parametrize("dropout_before", [False, True])
-def test_a_cache_is_refilled_whether_either_forward_drops_out(cell, dropout_before):
+def test_a_cache_is_reused_whether_either_forward_drops_out(cell, dropout_before):
     """Only the state history's shape decides: a forward with dropout
-    between layers refills the cache of one without, and the other way round."""
+    between layers reuses the cache of one without, and the other way round."""
     cfg = NetworkConfig(cell=cell, layers=3, hidden=4, input_size=1, dropout=0.3, seed=2)
     net = RecurrentNetwork(cfg)
     rng = np.random.default_rng(3)
@@ -129,7 +129,7 @@ def test_a_cache_is_refilled_whether_either_forward_drops_out(cell, dropout_befo
     fresh_outputs, fresh = net.forward(x, training=not dropout_before,
                                        dropout_rng=np.random.default_rng(5))
     npt.assert_array_equal(_bits(outputs), _bits(fresh_outputs))
-    _assert_refilled(old, before, cache, fresh, [x], 3, 6)
+    _assert_reused(old, before, cache, fresh, [x], 3, 6)
 
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
@@ -154,7 +154,7 @@ def test_a_cache_of_other_shapes_is_left_alone(cell, change):
 
 # tiny shapes at each kind's own cell, optimizer and dropout, with a last
 # partial batch (a fresh cache) except in the full-batch multistep fit
-REFILL_KINDS = {
+REUSE_KINDS = {
     "lstm_1day": (40, 1, dict(layers=3, hidden=4, dropout=0.3)),
     "lstm_14day": (40, 1, dict(layers=2, hidden=4, input_size=1)),
     "gru_14day": (45, 1, dict(layers=3, hidden=4, input_size=1)),
@@ -162,9 +162,9 @@ REFILL_KINDS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(REFILL_KINDS))
-def test_training_with_refilled_caches_matches_fresh_caches_bit_for_bit(kind, monkeypatch):
-    n, horizon, over = REFILL_KINDS[kind]
+@pytest.mark.parametrize("kind", sorted(REUSE_KINDS))
+def test_training_with_reused_caches_matches_fresh_caches_bit_for_bit(kind, monkeypatch):
+    n, horizon, over = REUSE_KINDS[kind]
     cfg = default_network_config(kind, seed=7, epochs=3, **over)
     values = generate_synthetic("ar1", n, seed=7, alpha=0.7, sigma=1.0).values
     windows = make_windows(values, 1 if kind == "lstm_1day" else 14, horizon)
@@ -176,16 +176,16 @@ def test_training_with_refilled_caches_matches_fresh_caches_bit_for_bit(kind, mo
         return neural.train(cfg, windows)
 
     net, history = train()
-    refills = []
+    reuses = []
     forward = RecurrentNetwork.forward
 
     def fresh_forward(self, x, *args, out=None, **kwargs):
-        refills.append(out is not None)
+        reuses.append(out is not None)
         return forward(self, x, *args, **kwargs)
 
     monkeypatch.setattr(RecurrentNetwork, "forward", fresh_forward)
     ref_net, ref_history = train()
-    assert refills == [False] + [True] * (len(refills) - 1)    # each step's cache to the next
+    assert reuses == [False] + [True] * (len(reuses) - 1)    # each step's cache to the next
     assert history == ref_history
     npt.assert_array_equal(_bits(net.theta), _bits(ref_net.theta))
 

@@ -722,6 +722,42 @@ class TestPostColumns:
         assert len(posts.select(np.zeros(3, dtype=bool))) == 0
 
 
+# one cell past the csv module's default field size limit (131072 characters)
+LONG_CELL = "x" * 200_000
+FIELD_LIMIT = "field larger than field limit (131072)"
+
+
+class TestCellPastTheFieldLimit:
+    @pytest.mark.parametrize("read,header", [(read_posts_csv, POSTS_CSV.splitlines()[0]),
+                                             (read_bias_csv, "domain,leaning")],
+                             ids=["posts", "bias"])
+    def test_in_the_header(self, tmp_path, read, header):
+        what = "posts" if read is read_posts_csv else "bias"
+        with pytest.raises(ValueError) as exc:
+            read(csv_file(tmp_path, f"{header},{LONG_CELL}\n"))
+        assert str(exc.value) == f"{what} CSV line 1: {FIELD_LIMIT}"
+
+    @pytest.mark.parametrize("text,message", [
+        (POSTS_CSV + f"x1,2018-01-03T10:00:00,gab,{LONG_CELL},1,\n",
+         f"posts CSV line 5: {FIELD_LIMIT}"),
+        (POSTS_CSV.replace(",12,", ",x,") + f"x1,2018-01-03T10:00:00,gab,{LONG_CELL},1,\n",
+         "posts row 4: likes must be an integer, got 'x'"),
+    ], ids=["alone", "below-a-bad-value"])
+    def test_in_a_posts_row(self, tmp_path, text, message):
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, text))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        (f"cnn.com,left\n{LONG_CELL}.com,right\n", f"bias CSV line 3: {FIELD_LIMIT}"),
+        (f"cnn.com,centrist\n{LONG_CELL}.com,right\n", "bias row 2: unknown leaning 'centrist'"),
+    ], ids=["alone", "below-a-bad-value"])
+    def test_in_a_bias_row(self, tmp_path, text, message):
+        with pytest.raises(ValueError) as exc:
+            read_bias_csv(csv_file(tmp_path, "domain,leaning\n" + text))
+        assert str(exc.value) == message
+
+
 class TestBiasCsv:
     def test_parse(self, tmp_path):
         t = read_bias_csv(csv_file(

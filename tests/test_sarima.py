@@ -23,10 +23,9 @@ def zero_params(spec, c=0.0, sigma2=1.0):
                         phi=(0.0,) * spec.P, eta=(0.0,) * spec.Q, sigma2=sigma2)
 
 
-def manual_fit(spec, params, train_rmse=0.0):
+def manual_fit(spec, params):
     # hand-built frozen model for forecasting tests
-    return SarimaFit(spec=spec, params=params, residuals=np.array([]),
-                     sse=0.0, converged=True, train_rmse=train_rmse)
+    return SarimaFit(spec=spec, params=params, sse=0.0, converged=True)
 
 
 def oracle_residuals(w, spec, params):
@@ -367,9 +366,12 @@ class TestFit:
     def test_sigma2_matches_sse(self):
         series = generate_synthetic("ar1", 200, seed=8, alpha=0.6, sigma=1.0)
         f = fit(series.values, SarimaSpec(1, 0, 0, 0, 0, 0, 0), seed=0)
-        n_eval = len(f.residuals)
+        n_eval = len(css_residuals(series.values, f.spec, f.params)[0])
+        assert n_eval == 199    # 200 values less the burn-in of one
         npt.assert_allclose(f.params.sigma2, f.sse / n_eval, rtol=1e-12)
         npt.assert_allclose(f.train_rmse ** 2 * n_eval, f.sse, rtol=1e-12)
+        # derived from sigma2, it equals the RMSE of the evaluated residuals bit for bit
+        assert f.train_rmse == float(np.sqrt(f.sse / n_eval))
 
     def test_published_spec_fits_quickly_below_the_zero_model(self):
         spec = SarimaSpec(9, 0, 10, 2, 1, 1, 12)   # twitter-posts left
@@ -520,6 +522,21 @@ class TestGridSearch:
                         selection="aic")
         result = grid_search(series.values, grid, seed=0)
         assert result.spec.p == 1    # AR structure should be detected
+
+    def test_aic_counts_the_evaluated_residuals(self):
+        values = generate_synthetic("sine", 80, seed=2, period=7, amplitude=3.0,
+                                    noise_sigma=1.0).values
+        grid = GridSpec(p=(0, 2), d=(0, 1), q=(0, 1), P=(0, 1), D=(0, 1), Q=(0,), s=(7,),
+                        selection="aic")
+        result = grid_search(values, grid)
+        for cand in result.candidates:
+            spec = cand.spec
+            f = fit(values, spec)
+            w, _ = difference(values, spec.d, spec.D, spec.s)
+            n_eval = len(css_residuals(w, spec, f.params)[0])
+            want = 2.0 * (1 + spec.n_coefficients) + n_eval * np.log(f.sse / n_eval)
+            assert cand.score == float(want), spec
+        assert result.spec is result.fit.spec
 
     def test_nonseasonal_candidates_deduplicated(self):
         grid = GridSpec(p=(1,), d=(0,), q=(0,), P=(0, 1), D=(0,), Q=(0,), s=(0, 7))
