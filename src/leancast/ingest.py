@@ -289,11 +289,14 @@ def _csv_blocks(path, header: list, what: str):
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         lines, columns = [], tuple([] for _ in header)
+        start = 1   # the physical line the next record starts on; a quoted cell may span lines
         try:
             got = next(reader, None)
             if got != header:
                 raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
-            for line_no, cells in enumerate(reader, start=2):
+            start = reader.line_num + 1
+            for cells in reader:
+                line_no, start = start, reader.line_num + 1
                 if not cells:
                     continue
                 if len(cells) != len(header):
@@ -308,7 +311,7 @@ def _csv_blocks(path, header: list, what: str):
                     lines, columns = [], tuple([] for _ in header)
         except csv.Error as exc:
             yield lines, columns
-            raise ValueError(f"{what} CSV line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{what} CSV line {start}: {exc}") from None
         yield lines, columns
 
 

@@ -7,15 +7,19 @@ seasonal terms:
             + sum_{n=1..P} phi_n   * y_{t-sn} + sum_{n=1..Q} eta_n   * e_{t-sn}
             + e_t
 
-with e_t the one-step residual.  Estimation minimizes the conditional sum of
-squares (pre-sample residuals fixed at zero) by Levenberg-Marquardt; no
-state-space likelihood is involved.  Order selection is a plain grid search
-scored either by holdout one-step RMSE or by AIC.
+with e_t the one-step residual: the AR regression residual run through the
+inverse MA polynomial 1 + theta(B) + eta(B^s) by one lag recursion, which
+also runs the Jacobian, forecasts, simulation and un-differencing.
+Estimation minimizes the conditional sum of squares (pre-sample residuals
+fixed at zero) by Levenberg-Marquardt; no state-space likelihood is
+involved.  Order selection is a plain grid search scored either by holdout
+one-step RMSE or by AIC.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,6 +76,15 @@ class SarimaSpec:
     def n_coefficients(self) -> int:
         return self.p + self.q + self.P + self.Q
 
+    @property
+    def ar_lags(self) -> np.ndarray:
+        """1..p, then s, 2s, .. Ps: the lags of ``SarimaParams.ar``; ``ma_lags`` of ``.ma``."""
+        return np.concatenate([np.arange(1, self.p + 1), self.s * np.arange(1, self.P + 1)])
+
+    @property
+    def ma_lags(self) -> np.ndarray:
+        return np.concatenate([np.arange(1, self.q + 1), self.s * np.arange(1, self.Q + 1)])
+
     def as_tuple(self):
         return (self.p, self.d, self.q, self.P, self.D, self.Q, self.s)
 
@@ -88,12 +101,23 @@ class SarimaParams:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "theta", "phi", "eta"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        for name, value in list(vars(self).items()):
+            scalar = name in ("c", "sigma2")
+            floats = tuple(map(float, [value] if scalar else value))
+            if not all(map(math.isfinite, floats)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, floats[0] if scalar else floats)
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
+
+    @property
+    def ar(self) -> np.ndarray:
+        """[alpha, phi], the coefficients on ``SarimaSpec.ar_lags``; ``ma`` is [theta, eta]."""
+        return np.array(self.alpha + self.phi)
+
+    @property
+    def ma(self) -> np.ndarray:
+        return np.array(self.theta + self.eta)
 
     def check_lengths(self, spec: SarimaSpec):
         expected = {"alpha": spec.p, "theta": spec.q, "phi": spec.P, "eta": spec.Q}
@@ -160,55 +184,32 @@ def difference(values, d: int, D: int, s: int) -> tuple[np.ndarray, tuple]:
 def invert_difference(diffed, stages: tuple) -> np.ndarray:
     """Undo the differencing recorded in ``stages`` by :func:`difference`.
 
-    ``diffed`` may extend the series that produced the stages (forecast
+    ``diffed`` is the series that produced the stages or extends it (forecast
     values appended at the end); its leading entries are assumed unchanged.
     """
     cur = np.asarray(diffed, dtype=np.float64)
     for lag, prev in reversed(stages):
-        out = np.empty(len(cur) + lag)
-        n_known = min(len(prev), len(out))
-        out[:n_known] = prev[:n_known]
-        for t in range(n_known, len(out)):
-            out[t] = cur[t - lag] + out[t - lag]
-        cur = out
+        cur = _recurse(np.concatenate([prev, cur[len(prev) - lag:]]), np.ones(1), np.array([lag]),
+                       start=len(prev))
     return cur
 
 
-def _arma_pass(w, eps, n_observed: int, start: int, spec: SarimaSpec,
-               params: SarimaParams) -> tuple[np.ndarray, np.ndarray]:
-    """The ARMA conditional mean, run over t = start .. len(w) - 1.
+def _recurse(x, coeffs, lags, start: int = 0) -> np.ndarray:
+    """y with y[t] = x[t] + coeffs @ y[t - lags] for t >= start and y[t] = x[t]
+    before; lags that reach before the series read zero.  ``x`` may be
+    (n, k) to run k series at once."""
+    pad = int(np.max(lags, initial=0))
+    y = np.concatenate([np.zeros((pad,) + np.shape(x)[1:]), x])
+    if pad:
+        for t in range(pad + start, len(y)):
+            y[t] += coeffs @ y[t - lags]
+    return y[pad:]
 
-    Where the data covers t (t < n_observed) the step sets
-    eps[t] = w[t] - mean; past it, w[t] = mean + eps[t].  Lags that reach
-    before the series read zero.  Returns filled copies of (w, eps), which
-    may be (n, k) to run k series at once.
-    """
-    p, q, P, Q, s = spec.p, spec.q, spec.P, spec.Q, spec.s
-    # one zero beyond the largest lag keeps every reversed slice's stop >= 0
-    pad = max(p, q, s * P, s * Q) + 1
-    wp = np.concatenate([np.zeros((pad,) + w.shape[1:]), w])
-    ep = np.concatenate([np.zeros((pad,) + eps.shape[1:]), eps])
-    alpha, theta, phi, eta = map(np.asarray, (params.alpha, params.theta, params.phi, params.eta))
-    # seasonal lags are gathered into contiguous copies: a strided view would
-    # take a different dot-product path and change the last bits of the sum
-    seasonal_ar = s * np.arange(1, P + 1)
-    seasonal_ma = s * np.arange(1, Q + 1)
-    known = pad + n_observed
-    for t in range(pad + start, len(wp)):
-        acc = params.c
-        if p:
-            acc += alpha @ wp[t - 1:t - p - 1:-1]
-        if q:
-            acc += theta @ ep[t - 1:t - q - 1:-1]
-        if P:
-            acc += phi @ wp[t - seasonal_ar]
-        if Q:
-            acc += eta @ ep[t - seasonal_ma]
-        if t < known:
-            ep[t] = wp[t] - acc
-        else:
-            wp[t] = acc + ep[t]
-    return wp[pad:], ep[pad:]
+
+def _lags(x, lags) -> np.ndarray:
+    """(len(x), len(lags)) matrix of x delayed by each lag, zero before the start."""
+    pad = int(np.max(lags, initial=0))
+    return np.concatenate([np.zeros(pad), x])[pad + np.subtract.outer(np.arange(len(x)), lags)]
 
 
 def _check_history(n: int, spec: SarimaSpec, params: SarimaParams):
@@ -220,12 +221,14 @@ def _check_history(n: int, spec: SarimaSpec, params: SarimaParams):
 
 def css_residuals(w, spec: SarimaSpec, params: SarimaParams) -> tuple[np.ndarray, float]:
     """One-step residuals over the evaluated range t = burn_in .. n-1 and
-    their sum of squares.  Pre-sample residuals are fixed at zero."""
+    their sum of squares: the AR regression residual run through the MA
+    recursion.  Pre-sample residuals are fixed at zero."""
     w = np.asarray(w, dtype=np.float64)
     _check_history(len(w), spec, params)
-    _, eps = _arma_pass(w, np.zeros(len(w)), len(w), spec.burn_in, spec, params)
-    tail = eps[spec.burn_in:]
-    return tail, float(tail @ tail)
+    b = spec.burn_in
+    eps = _recurse(w[b:] - (params.c + _lags(w, spec.ar_lags)[b:] @ params.ar),
+                   -params.ma, spec.ma_lags)
+    return eps, float(eps @ eps)
 
 
 def _unpack(vec, spec: SarimaSpec) -> SarimaParams:
@@ -233,23 +236,16 @@ def _unpack(vec, spec: SarimaSpec) -> SarimaParams:
     return SarimaParams(vec[0], alpha, theta, phi, eta)
 
 
-def _lags(x, count: int, spacing: int = 1) -> np.ndarray:
-    """(len(x), count) matrix of x delayed by spacing, 2 * spacing, ..., zero before the start."""
-    n, lags = len(x), spacing * np.arange(1, count + 1)
-    return np.concatenate([np.zeros(n), x])[n + np.subtract.outer(np.arange(n), lags)]
-
-
 def _neg_jacobian(w, residuals, spec: SarimaSpec, params: SarimaParams) -> np.ndarray:
     """Minus the Jacobian of ``css_residuals`` in [c, alpha, theta, phi, eta]:
     the regressors [1, w-lags, eps-lags, seasonal w-lags, seasonal eps-lags]
-    run through the MA part of the recursion."""
-    eps = np.concatenate([np.zeros(spec.burn_in), residuals])
-    x = np.hstack([np.ones((len(w), 1)), _lags(w, spec.p), _lags(eps, spec.q),
-                   _lags(w, spec.P, spec.s), _lags(eps, spec.Q, spec.s)])
-    _, minus_jac = _arma_pass(x, np.zeros_like(x), len(x), spec.burn_in,
-                              SarimaSpec(q=spec.q, Q=spec.Q, s=spec.s),
-                              SarimaParams(theta=params.theta, eta=params.eta))
-    return minus_jac[spec.burn_in:]
+    run through the MA recursion of the residuals."""
+    b = spec.burn_in
+    w_lags = _lags(w, spec.ar_lags)[b:]
+    eps_lags = _lags(np.concatenate([np.zeros(b), residuals]), spec.ma_lags)[b:]
+    x = np.hstack([np.ones((len(residuals), 1)), w_lags[:, :spec.p], eps_lags[:, :spec.q],
+                   w_lags[:, spec.p:], eps_lags[:, spec.q:]])
+    return _recurse(x, -params.ma, spec.ma_lags)
 
 
 def fit(values, spec: SarimaSpec, seed: int = 0) -> SarimaFit:
@@ -311,15 +307,13 @@ def forecast(fitted: SarimaFit, history, horizon: int) -> np.ndarray:
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    history = np.asarray(history, dtype=np.float64)
     spec, params = fitted.spec, fitted.params
     w, stages = difference(history, spec.d, spec.D, spec.s)
-    _check_history(len(w), spec, params)
-    if horizon == 0:
-        return np.empty(0)
-    w_ext, _ = _arma_pass(np.concatenate([w, np.zeros(horizon)]), np.zeros(len(w) + horizon),
-                          len(w), spec.burn_in, spec, params)
-    return invert_difference(w_ext, stages)[-horizon:]
+    eps, _ = css_residuals(w, spec, params)
+    eps = np.concatenate([np.zeros(spec.burn_in), eps, np.zeros(horizon)])
+    mean = params.c + _lags(eps, spec.ma_lags)[len(w):] @ params.ma
+    w_ext = _recurse(np.concatenate([w, mean]), params.ar, spec.ar_lags, start=len(w))
+    return invert_difference(w_ext, stages)[len(history):]
 
 
 def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
@@ -328,18 +322,14 @@ def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
     Each forecast conditions on the true history up to that day (train plus
     the already-revealed test prefix), never on earlier forecasts.
     """
-    train = np.asarray(train, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
     if len(test) == 0:
         raise ValueError("test segment is empty")
     spec, params = fitted.spec, fitted.params
     w, _ = difference(np.concatenate([train, test]), spec.d, spec.D, spec.s)
-    n_train = len(w) - len(test)
-    _check_history(n_train, spec, params)
+    _check_history(len(w) - len(test), spec, params)
     # every past value is observed, so a test day's one-step error is -eps
-    _, eps = _arma_pass(w, np.zeros(len(w)), len(w), spec.burn_in, spec, params)
-    errors = -eps[n_train:]
-    return float(np.sqrt(np.mean(errors ** 2)))
+    eps, _ = css_residuals(w, spec, params)
+    return float(np.sqrt(np.mean(eps[-len(test):] ** 2)))
 
 
 def _grid_value(name: str, v) -> int:
@@ -488,7 +478,7 @@ def simulate(spec: SarimaSpec, params: SarimaParams, n: int, rng) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     eps = rng.normal(0.0, np.sqrt(params.sigma2), n) if params.sigma2 > 0 else np.zeros(n)
-    w, _ = _arma_pass(np.zeros(n), eps, 0, 0, spec, params)
+    w = _recurse(params.c + (eps + _lags(eps, spec.ma_lags) @ params.ma), params.ar, spec.ar_lags)
     zero_start = ((1, np.zeros(1)),) * spec.d + ((spec.s, np.zeros(spec.s)),) * spec.D
     return invert_difference(w, zero_start)[-n:]
 

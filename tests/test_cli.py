@@ -241,6 +241,14 @@ class TestLoadConfig:
                         "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
                                   "beta": [0.5]}}},
          "synthetic model: unknown SARIMA model keys: beta"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 50,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": [0.5], "sigma2": float("nan")}}},
+         "synthetic model: sigma2 must be finite, got nan"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 50,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": [0.5], "c": float("nan"), "sigma2": 1.0}}},
+         "synthetic model: c must be finite, got nan"),
         ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}, "epochs": 3}]},
          "unknown sarima forecaster keys: epochs"),
         ({"forecasters": [{"kind": "lstm_1day", "grid": {"p": [0, 1]}}]},

@@ -758,6 +758,33 @@ class TestCellPastTheFieldLimit:
         assert str(exc.value) == message
 
 
+class TestRecordSpanningLines:
+    """A quoted cell may span lines; a message names the line its record starts on."""
+
+    @pytest.mark.parametrize("bad,message", [
+        ("p2,2018-01-01T00:00:00,gab,cnn.com,x,", "posts row 4: likes must be an integer, got 'x'"),
+        ("p2,2018-01-01T00:00:00,gab", "posts row 4: expected 6 fields, got 3"),
+        (f'p2,2018-01-01T00:00:00,gab,"cnn.com\n{LONG_CELL}",1,', f"posts CSV line 4: {FIELD_LIMIT}"),
+    ], ids=["bad-value", "field-count", "field-limit"])
+    def test_posts(self, tmp_path, bad, message):
+        text = (POSTS_CSV.splitlines()[0] + "\n"
+                + 'p1,2018-01-01T00:00:00,gab,"https://cnn.com/a\nb",1,\n' + bad + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_posts_csv(csv_file(tmp_path, text))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad,message", [
+        ("x.com,centrist", "bias row 4: unknown leaning 'centrist'"),
+        ("x.com,left,extra", "bias row 4: expected 2 fields, got 3"),
+        (f'"x.com\n{LONG_CELL}",right', f"bias CSV line 4: {FIELD_LIMIT}"),
+    ], ids=["bad-value", "field-count", "field-limit"])
+    def test_bias(self, tmp_path, bad, message):
+        text = 'domain,leaning\n"cnn.com\n",left\n' + bad + "\n"
+        with pytest.raises(ValueError) as exc:
+            read_bias_csv(csv_file(tmp_path, text))
+        assert str(exc.value) == message
+
+
 class TestBiasCsv:
     def test_parse(self, tmp_path):
         t = read_bias_csv(csv_file(
