@@ -92,7 +92,7 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
                 out: str | None = None) -> Plan:
     """The config at ``path`` resolved into a :class:`Plan`, or ConfigError.
     ``seed``, ``preset`` and ``out`` are the flags, None when not given."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -288,6 +288,11 @@ def _gather_series(plan: Plan):
 # -- subcommands -----------------------------------------------------------
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def cmd_ingest(plan: Plan) -> int:
     if plan.synthetic is not None:
         raise ConfigError("ingest needs posts_csv and bias_csv, not a synthetic spec")
@@ -297,8 +302,7 @@ def cmd_ingest(plan: Plan) -> int:
     os.makedirs(out, exist_ok=True)
     for metric, by_leaning in outputs.items():
         ingest.write_series_csv(by_leaning, os.path.join(out, f"series_{metric}.csv"))
-    with open(os.path.join(out, "summary.json"), "w") as handle:
-        handle.write(summary.to_json())
+    _write(os.path.join(out, "summary.json"), summary.to_json())
     print(f"ingested {summary.total_posts} posts "
           f"({summary.labeled_posts} labeled) into {out}")
     return 0
@@ -328,8 +332,7 @@ def cmd_run(plan: Plan, fmt: str) -> int:
             continue
         rows_by_metric.setdefault(fit.metric, []).append(row)
         name = f"{fit.kind}_{fit.leaning or 'series'}_{fit.metric}.json"
-        with open(os.path.join(models_dir, name), "w") as handle:
-            handle.write(forecasters.forecaster_to_json(model))
+        _write(os.path.join(models_dir, name), forecasters.forecaster_to_json(model))
 
     tables = [evaluation.ReportTable(platform=platform, metric=metric, rows=rows)
               for metric, rows in sorted(rows_by_metric.items())]
@@ -338,23 +341,18 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     if failures:
         report_text += "\nfailed fits:\n" + "\n".join(
             f"  {line}" for line in failures) + "\n"
-    with open(os.path.join(out, "report.csv"), "w") as handle:
-        handle.write(report_csv)
-    with open(os.path.join(out, "report.txt"), "w") as handle:
-        handle.write(report_text)
-    with open(os.path.join(out, "rows.json"), "w") as handle:
-        handle.write(evaluation.rows_to_json(tables))
+    _write(os.path.join(out, "report.csv"), report_csv)
+    _write(os.path.join(out, "report.txt"), report_text)
+    _write(os.path.join(out, "rows.json"), evaluation.rows_to_json(tables))
     if failures:
-        with open(os.path.join(out, "failures.txt"), "w") as handle:
-            handle.write("\n".join(failures) + "\n")
+        _write(os.path.join(out, "failures.txt"), "\n".join(failures) + "\n")
 
     by_metric = {}
     for metric, leaning, series in series_list:
         by_metric.setdefault(metric, []).append(series)
     for metric, group in sorted(by_metric.items()):
         svg = svgplot.emit_plot(group, title=f"{platform} {metric}")
-        with open(os.path.join(plots_dir, f"series_{metric}.svg"), "w") as handle:
-            handle.write(svg)
+        _write(os.path.join(plots_dir, f"series_{metric}.svg"), svg)
 
     print(report_text if fmt == "text" else report_csv, end="")
     if failures:
@@ -380,14 +378,14 @@ def cmd_gridsearch(plan: Plan) -> int:
     os.makedirs(plan.out_dir, exist_ok=True)
     for base, result in results.items():
         doc = sarima.to_doc(result.spec, result.fit.params)
-        with open(os.path.join(plan.out_dir, f"gridsearch_{base}.json"), "w") as handle:
-            handle.write(json.dumps(doc, sort_keys=True) + "\n")
-        with open(os.path.join(plan.out_dir, f"candidates_{base}.csv"), "w") as handle:
-            handle.write("p,d,q,P,D,Q,s,score,error\n")
-            for cand in result.candidates:
-                score = "" if cand.score is None else repr(cand.score)
-                err = (cand.error or "").replace(",", ";").replace("\n", " ")
-                handle.write(",".join([*map(str, cand.spec.as_tuple()), score, err]) + "\n")
+        _write(os.path.join(plan.out_dir, f"gridsearch_{base}.json"),
+               json.dumps(doc, sort_keys=True) + "\n")
+        lines = ["p,d,q,P,D,Q,s,score,error"]
+        for cand in result.candidates:
+            score = "" if cand.score is None else repr(cand.score)
+            err = (cand.error or "").replace(",", ";").replace("\n", " ")
+            lines.append(",".join([*map(str, cand.spec.as_tuple()), score, err]))
+        _write(os.path.join(plan.out_dir, f"candidates_{base}.csv"), "\n".join(lines) + "\n")
         print(f"{base}: best spec {result.spec.as_tuple()}")
     return 0
 
@@ -409,8 +407,7 @@ def cmd_report(rows_path: str, out: str | None, fmt: str) -> int:
         os.makedirs(out, exist_ok=True)
         ext = "csv" if fmt == "csv" else "txt"
         path = os.path.join(out, f"report.{ext}")
-        with open(path, "w") as handle:
-            handle.write(rendered)
+        _write(path, rendered)
         print(f"wrote {path}")
     else:
         print(rendered, end="")

@@ -84,7 +84,7 @@ def rows_from_json(path: str) -> list:
     """The report tables of the ``rows.json`` at ``path``, or a ValueError naming it."""
     names = [f.name for f in fields(EvalRow)]
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
         return [ReportTable(rows=[EvalRow(*(r[name] for name in names)) for r in t["rows"]],
                             platform=t["platform"], metric=t["metric"])

@@ -286,7 +286,7 @@ def _csv_blocks(path, header: list, what: str):
     short or long row, or one the csv module rejects (a cell over its field
     size limit), are yielded before it raises, so a bad value above it is
     reported first.  The last block may be empty."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         lines, columns = [], tuple([] for _ in header)
         start = 1   # the physical line the next record starts on; a quoted cell may span lines
@@ -460,12 +460,11 @@ def read_bias_csv(path) -> BiasTable:
     return table
 
 
-def _format_value(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
+def _format_value(v) -> str:
+    v = float(v)
+    if math.isnan(v):
         return ""
-    if float(v) == int(v):
-        return str(int(v))
-    return repr(float(v))
+    return str(int(v)) if v == int(v) else repr(v)
 
 
 def write_series_csv(series_by_leaning: dict, path) -> None:
@@ -477,18 +476,18 @@ def write_series_csv(series_by_leaning: dict, path) -> None:
     starts = {series_by_leaning[l].start_date for l in LEANINGS}
     if len(lengths) != 1 or len(starts) != 1:
         raise ValueError("all leaning series must share start date and length")
-    base = series_by_leaning[LEANINGS[0]]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(SERIES_HEADER) + "\n")
-        for i, day in enumerate(base.dates()):
-            cells = [day.isoformat()] + [
-                _format_value(float(series_by_leaning[l].values[i])) for l in LEANINGS]
-            handle.write(",".join(cells) + "\n")
+    _write_columns(path, SERIES_HEADER, series_by_leaning[LEANINGS[0]].dates(),
+                   [series_by_leaning[l].values for l in LEANINGS])
 
 
 def write_value_series_csv(series: DailySeries, path) -> None:
     """Single-series export: header date,value."""
-    with open(path, "w", newline="") as handle:
-        handle.write("date,value\n")
-        for day, value in zip(series.dates(), series.values):
-            handle.write(f"{day.isoformat()},{_format_value(float(value))}\n")
+    _write_columns(path, ["date", "value"], series.dates(), [series.values])
+
+
+def _write_columns(path, header: list, dates, columns) -> None:
+    """One CSV row per day: its ISO date, then its value in each column."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for day, *values in zip(dates, *columns):
+            handle.write(",".join([day.isoformat(), *map(_format_value, values)]) + "\n")

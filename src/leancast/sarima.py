@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .series import is_number
+
 SSE_TOL = 1e-8   # stop once an accepted step gains less than this share of the SSE
 MAX_ITER = 200   # Levenberg-Marquardt iterations (Jacobians) per fit
 VALIDATION_FRACTION = 0.2   # share of the series that holdout_rmse scores on
@@ -35,6 +37,13 @@ class GridSearchError(RuntimeError):
     def __init__(self, message, diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def _nonnegative_int(what: str, v) -> int:
+    # a float or bool order would be truncated or read as 0/1 without notice
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -52,9 +61,7 @@ class SarimaSpec:
 
     def __post_init__(self):
         for name in ("p", "d", "q", "P", "D", "Q", "s"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"order {name} must be a nonnegative integer, got {v!r}")
+            _nonnegative_int(f"order {name}", getattr(self, name))
         if (self.P > 0 or self.D > 0 or self.Q > 0) and self.s < 2:
             raise ValueError(f"seasonal orders require s >= 2, got s={self.s}")
 
@@ -151,6 +158,9 @@ class SarimaFit:
         missing = [k for k in ("sse", "converged") if k not in doc]
         if missing:
             raise ValueError(f"sarima model lacks {', '.join(missing)}")
+        _check_numbers(doc, ("sse",))
+        if not isinstance(doc["converged"], bool):
+            raise ValueError(f"converged must be true or false, got {doc['converged']!r}")
         model = {k: v for k, v in doc.items() if k not in ("sse", "converged", "train_rmse")}
         return cls(*from_doc(model), doc["sse"], doc["converged"])
 
@@ -332,13 +342,6 @@ def rolling_test_rmse(fitted: SarimaFit, train, test) -> float:
     return float(np.sqrt(np.mean(eps[-len(test):] ** 2)))
 
 
-def _grid_value(name: str, v) -> int:
-    # a float or bool order would be truncated or read as 0/1 without notice
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-        raise ValueError(f"grid value for {name} must be a nonnegative integer, got {v!r}")
-    return int(v)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate values for each order, plus the selection rule."""
@@ -354,7 +357,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("p", "d", "q", "P", "D", "Q", "s"):
-            vals = tuple(_grid_value(name, v) for v in getattr(self, name))
+            vals = tuple(_nonnegative_int(f"grid value for {name}", v)
+                         for v in getattr(self, name))
             if not vals:
                 raise ValueError(f"grid range for {name} is empty")
             object.__setattr__(self, name, vals)
@@ -380,7 +384,7 @@ class GridSpec:
             if isinstance(val, dict) and set(val) == {"values"}:
                 fields[name] = tuple(val["values"])
             elif isinstance(val, (list, tuple)) and len(val) == 2:
-                lo, hi = _grid_value(name, val[0]), _grid_value(name, val[1])
+                lo, hi = (_nonnegative_int(f"grid value for {name}", v) for v in val)
                 if hi < lo:
                     raise ValueError(f"grid interval for {name} is empty: {val}")
                 fields[name] = tuple(range(lo, hi + 1))
@@ -397,19 +401,10 @@ class GridSpec:
         Combinations with s < 2 or no seasonal terms (P = D = Q = 0) fold
         into s = 0, the one model they all are, then duplicates are dropped.
         """
-        seen = set()
-        out = []
-        for p, d, q, P, D, Q, s in itertools.product(
-                self.p, self.d, self.q, self.P, self.D, self.Q, self.s):
-            if s < 2 or P == D == Q == 0:
-                P, D, Q, s = 0, 0, 0, 0
-            key = (p, d, q, P, D, Q, s)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(SarimaSpec(p=p, d=d, q=q, P=P, D=D, Q=Q, s=s))
-        out.sort(key=lambda sp: sp.as_tuple())
-        return out
+        orders = {(p, d, q, P, D, Q, s) if s >= 2 and (P or D or Q) else (p, d, q, 0, 0, 0, 0)
+                  for p, d, q, P, D, Q, s in itertools.product(
+                      self.p, self.d, self.q, self.P, self.D, self.Q, self.s)}
+        return [SarimaSpec(*key) for key in sorted(orders)]
 
 
 @dataclass(frozen=True)
@@ -500,6 +495,16 @@ def to_doc(spec: SarimaSpec, params: SarimaParams) -> dict:
     }
 
 
+def _check_numbers(doc: dict, names) -> None:
+    """Each of ``names`` in ``doc`` is a JSON number, or a list of them for a coefficient."""
+    for name in filter(doc.__contains__, names):
+        value, scalar = doc[name], name in ("c", "sigma2", "sse")
+        if not (is_number(value) if scalar else
+                isinstance(value, list) and all(map(is_number, value))):
+            raise ValueError(f"{name} must be a {'number' if scalar else 'list of numbers'}, "
+                             f"got {value!r}")
+
+
 def from_doc(obj) -> tuple[SarimaSpec, SarimaParams]:
     """The spec and parameters of a parsed model document, checked."""
     if not isinstance(obj, dict):
@@ -508,6 +513,7 @@ def from_doc(obj) -> tuple[SarimaSpec, SarimaParams]:
     if unknown:
         raise ValueError(f"unknown SARIMA model keys: {', '.join(unknown)}")
     spec = SarimaSpec.from_orders(obj.get("order"), obj.get("seasonal"))
+    _check_numbers(obj, MODEL_KEYS[2:])
     params = SarimaParams(**{k: obj[k] for k in MODEL_KEYS[2:] if k in obj})
     params.check_lengths(spec)
     return spec, params

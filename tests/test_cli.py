@@ -249,6 +249,27 @@ class TestLoadConfig:
                         "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
                                   "alpha": [0.5], "c": float("nan"), "sigma2": 1.0}}},
          "synthetic model: c must be finite, got nan"),
+        # strings are not read as numbers, nor a string as a list of its digits
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 30,
+                        "model": {"order": [2, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": "12", "c": True, "sigma2": "0.25"}}},
+         "synthetic model: c must be a number, got True"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 30,
+                        "model": {"order": [2, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": "12", "sigma2": 0.25}}},
+         "synthetic model: alpha must be a list of numbers, got '12'"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 30,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": 0.5, "sigma2": 0.25}}},
+         "synthetic model: alpha must be a list of numbers, got 0.5"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 30,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": ["0.5"], "sigma2": 0.25}}},
+         "synthetic model: alpha must be a list of numbers, got ['0.5']"),
+        ({"synthetic": {"kind": "seasonal_sarima", "n": 30,
+                        "model": {"order": [1, 0, 0], "seasonal": [0, 0, 0, 0],
+                                  "alpha": [0.5], "sigma2": "0.25"}}},
+         "synthetic model: sigma2 must be a number, got '0.25'"),
         ({"forecasters": [{"kind": "sarima", "spec": {"order": [1, 0, 0]}, "epochs": 3}]},
          "unknown sarima forecaster keys: epochs"),
         ({"forecasters": [{"kind": "lstm_1day", "grid": {"p": [0, 1]}}]},
@@ -469,6 +490,31 @@ class TestIngestCommand:
         assert rows[0] == "date,left,left_leaning,center,right_leaning,right"
         assert sum(int(row.split(",")[1]) for row in rows[1:]) == 25
         assert "ingested 100 posts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("marked", [("posts",), ("bias",), ("config",),
+                                        ("posts", "bias", "config")])
+    def test_files_saved_with_a_byte_order_mark_ingest_alike(self, tmp_path, capsys, marked):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        def bom(path, name):
+            copy = tmp_path / f"bom_{name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+            return str(copy)
+
+        doc = {"posts_csv": POSTS, "bias_csv": BIAS, "window": JAN_WINDOW,
+               "metrics": ["post_count", "likes_sum", "sentiment_mean"]}
+        plain = write_config(tmp_path, doc)
+        doc.update({f"{key}_csv": bom(doc[f"{key}_csv"], key + ".csv")
+                    for key in ("posts", "bias") if key in marked})
+        config = write_config(tmp_path, doc, "marked.json")
+        if "config" in marked:
+            config = bom(config, "config.json")
+        assert main(["ingest", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+        assert main(["ingest", "--config", config, "--out", str(tmp_path / "marked")]) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "marked").iterdir())
+        for name in names:
+            assert (tmp_path / "marked" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
 
     def test_each_post_domain_is_extracted_once(self, tmp_path, monkeypatch):
         calls = []
@@ -854,6 +900,15 @@ class TestReportCommand:
         assert main(["report", "--config", str(run_out / "rows.json"),
                      "--format", "text"]) == 0
         assert "== synthetic / synthetic ==" in capsys.readouterr().out
+
+    def test_rows_saved_with_a_byte_order_mark_render_alike(self, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", synth_run_config(tmp_path), "--out", str(run_out)]) == 0
+        marked = tmp_path / "rows.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + (run_out / "rows.json").read_bytes())
+        capsys.readouterr()
+        assert main(["report", "--config", str(marked)]) == 0
+        assert capsys.readouterr().out == (run_out / "report.csv").read_text()
 
     def test_needs_config(self, capsys):
         assert main(["report"]) == 1

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -514,4 +515,21 @@ class TestSerialization:
         doc = json.loads(forecaster_to_json(constant_sarima(1.0)))
         del doc["model"][key]
         with pytest.raises(ValueError, match=f"^sarima model lacks {key}$"):
+            forecaster_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sse", "lots", "sse must be a number, got 'lots'"),
+        ("sse", True, "sse must be a number, got True"),
+        ("converged", "no", "converged must be true or false, got 'no'"),
+        ("converged", 1, "converged must be true or false, got 1"),
+        ("c", "1.0", "c must be a number, got '1.0'"),
+        ("sigma2", None, "sigma2 must be a number, got None"),
+        ("alpha", "", "alpha must be a list of numbers, got ''"),
+        ("theta", [False], "theta must be a list of numbers, got [False]"),
+    ])
+    def test_sarima_model_fields_are_json_numbers_and_bools(self, key, value, message):
+        # a string is not read as a number, nor a nonempty one as converged
+        doc = json.loads(forecaster_to_json(constant_sarima(1.0)))
+        doc["model"][key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             forecaster_from_json(json.dumps(doc))

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).parent.parent
 DATA = REPO / "tests" / "data"
 
@@ -64,6 +66,26 @@ def test_ingest_loads_no_fitting_layer(tmp_path):
     assert (tmp_path / "out" / "series_post_count.csv").exists()
     assert "leancast.ingest" in loaded[1]
     assert [m for m in loaded[1] if m.rsplit(".", 1)[-1] in FITTING_LAYERS] == []
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("run", {"kind": "sarima", "spec": {"order": [1, 0, 0]}}),
+    ("gridsearch", {"kind": "sarima", "grid": {"p": [0, 1]}}),
+])
+def test_sarima_commands_load_no_second_minimizer(tmp_path, command, entry):
+    # sarima.fit's Levenberg-Marquardt loop is the one minimizer
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synthetic": {"kind": "ar1", "n": 60, "alpha": 0.5},
+                                  "forecasters": [entry]}))
+    loaded = run_python(
+        "import json, sys\n"
+        "from leancast.cli import main\n"
+        "code = main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n",
+        command, str(config), str(tmp_path / "out"))
+    assert loaded[0] == 0
+    assert "leancast.sarima" in loaded[1]
+    assert "leancast.simplex" not in loaded[1]
 
 
 def test_report_loads_only_the_row_codec(tmp_path):
