@@ -97,6 +97,8 @@ def load_config(path: str, seed: int | None = None, preset: str | None = None,
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")

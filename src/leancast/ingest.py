@@ -312,7 +312,24 @@ def _csv_blocks(path, header: list, what: str):
         except csv.Error as exc:
             yield lines, columns
             raise ValueError(f"{what} CSV line {start}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line, byte = _first_non_utf8_line(path), exc.object[exc.start]
+            raise ValueError(f"{what} CSV {path} line {line}: byte {byte:#04x} is not UTF-8 "
+                             f"({exc.reason})") from None
         yield lines, columns
+
+
+def _first_non_utf8_line(path) -> int:
+    """The physical line of the first byte of ``path`` that is not UTF-8,
+    read from its bytes: the text layer decodes ahead of the csv reader,
+    whose line count has not reached that byte when the decoding fails."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[:exc.start]
+    return len((raw + b".").splitlines())    # the csv reader's breaks: \r\n, \r, \n
 
 
 # byte offsets of the digits in "YYYY-MM-DDTHH:MM:SS"

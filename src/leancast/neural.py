@@ -30,18 +30,18 @@ one step from a zero state, so its recurrent weights multiply h = 0: they
 never reach an output and their gradient is exactly zero.  Such a
 ``one_step`` network is built without them: an LSTM layer's W_* hold only
 their x-columns, (H, I), and a GRU layer has no U_*.  Init draws the full
-layout and keeps the live columns.  Its steps skip every term of the zero
-state (the [h, x] concatenation, the U products, f * c, (1 - z) * h, and
-the backward's carries and d(f)), so outputs and gradients are the full
-network's up to summation order.
+layout and keeps the live columns.  It is a feed-forward stack and runs as
+a plain loop over its layers: the GEMM by the fused W block, the bias, and
+the gates that meet no zero state (LSTM i, g, o; GRU z and the candidate),
+so outputs and gradients are the full network's up to summation order.
 
-The stack runs in their layer-overlap schedule: cell (l, t) needs only
-(l - 1, t) and (l, t - 1), so wavefront k runs every cell with l + t = k at
-once, L + T - 1 steps instead of L * T.  Every wavefront is a stack of its
-rows, one per layer, and the gate math runs once per wavefront.  Layer 0
-runs its own GEMM; the layers above run one matmul over views that stack
-their blocks, each matrix with the strides of one layer's operand, so BLAS
-sums every cell in the same order and results are bit-identical to one
+Over T > 1 steps the stack runs in their layer-overlap schedule: cell (l, t)
+needs only (l - 1, t) and (l, t - 1), so wavefront k runs every cell with
+l + t = k at once, L + T - 1 steps instead of L * T.  Every wavefront is a
+stack of its rows, one per layer, and the gate math runs once per wavefront.
+Layer 0 runs its own GEMM; the layers above run one matmul over views that
+stack their blocks, each matrix with the strides of one layer's operand, so
+BLAS sums every cell in the same order and results are bit-identical to one
 layer's time loop after another.  The forward writes every state into one
 history per carried state, (L, T + 1, n, H), in which a wavefront's cells,
 their next states and the outputs of the layers below are strided slices.
@@ -53,7 +53,7 @@ multistep decoder steps on this way).
 Training holds one activation cache: ``forward(..., out=cache)`` writes
 its state history, ``top`` and pre-activations into an earlier cache's
 arrays of the same shapes and frees the rest of that cache first; other
-shapes (a last, smaller batch) get fresh arrays.
+shapes (a last, smaller batch) and one-step networks get fresh arrays.
 
 All math is float64 numpy; gradients are exact reverse-mode derivatives of
 the forward recursion (checked against finite differences in the tests).
@@ -267,32 +267,28 @@ def _front_gemm(a, x0, x3, lo, hi, W0, W):
 
 
 def _lstm_step(a, x0, below, state, new, lo, hi, weights):
-    (W0T, WT, b, one_step), h, c, hidden = weights, state[0], state[1], state.shape[-1]
-    if not one_step:    # a one-step network's W has no h-columns: its h is zero
-        x0 = np.concatenate([h[0], x0], axis=1) if lo == 0 else None
-        below = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
+    (W0T, WT, b), h, c, hidden = weights, state[0], state[1], state.shape[-1]
+    x0 = np.concatenate([h[0], x0], axis=1) if lo == 0 else None
+    below = np.concatenate([h[max(lo, 1) - lo:], below], axis=2) if hi else None
     _front_gemm(a, x0, below, lo, hi, W0T, WT)
     a += b[lo:hi + 1]
     i, f, g, o = gates = sigmoid(a.reshape(a.shape[:2] + (4, hidden)).transpose(2, 0, 1, 3))
     np.tanh(a[..., 2 * hidden:3 * hidden], out=g)
     c_new = np.multiply(i, g, out=new[1])
-    if not one_step:    # a one-step cell's c is zero
-        c_new += f * c
+    c_new += f * c
     tc = np.tanh(c_new)
     np.multiply(o, tc, out=new[0])
     return x0, below, gates, c, tc
 
 
 def _lstm_back(d, da, dg, cache, lo, hi, k, weights, grads):
-    (z0, z3, (i, f, g, o), c, tc), (W0, W, one_step), (dW0, dW, db) = cache, weights, grads
+    (z0, z3, (i, f, g, o), c, tc), (W0, W), (dW0, dW, db) = cache, weights, grads
     rows, hidden = slice(lo, hi + 1), c.shape[-1]
     (di, df, dgg, do, tmp), dc = dg, d[2, rows]
-    # a one-step cell is its layer's last (no carries) and has c = 0 (d(f) = 0)
-    dh = d[0, rows] if one_step else np.add(d[0, rows], d[1, rows], out=d[0, rows])
-    _product(dc if one_step else di, dh, o, np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp))
-    if not one_step:
-        dc += di
-        _product(df, dc, c, f, np.subtract(1.0, f, out=tmp))
+    dh = np.add(d[0, rows], d[1, rows], out=d[0, rows])
+    _product(di, dh, o, np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp))
+    dc += di
+    _product(df, dc, c, f, np.subtract(1.0, f, out=tmp))
     _product(di, dc, g, i, np.subtract(1.0, i, out=tmp))
     _product(dgg, dc, i, np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp))
     _product(do, dh, tc, o, np.subtract(1.0, o, out=tmp))
@@ -312,22 +308,19 @@ def _lstm_back(d, da, dg, cache, lo, hi, k, weights, grads):
         dz = np.matmul(da3, W[above])
         if k > lo:
             d[1, max(lo, 1):hi + 1] = dz[..., :hidden]
-        return dz[..., -hidden:]    # the x-columns, all of a one-step network's
+        return dz[..., -hidden:]
 
 
 def _gru_step(a, x0, below, state, new, lo, hi, weights):
     (W0T, WT, UzT, UhT, bz, bh), h = weights, state[0]
-    rows, cut, one_step = slice(lo, hi + 1), bz.shape[-1], UzT is None
+    rows, cut = slice(lo, hi + 1), bz.shape[-1]
     _front_gemm(a, x0, below, lo, hi, W0T, WT)
-    # a one-step network has no U: its h is zero, and so are the U terms
-    zr = (a[..., :cut] if one_step else a[..., :cut] + np.matmul(h, UzT[rows])) + bz[rows]
+    zr = a[..., :cut] + np.matmul(h, UzT[rows]) + bz[rows]
     z, r = gates = sigmoid(zr.reshape(h.shape[:2] + (2, h.shape[-1])).transpose(2, 0, 1, 3))
-    rh = None if one_step else r * h
-    hcand = a[..., cut:] if one_step else a[..., cut:] + np.matmul(rh, UhT[rows])
-    hcand = np.tanh(hcand + bh[rows])
+    rh = r * h
+    hcand = np.tanh(a[..., cut:] + np.matmul(rh, UhT[rows]) + bh[rows])
     h_new = np.multiply(z, hcand, out=new[0])
-    if not one_step:
-        h_new += (1.0 - z) * h
+    h_new += (1.0 - z) * h
     return x0, below, h, gates, rh, hcand
 
 
@@ -336,16 +329,13 @@ def _gru_back(d, da, dg, cache, lo, hi, k, weights, grads):
     rows, cut = slice(lo, hi + 1), 2 * h.shape[-1]
     dh, (dz, dr, dhc, tmp) = d[0, rows] + d[1, rows], dg
     _product(dhc, dh, z, np.subtract(1.0, np.multiply(hcand, hcand, out=tmp), out=tmp))
-    _product(dz, dh, hcand if Uh is None else np.subtract(hcand, h, out=dz), z,
-             np.subtract(1.0, z, out=tmp))
+    _product(dz, dh, np.subtract(hcand, h, out=dz), z, np.subtract(1.0, z, out=tmp))
     da[..., cut:] = dhc    # the GEMM for d(r) reads it from the fused da
-    if Uh is not None:    # a one-step network has no U, and its r meets only h = 0
-        drh = np.matmul(da[..., cut:], Uh[rows])
-        _product(dr, drh, h, r, np.subtract(1.0, r, out=tmp))
-        dUh[rows] += np.matmul(da[..., cut:].swapaxes(1, 2), rh)
+    drh = np.matmul(da[..., cut:], Uh[rows])
+    _product(dr, drh, h, r, np.subtract(1.0, r, out=tmp))
+    dUh[rows] += np.matmul(da[..., cut:].swapaxes(1, 2), rh)
     da.reshape(tmp.shape[:2] + (3, tmp.shape[-1]))[:, :, :2] = dg[:2].transpose(1, 2, 0, 3)
-    if Uh is not None:
-        dUz[rows] += np.matmul(da[..., :cut].swapaxes(1, 2), h)
+    dUz[rows] += np.matmul(da[..., :cut].swapaxes(1, 2), h)
     db[rows] += np.add.reduce(da, axis=1)
     if k > lo:    # nothing reads a d(h) before t = 0
         np.add(dh * (1.0 - z) + drh * r, np.matmul(da[..., :cut], Uz[rows]), out=d[1, rows])
@@ -464,8 +454,8 @@ class RecurrentNetwork:
     ``theta`` in place.
 
     A ``one_step`` network, which ``train_at_positions`` builds for one-step
-    input, has no recurrent weights (module docstring); its ``layers`` say
-    so, and their U entries are None.
+    input, has no recurrent weights and runs as a layer loop (module
+    docstring); its ``layers`` say so, and their U entries are None.
     """
 
     def __init__(self, config: NetworkConfig, init: str = "uniform", one_step: bool = False):
@@ -514,7 +504,7 @@ class RecurrentNetwork:
         same batch and steps): the forward empties it, then writes its state
         history, ``top`` and pre-activations into the earlier arrays, so
         nothing may read it as the earlier forward's cache afterwards.  Any
-        other ``out`` is left alone.
+        other ``out``, or any ``out`` of a one-step network, is left alone.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.config.input_size:
@@ -526,7 +516,9 @@ class RecurrentNetwork:
                              f"got {steps} steps" + (" and a state" if state else ""))
         lstm, hidden = self.config.cell == "lstm", self.config.hidden
         history_shape = (1 + lstm, layers, steps + 1, n, hidden)
-        if out is not None and out["history"].shape == history_shape:
+        if self.one_step:
+            cache = {}
+        elif out is not None and out["history"].shape == history_shape:
             cache, history, top, pre = out, out["history"], out["top"], out["pre"]
             cache.clear()    # frees the earlier forward's other arrays before this one's
         else:
@@ -536,37 +528,58 @@ class RecurrentNetwork:
         used_masks, skew = [None] * layers, None
         if training and rate > 0.0 and layers > 1:
             dropout_rng = dropout_rng or derive_rng(self.config.seed, "dropout")
-            shape = (n, steps, self.config.hidden)
-            used_masks[:-1] = [dropout_masks(dropout_rng, shape, rate) if masks is None
-                               else masks[layer_idx] for layer_idx in range(layers - 1)]
-            # skew[k, l]: the mask on what layer l + 1 reads in wavefront k
-            # (entries of no cell stay unset and are never read)
-            skew = np.empty((layers + steps, layers - 1, n, self.config.hidden))
-            for layer_idx, mask in enumerate(used_masks[:-1]):
-                skew[layer_idx + 1:layer_idx + 1 + steps, layer_idx] = mask.swapaxes(0, 1)
-        W0T, (W, *U, b) = self._params.blocks[0][0].T, self._params.stacks
-        WT, b = W.swapaxes(1, 2), b[:, None]
-        if lstm:
-            weights = (W0T, WT, b, self.one_step)
-        else:    # the z and r parts of U and b, then the candidate's
-            zr, cand = slice(2 * hidden), slice(2 * hidden, None)
-            UzT = UhT = None    # a one-step network has no U
-            if U:
-                UT = U[0].swapaxes(1, 2)
-                UzT, UhT = UT[..., zr], UT[..., cand]
-            weights = (W0T, WT, UzT, UhT, b[..., zr], b[..., cand])
-        history[:, :, 0] = np.swapaxes(state, 0, 1) if state else 0.0
-        fronts = _forward_fronts(_lstm_step if lstm else _gru_step, weights, x, skew, history,
-                                 pre)
-        np.copyto(top, history[0, -1, 1:].swapaxes(0, 1))
+            used_masks[:-1] = [dropout_masks(dropout_rng, (n, steps, hidden), rate)
+                               if masks is None else masks[layer_idx]
+                               for layer_idx in range(layers - 1)]
+        if self.one_step:
+            top, cache["layers"] = self._layer_loop(x[:, 0], used_masks)
+        else:
+            if used_masks[0] is not None:
+                # skew[k, l]: the mask on what layer l + 1 reads in wavefront k
+                # (entries of no cell stay unset and are never read)
+                skew = np.empty((layers + steps, layers - 1, n, hidden))
+                for layer_idx, mask in enumerate(used_masks[:-1]):
+                    skew[layer_idx + 1:layer_idx + 1 + steps, layer_idx] = mask.swapaxes(0, 1)
+            W0T, (W, *U, b) = self._params.blocks[0][0].T, self._params.stacks
+            WT, b = W.swapaxes(1, 2), b[:, None]
+            if lstm:
+                weights = (W0T, WT, b)
+            else:    # the z and r parts of U and b, then the candidate's
+                zr, cand, UT = slice(2 * hidden), slice(2 * hidden, None), U[0].swapaxes(1, 2)
+                weights = (W0T, WT, UT[..., zr], UT[..., cand], b[..., zr], b[..., cand])
+            history[:, :, 0] = np.swapaxes(state, 0, 1) if state else 0.0
+            cache.update(fronts=_forward_fronts(_lstm_step if lstm else _gru_step, weights, x,
+                                                skew, history, pre),
+                         history=history, skew=skew, pre=pre)
+            np.copyto(top, history[0, -1, 1:].swapaxes(0, 1))
         outputs = top @ self.W_out.T + self.b_out
-        cache.update(top=top, fronts=fronts, history=history, masks=used_masks, skew=skew,
-                     pre=pre)
+        cache.update(top=top, masks=used_masks)
         return outputs, cache
+
+    def _layer_loop(self, x, masks):
+        """A one-step network's forward over (n, input_size) ``x``; returns the
+        top layer's h, (n, 1, H), and per layer what ``backward`` reads."""
+        hidden, lstm, layers = self.config.hidden, self.config.cell == "lstm", []
+        for (W, b), mask in zip(self._params.blocks[:-1], masks):    # the readout's is last
+            a = x @ W.T + b
+            if lstm:    # (i, o), then (g, tanh(c)), gate-major; f only meets c = 0
+                io = sigmoid(a.reshape(len(a), 4, hidden)[:, ::3].swapaxes(0, 1))
+                gt = np.empty_like(io)
+                g = np.tanh(a[:, 2 * hidden:3 * hidden], out=gt[0])
+                tc = np.tanh(io[0] * g, out=gt[1])
+                h, cached = io[1] * tc, (io, gt)
+            else:    # z and the candidate; r only meets h = 0
+                z, hcand = sigmoid(a[:, :hidden]), np.tanh(a[:, 2 * hidden:])
+                h, cached = z * hcand, (z, hcand)
+            layers.append((x,) + cached)
+            x = h if mask is None else h * mask[:, 0]
+        return h[:, None], layers
 
     def final_state(self, cache) -> list:
         """Each layer's (h, c) (LSTM) or (h,) (GRU) after the last step of the
         forward that left ``cache``: views into its state history."""
+        if self.one_step:
+            raise ValueError("a one-step network carries no state to continue from")
         return [tuple(states[:, -1]) for states in cache["history"].swapaxes(0, 1)]
 
     def backward(self, cache, d_outputs, out: FlatParameters | None = None) -> FlatParameters:
@@ -587,20 +600,49 @@ class RecurrentNetwork:
                              f"network has {self.theta.size}")
         out["out.W"][...] = np.einsum("nto,nth->oh", d_outputs, cache["top"])
         out["out.b"][...] = d_outputs.sum(axis=(0, 1))
+        dh_top = d_outputs @ self.W_out
+        if self.one_step:
+            self._layer_loop_back(cache, dh_top[:, 0], out)
+            return out
         lstm, W0, dW0 = self.config.cell == "lstm", self._params.blocks[0][0], out.blocks[0][0]
         if lstm:
-            weights, grads = (W0, self._params.stacks[0], self.one_step), (dW0, *out.stacks)
+            weights, grads = (W0, self._params.stacks[0]), (dW0, *out.stacks)
         else:    # U split into its z and r part and the candidate's
-            (W, *U, _), (dW, *dU, db) = self._params.stacks, out.stacks
-            cut = 2 * self.config.hidden
-            Uz = Uh = dUz = dUh = None    # a one-step network has no U
-            if U:
-                (U,), (dU,) = U, dU
-                Uz, Uh, dUz, dUh = U[:, :cut], U[:, cut:], dU[:, :cut], dU[:, cut:]
-            weights, grads = (W0, W, Uz, Uh), (dW0, dW, dUz, dUh, db)
+            (W, U, _), (dW, dU, db), cut = self._params.stacks, out.stacks, 2 * self.config.hidden
+            weights = (W0, W, U[:, :cut], U[:, cut:])
+            grads = (dW0, dW, dU[:, :cut], dU[:, cut:], db)
         _backward_fronts(_lstm_back if lstm else _gru_back, cache["fronts"], cache["skew"],
-                         d_outputs @ self.W_out, weights, grads, 1 + lstm)
+                         dh_top, weights, grads, 1 + lstm)
         return out
+
+    def _layer_loop_back(self, cache, dh, out):
+        """``_layer_loop``'s layers in reverse from the top layer's d(h), each
+        adding its gradients into ``out``; a d(f) (LSTM) or d(r) (GRU) is zero."""
+        hidden, lstm = self.config.hidden, self.config.cell == "lstm"
+        da, pair = np.zeros((len(dh), (3 + lstm) * hidden)), np.empty((2, len(dh), hidden))
+        gates = da.reshape(len(dh), 3 + lstm, hidden)
+        for k in reversed(range(len(self.layers))):
+            if lstm:    # d(i) = d(c) g i (1 - i) and d(o) = d(h) tanh(c) o (1 - o) at once
+                x, io, gt = cache["layers"][k]
+                dtanh = np.subtract(1.0, gt * gt)
+                dc = np.multiply(dh, io[1], out=pair[0])
+                dc *= dtanh[1]
+                pair[1] = dh
+                _product(gates[:, 2], dc, io[0], dtanh[0])
+                _product(pair, pair, gt, io, 1.0 - io)
+                gates[:, ::3] = pair.swapaxes(0, 1)
+            else:
+                x, z, hcand = cache["layers"][k]
+                _product(pair[0], dh, hcand, z, 1.0 - z)
+                _product(pair[1], dh, z, 1.0 - hcand * hcand)
+                gates[:, ::2] = pair.swapaxes(0, 1)
+            (W, _), (dW, db) = self._params.blocks[k], out.blocks[k]
+            db += np.add.reduce(da, axis=0)
+            dW += da.T @ x
+            if k:    # nothing reads layer 0's d(input)
+                dh = da @ W
+                if cache["masks"][k - 1] is not None:
+                    dh *= cache["masks"][k - 1][:, 0]
 
     def to_doc(self) -> dict:
         return {"config": asdict(self.config), "weights": {

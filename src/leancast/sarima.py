@@ -382,6 +382,9 @@ class GridSpec:
             if name not in ("p", "d", "q", "P", "D", "Q", "s"):
                 raise ValueError(f"unknown grid key {name!r}")
             if isinstance(val, dict) and set(val) == {"values"}:
+                if not isinstance(val["values"], list):
+                    raise ValueError(f"grid values for {name} must be a JSON list, "
+                                     f"got {val['values']!r}")
                 fields[name] = tuple(val["values"])
             elif isinstance(val, (list, tuple)) and len(val) == 2:
                 lo, hi = (_nonnegative_int(f"grid value for {name}", v) for v in val)

@@ -11,8 +11,8 @@ the GRU its U terms from zero matrices, whose gradient is dropped.
 ``prefix_decode`` is ``forecasters.decode_multistep`` as it was before it
 carried its state: one forward over the whole prefix per step ahead.  The
 wavefront schedule evaluates the same operations on the same operands, so
-every result must match these bit for bit; a one-step network's cells,
-which skip the zero terms, must match them too.
+every result must match these bit for bit; a one-step network's layer
+loop, which skips the zero terms, must match them too.
 
 The training hot path as it was before it stopped allocating: the
 boolean-mask ``sigmoid``, the allocating RMSProp and Adam steps, and

@@ -516,6 +516,30 @@ class TestIngestCommand:
             assert (tmp_path / "marked" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes()
 
+    @pytest.mark.parametrize("bad", ["posts", "bias", "config"])
+    def test_input_that_is_not_utf8_is_named_with_its_line(self, tmp_path, capsys, bad):
+        # a Latin-1 e-acute on the next-to-last line: the text layer decodes
+        # the whole file before the csv reader reads its header, so the line
+        # must come from the file's bytes
+        paths = {"posts": POSTS, "bias": BIAS}
+        if bad != "config":
+            lines = Path(paths[bad]).read_bytes().splitlines(keepends=True)
+            lines[-2] = lines[-2].replace(b",", b"\xe9,", 1)
+            paths[bad] = str(tmp_path / f"latin1_{bad}.csv")
+            Path(paths[bad]).write_bytes(b"".join(lines))
+        config = write_config(tmp_path, {"posts_csv": paths["posts"], "bias_csv": paths["bias"],
+                                         "window": JAN_WINDOW})
+        if bad == "config":
+            Path(config).write_bytes(Path(config).read_bytes().replace(b"01-20", b"01-2\xe9"))
+        assert main(["ingest", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        if bad == "config":
+            assert err.startswith(f"error: config {config} is not UTF-8: ")
+        else:
+            assert err == (f"error: {bad} CSV {paths[bad]} line {len(lines) - 1}: byte 0xe9 "
+                           "is not UTF-8 (invalid continuation byte)\n")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
     def test_each_post_domain_is_extracted_once(self, tmp_path, monkeypatch):
         calls = []
         extract_domain = ingest.extract_domain

@@ -5,9 +5,10 @@ a fit holds one cache instead of building the next beside the last.  The
 reused cache must hold exactly what a fresh forward's holds: its state
 history, ``top`` and pre-activations in the arrays of the cache passed in,
 and every other array in memory of its own, none of the earlier forward's.
-A state history of another shape leaves the earlier cache alone.  Training
-with the reuse must match training with fresh caches bit for bit, and must
-not hold two caches at once.
+A state history of another shape leaves the earlier cache alone, and so
+does every forward of a one-step network, whose layer loop keeps no state
+history.  Training with the reuse must match training with fresh caches bit
+for bit, and must not hold two caches at once.
 """
 
 import tracemalloc
@@ -96,6 +97,7 @@ def test_reused_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, on
                       + [None] if dropout else None for _ in range(2))
     _, old = net.forward(x1, training=dropout, masks=masks1)
     before = _arrays(old)
+    kept = {path: array.copy() for path, array in before.items()}
     carried = copied = None
     if state:
         carried = net.final_state(old)
@@ -104,8 +106,14 @@ def test_reused_cache_matches_a_fresh_forward_in_the_old_arrays(cell, layers, on
     outputs, cache = net.forward(x2, training=dropout, masks=masks2, state=carried, out=old)
     fresh_outputs, fresh = net.forward(x2, training=dropout, masks=masks2, state=copied)
     npt.assert_array_equal(_bits(outputs), _bits(fresh_outputs))
-    own = [x2] + [mask for mask in masks2 or () if mask is not None]
-    _assert_reused(old, before, cache, fresh, own, layers, steps)
+    if one_step:    # the layer loop reuses nothing and leaves ``out`` alone
+        assert cache is not old and set(_arrays(old)) == set(kept)
+        for path, array in _arrays(old).items():
+            npt.assert_array_equal(_bits(array), _bits(kept[path]), err_msg=str(path))
+            assert not any(np.shares_memory(array, a) for a in _arrays(cache).values()), path
+    else:
+        own = [x2] + [mask for mask in masks2 or () if mask is not None]
+        _assert_reused(old, before, cache, fresh, own, layers, steps)
 
     d = rng.normal(0, 1, (n, steps, 2))
     npt.assert_array_equal(_bits(net.backward(cache, d).vector),

@@ -146,7 +146,10 @@ def test_one_step_network_rejects_more_steps_or_a_state(cell):
     with pytest.raises(ValueError, match="one-step network"):
         net.forward(np.ones((4, 2, 2)))
     with pytest.raises(ValueError, match="one-step network"):
-        net.forward(np.ones((4, 1, 2)), state=net.final_state(cache))
+        net.final_state(cache)
+    state = [(np.zeros((4, 3)),) * (2 if cell == "lstm" else 1)] * 2
+    with pytest.raises(ValueError, match="one-step network"):
+        net.forward(np.ones((4, 1, 2)), state=state)
     layer = net.layers[0]
     assert (layer.one_step, layer.hidden, layer.input_size) == (True, 3, 2)
     with pytest.raises(ValueError, match="one-step network"):

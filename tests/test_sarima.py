@@ -561,6 +561,10 @@ class TestGridSearch:
     @pytest.mark.parametrize("doc,message", [
         ({"bogus": [0, 1]}, "unknown grid key 'bogus'"),
         ('{"p": [0, 1]}', "a grid must be an object"),
+        # a candidate set is a JSON list, not a number, a string of digits or an object
+        ({"p": {"values": 5}}, "grid values for p must be a JSON list, got 5"),
+        ({"p": {"values": "12"}}, "grid values for p must be a JSON list, got '12'"),
+        ({"q": {"values": {"values": [1]}}}, "grid values for q must be a JSON list"),
     ])
     def test_from_doc_rejects(self, doc, message):
         with pytest.raises(ValueError, match=message):

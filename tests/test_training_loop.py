@@ -8,7 +8,8 @@ kept as references; only their optimizer calls follow the flat-vector API
 does the same arithmetic in the same order, so histories and weights must
 match bit for bit.  The oracles build the full layout, so the one-step
 cases (time 1), which train without recurrent weights, are held to them
-within a tolerance in test_one_step.py.
+within a tolerance in test_one_step.py; their layer loop trains bit for bit
+as the per-layer kernels do on the one-step layout.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from leancast.neural import RecurrentNetwork, TrainingDivergedError
 from leancast.rng import derive_rng
 from leancast.series import generate_synthetic, make_windows
 from reference_kernels import (allocating_adam_step, allocating_backward,
-                               allocating_rmsprop_step, masked_sigmoid, per_layer_forward)
+                               allocating_rmsprop_step, masked_sigmoid, per_layer_backward,
+                               per_layer_forward)
 
 
 def _oracle_windows_to_batches(windows, input_size: int):
@@ -214,6 +216,40 @@ def test_training_matches_allocating_kernels_bit_for_bit(kind, monkeypatch):
     ref_net, ref_history = _train_kind(kind, seed=3)
     assert sorted(calls) == ["backward", "forward", "sigmoid", "step"]
     assert calls["step"] == calls["backward"] >= 4
+    assert history == ref_history
+    npt.assert_array_equal(net.theta.view(np.uint64), ref_net.theta.view(np.uint64))
+
+
+# the one-step kinds at tiny shapes, each with its own cell, optimizer and
+# dropout (the GRU's 0.2 with Adam), and a last partial batch
+ONE_STEP_CASES = {
+    "lstm_1day": (40, dict(layers=2, hidden=5)),
+    "lstm_14day": (59, dict(layers=2, hidden=5)),
+    "gru_14day": (60, dict(layers=3, hidden=4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_STEP_CASES))
+def test_one_step_training_matches_per_layer_kernels_bit_for_bit(kind, monkeypatch):
+    """The one-step layer loop against the per-layer kernels, which run the
+    full recursion from the zero state on the same layout, through training."""
+    n, over = ONE_STEP_CASES[kind]
+    cfg = default_network_config(kind, seed=3, epochs=3, **over)
+    windows = make_windows(_series(n, seed=3), kind_lookback(kind), 1)
+    if kind == "gru_14day":
+        assert (cfg.dropout, cfg.optimizer) == (0.2, "adam")
+    net, history = neural.train(cfg, windows)
+    assert net.one_step
+    calls = []
+
+    def backward(self, cache, d_outputs, out=None):
+        calls.append(1)
+        return per_layer_backward(self, cache, d_outputs)
+
+    monkeypatch.setattr(RecurrentNetwork, "forward", per_layer_forward)
+    monkeypatch.setattr(RecurrentNetwork, "backward", backward)
+    ref_net, ref_history = neural.train(cfg, windows)
+    assert len(calls) == cfg.epochs * -(-windows.count // cfg.batch_size)
     assert history == ref_history
     npt.assert_array_equal(net.theta.view(np.uint64), ref_net.theta.view(np.uint64))
 
