@@ -382,11 +382,12 @@ def cmd_gridsearch(plan: Plan) -> int:
         doc = sarima.to_doc(result.spec, result.fit.params)
         _write(os.path.join(plan.out_dir, f"gridsearch_{base}.json"),
                json.dumps(doc, sort_keys=True) + "\n")
-        lines = ["p,d,q,P,D,Q,s,score,error"]
+        lines = ["p,d,q,P,D,Q,s,score,converged,error"]
         for cand in result.candidates:
             score = "" if cand.score is None else repr(cand.score)
+            converged = "" if cand.converged is None else str(cand.converged).lower()
             err = (cand.error or "").replace(",", ";").replace("\n", " ")
-            lines.append(",".join([*map(str, cand.spec.as_tuple()), score, err]))
+            lines.append(",".join([*map(str, cand.spec.as_tuple()), score, converged, err]))
         _write(os.path.join(plan.out_dir, f"candidates_{base}.csv"), "\n".join(lines) + "\n")
         print(f"{base}: best spec {result.spec.as_tuple()}")
     return 0

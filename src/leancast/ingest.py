@@ -285,7 +285,13 @@ def _csv_blocks(path, header: list, what: str):
     ``header`` and each row must have as many fields; the rows before a
     short or long row, or one the csv module rejects (a cell over its field
     size limit), are yielded before it raises, so a bad value above it is
-    reported first.  The last block may be empty."""
+    reported first.  The last block may be empty.
+
+    Lines are read as many at a time as the block lacks rows.  While they
+    hold no quote, CR or NUL and none is longer than the field size limit,
+    each line is one record and each comma ends a cell, so their cells
+    come from one split; from the first lines that do, the csv module reads
+    them and the rest of the file, and the result is the same."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         lines, columns = [], tuple([] for _ in header)
@@ -295,13 +301,52 @@ def _csv_blocks(path, header: list, what: str):
             if got != header:
                 raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
             start = reader.line_num + 1
+            limit, width = csv.field_size_limit(), len(header)
+            while True:
+                need = _BLOCK_ROWS - len(lines)
+                chunk, failure = _read_lines(handle, need)
+                text = ",".join(chunk)      # a line's last cell keeps its "\n" until stripped
+                if ('"' in text or "\r" in text or "\0" in text
+                        or max(map(len, chunk), default=0) > limit):
+                    break           # the csv module reads from these lines on
+                first, start, at_end = start, start + len(chunk), len(chunk) < need
+                numbers = range(first, start)
+                if "\n" in chunk:       # a blank line holds no record
+                    numbers = [n for n, line in zip(numbers, chunk) if line != "\n"]
+                    chunk = [line for line in chunk if line != "\n"]
+                counts = list(map(str.count, chunk, itertools.repeat(",")))
+                good = (len(counts) if counts.count(width - 1) == len(counts)
+                        else [count == width - 1 for count in counts].index(False))
+                if good < start - first:
+                    text = ",".join(chunk[:good])
+                chunk = []                  # free the lines before their cells are made
+                cells = text.split(",") if good else []
+                del text
+                lines.extend(numbers[:good])
+                for k, column in enumerate(columns):
+                    column.extend(map(str.strip, cells[k::width]))
+                del cells                   # before the block is yielded
+                if good < len(counts):
+                    yield lines, columns
+                    raise ValueError(f"{what} row {numbers[good]}: expected {width} fields, "
+                                     f"got {counts[good] + 1}")
+                if failure is not None:
+                    raise failure
+                if len(lines) == _BLOCK_ROWS:
+                    yield lines, columns
+                    lines, columns = [], tuple([] for _ in header)
+                if at_end:
+                    break
+            base = start - 1
+            reader = csv.reader(itertools.chain(chunk, handle) if failure is None
+                                else _then_raise(chunk, failure))
             for cells in reader:
-                line_no, start = start, reader.line_num + 1
+                line_no, start = start, base + reader.line_num + 1
                 if not cells:
                     continue
-                if len(cells) != len(header):
+                if len(cells) != width:
                     yield lines, columns
-                    raise ValueError(f"{what} row {line_no}: expected {len(header)} fields, "
+                    raise ValueError(f"{what} row {line_no}: expected {width} fields, "
                                      f"got {len(cells)}")
                 lines.append(line_no)
                 for column, cell in zip(columns, cells):
@@ -317,6 +362,23 @@ def _csv_blocks(path, header: list, what: str):
             raise ValueError(f"{what} CSV {path} line {line}: byte {byte:#04x} is not UTF-8 "
                              f"({exc.reason})") from None
         yield lines, columns
+
+
+def _read_lines(handle, n: int) -> tuple:
+    """Up to ``n`` lines of ``handle``, and the UnicodeDecodeError that
+    ended them early, or None: the lines before it are still read."""
+    chunk = []
+    try:
+        chunk.extend(itertools.islice(handle, n))
+    except UnicodeDecodeError as exc:
+        return chunk, exc
+    return chunk, None
+
+
+def _then_raise(lines, exc):
+    """``lines``, then ``exc`` raised where the next line would be."""
+    yield from lines
+    raise exc
 
 
 def _first_non_utf8_line(path) -> int:
@@ -340,13 +402,35 @@ _MAX_ORDINAL = dt.date.max.toordinal()
 _US_PER_DAY = 86_400_000_000
 
 
+# the timestamps every supported Python's fromisoformat reads alike once
+# each fraction has six digits: a date, then optionally one separator and
+# HH[:MM[:SS[.f]]], then optionally Z or an offset +-HH:MM[:SS[.f]].  The
+# patterns are compiled on first use (re's cache), so that commands that
+# read no posts do not pay for them.
+_STAMP_PATTERN = (
+    r"(?s)[0-9]{4}-[0-9]{2}-[0-9]{2}(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6})?)?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6})?)?)?")
+_FRACTION_PATTERN = r"(?<=:[0-9]{2})\.[0-9]{1,6}"
+
+
+def _parse_stamp(stamp: str) -> dt.datetime:
+    """``datetime.fromisoformat`` of a timestamp that ``_STAMP_PATTERN``
+    matches, "Z" read as "+00:00"; ValueError for any other text, on every
+    Python."""
+    if not re.fullmatch(_STAMP_PATTERN, stamp):
+        raise ValueError(f"not an ISO timestamp: {stamp!r}")
+    return dt.datetime.fromisoformat(re.sub(
+        _FRACTION_PATTERN, lambda fraction: fraction.group().ljust(7, "0"),
+        stamp.replace("Z", "+00:00")))
+
+
 def _suffix_shift_us(suffix: str) -> int | None:
     """Microseconds to add to a local "YYYY-MM-DDTHH:MM:SS" time that ends
     in ``suffix`` (fraction and UTC offset) to reach UTC, or None when
-    ``fromisoformat`` rejects the suffix.  Neither depends on the digits
+    :func:`_parse_stamp` rejects the suffix.  Neither depends on the digits
     before it, so one parse of a fixed time decides it."""
     try:
-        stamp = dt.datetime.fromisoformat("2000-01-01T00:00:00" + suffix.replace("Z", "+00:00"))
+        stamp = _parse_stamp("2000-01-01T00:00:00" + suffix)
     except ValueError:
         return None
     offset = stamp.utcoffset() or dt.timedelta(0)
@@ -357,7 +441,7 @@ def _utc_day_ordinals(stamps: list) -> np.ndarray | None:
     """The UTC day ordinal of each timestamp as :func:`_utc_day` gives it,
     or None unless every one is an ASCII "YYYY-MM-DDTHH:MM:SS" (or with a
     space for the "T") naming a valid date and time, followed by a suffix
-    ``fromisoformat`` accepts."""
+    :func:`_parse_stamp` accepts."""
     if max(map(len, stamps), default=0) > _STAMP_MAX_LEN:
         return None
     try:
@@ -401,7 +485,7 @@ def _parse_cells(parse, cells) -> list:
 def _utc_day(stamp: str) -> int:
     """The UTC day ordinal of an ISO timestamp (a naive one is taken as
     UTC), or 0 when that day is outside ``datetime``'s range."""
-    timestamp = dt.datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+    timestamp = _parse_stamp(stamp)
     try:
         return (timestamp if timestamp.tzinfo is None
                 else timestamp.astimezone(dt.timezone.utc)).toordinal()

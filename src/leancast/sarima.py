@@ -412,8 +412,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CandidateScore:
+    """One grid candidate: its score and whether its fit converged, or
+    neither and the error that stopped it."""
     spec: SarimaSpec
     score: float | None
+    converged: bool | None = None
     error: str | None = None
 
 
@@ -458,7 +461,8 @@ def grid_search(train, grid: GridSpec, seed: int = 0) -> GridSearchResult:
                 sse = max(candidate_fit.sse, 1e-300)  # guard ln(0) on exact fits
                 score = 2.0 * k + n_eval * np.log(sse / n_eval)
             scored.append((score, spec.n_coefficients, spec.as_tuple(), spec))
-            diagnostics.append(CandidateScore(spec=spec, score=float(score)))
+            diagnostics.append(CandidateScore(spec=spec, score=float(score),
+                                              converged=candidate_fit.converged))
         except ValueError as exc:
             diagnostics.append(CandidateScore(spec=spec, score=None, error=str(exc)))
     if not scored:

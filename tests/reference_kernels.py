@@ -34,9 +34,17 @@ itself, and ``per_record_aggregate`` labels each record with
 UTC day, likes and sentiment one record at a time.  The reader adds the two
 checks the columnar reader moved to read time from crashes inside
 ``aggregate``: likes too large for a float and timestamps whose UTC day is
-outside ``datetime``'s range.  The columnar reader plus ``aggregate`` must
-give the same series and summary, or raise the same exception type with the
-same message, on every input.
+outside ``datetime``'s range.  It states the timestamp grammar that every
+supported Python reads alike with its own pattern, and names a row by the
+physical line it starts on, as the columnar reader does.  The columnar
+reader plus ``aggregate`` must give the same series and summary, or raise
+the same exception type with the same message, on every input.
+
+``csv_module_blocks`` is ``ingest._csv_blocks`` as it was before quote-free
+lines were split in bulk: the csv module reads every record, and the block
+size is ``ingest._BLOCK_ROWS`` as it stands when the reader starts.  The
+bulk reader must yield the same ``(line numbers, columns)`` blocks and end
+with the same exception type and text on every input.
 
 ``ar1_loop`` is ``generate_synthetic("ar1")`` as it was before it ran the
 (1,0,0) model through ``sarima.simulate``: its own scalar recursion over
@@ -46,14 +54,16 @@ the generator accepts.
 
 import csv
 import datetime as dt
+import re
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from leancast import neural, optim
+from leancast import ingest, neural, optim
 from leancast.ingest import (_HOST_RE, _MULTI_SUFFIXES, INGEST_METRICS, LEANINGS,
-                             PLATFORMS, POSTS_HEADER, DomainParseError, IngestSummary)
+                             PLATFORMS, POSTS_HEADER, DomainParseError, IngestSummary,
+                             _first_non_utf8_line)
 from leancast.series import DailySeries
 from leancast.neural import FlatParameters, dropout_masks
 from leancast.rng import derive_rng
@@ -355,6 +365,48 @@ def per_url_extract_domain(url_or_domain: str) -> str:
     return ".".join(labels[-take:])
 
 
+def csv_module_blocks(path, header: list, what: str):
+    """Yield ``(line numbers, columns)`` per block of up to ``_BLOCK_ROWS``
+    non-blank data rows of the CSV at ``path``: one list of stripped cells
+    per header field, filled as rows stream in.  The header must be
+    ``header`` and each row must have as many fields; the rows before a
+    short or long row, or one the csv module rejects (a cell over its field
+    size limit), are yielded before it raises, so a bad value above it is
+    reported first.  The last block may be empty."""
+    _BLOCK_ROWS = ingest._BLOCK_ROWS
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        lines, columns = [], tuple([] for _ in header)
+        start = 1   # the physical line the next record starts on; a quoted cell may span lines
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise ValueError(f"{what} CSV header must be {','.join(header)}, got {got}")
+            start = reader.line_num + 1
+            for cells in reader:
+                line_no, start = start, reader.line_num + 1
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    yield lines, columns
+                    raise ValueError(f"{what} row {line_no}: expected {len(header)} fields, "
+                                     f"got {len(cells)}")
+                lines.append(line_no)
+                for column, cell in zip(columns, cells):
+                    column.append(cell.strip())
+                if len(lines) == _BLOCK_ROWS:
+                    yield lines, columns
+                    lines, columns = [], tuple([] for _ in header)
+        except csv.Error as exc:
+            yield lines, columns
+            raise ValueError(f"{what} CSV line {start}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line, byte = _first_non_utf8_line(path), exc.object[exc.start]
+            raise ValueError(f"{what} CSV {path} line {line}: byte {byte:#04x} is not UTF-8 "
+                             f"({exc.reason})") from None
+        yield lines, columns
+
+
 class OraclePost(NamedTuple):
     post_id: str
     utc_date: dt.date       # the calendar day of the timestamp in UTC; naive is UTC
@@ -364,15 +416,37 @@ class OraclePost(NamedTuple):
     sentiment: float | None
 
 
+# an ISO date, then optionally any one character and an hour, minutes and
+# seconds with a fraction of up to six digits, then optionally Z or an offset
+_ORACLE_FRACTION = r"(?:[.][0-9][0-9]?[0-9]?[0-9]?[0-9]?[0-9]?)"
+_ORACLE_STAMP = re.compile(
+    rf"\d\d\d\d-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d{_ORACLE_FRACTION}?)?)?)?"
+    rf"(?:Z|[-+]\d\d:\d\d(?::\d\d{_ORACLE_FRACTION}?)?)?", re.ASCII | re.DOTALL)
+
+
+def _oracle_fromisoformat(ts: str) -> dt.datetime:
+    """``fromisoformat`` of a stamp the grammar above accepts, its "Z" read
+    as "+00:00" and each fraction of seconds padded to six digits."""
+    if _ORACLE_STAMP.fullmatch(ts) is None:
+        raise ValueError(ts)
+    ts = ts.replace("Z", "+00:00")
+    for fraction in reversed(list(re.finditer(r":\d\d[.](\d+)", ts))):
+        ts = ts[:fraction.start(1)] + fraction.group(1).ljust(6, "0") + ts[fraction.end(1):]
+    return dt.datetime.fromisoformat(ts)
+
+
 def per_row_read_posts_csv(path) -> list:
-    """One ``OraclePost`` per non-blank row of the posts CSV at ``path``."""
+    """One ``OraclePost`` per non-blank row of the posts CSV at ``path``;
+    errors name the physical line a row starts on."""
     posts = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         got = next(reader, None)
         if got != POSTS_HEADER:
             raise ValueError(f"posts CSV header must be {','.join(POSTS_HEADER)}, got {got}")
-        for line_no, cells in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for cells in reader:
+            line_no, start = start, reader.line_num + 1
             if not cells:
                 continue
             if len(cells) != len(POSTS_HEADER):
@@ -390,7 +464,7 @@ def per_row_read_posts_csv(path) -> list:
                 raise ValueError(f"{where}: sentiment must be a number, "
                                  f"got {sentiment!r}") from None
             try:
-                timestamp = dt.datetime.fromisoformat(ts.replace("Z", "+00:00"))
+                timestamp = _oracle_fromisoformat(ts)
             except ValueError:
                 raise ValueError(f"{where}: cannot parse timestamp {ts!r}") from None
             if platform not in PLATFORMS:

@@ -792,8 +792,9 @@ class TestGridsearchCommand:
         doc = json.loads((out / "gridsearch_series_synthetic.json").read_text())
         assert "order" in doc
         lines = (out / "candidates_series_synthetic.csv").read_text().splitlines()
-        assert lines[0] == "p,d,q,P,D,Q,s,score,error"
+        assert lines[0] == "p,d,q,P,D,Q,s,score,converged,error"
         assert len(lines) == 3
+        assert [line.split(",")[-2:] for line in lines[1:]] == [["true", ""]] * 2
         assert "best spec" in capsys.readouterr().out
 
     def test_malformed_grid_fails(self, tmp_path, capsys):

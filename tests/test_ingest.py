@@ -1,4 +1,5 @@
 import collections
+import csv
 import datetime as dt
 import json
 import random
@@ -19,8 +20,8 @@ from leancast.ingest import (BIAS_HEADER, LEANINGS, POSTS_HEADER, BiasTable, Dom
                              read_posts_csv, summarize, write_series_csv,
                              write_value_series_csv)
 from leancast.series import DailySeries
-from reference_kernels import (per_record_aggregate, per_row_read_posts_csv,
-                               per_url_extract_domain)
+from reference_kernels import (csv_module_blocks, per_record_aggregate,
+                               per_row_read_posts_csv, per_url_extract_domain)
 
 DATA = Path(__file__).parent / "data"
 
@@ -874,11 +875,26 @@ ODD_STAMPS = [
     "2018-01-02T01:00:00.7+01:00:00.5", "2018-01-02T00:59:59.3+01:00:00.5",
     "0000-12-31T23:30:00-01:00", "2018-01-02Z12:00:00", "2018-01-02+12:00:00",
     "now", "today", "NaT", "2018", "2018-01", "2018-01-02T08:00:00." + "1" * 60 + "Z",
+    "20180102", "2018-01-02T0800", "2018-01-02T08:00:00.5", "2018-01-02T08:00:00.123",
+    "2018-01-02T08:00:00+01", "2018-01-02T08:00:00x+01:00",
+]
+# the ODD_STAMPS that parse, on every supported Python: fractions of one to six
+# digits and any one separator, but no basic format, no comma fraction, no
+# offset without its colon or minutes and nothing between the time and offset
+ODD_STAMPS_PARSED = [
+    "2018-01-02", "2018-01-02T08:00", "2018-01-02T08", "2018-01-02t08:00:00",
+    "2018-01-02x08:00:00", "2018-01-02T08:00:00-00:00", "2016-02-29T00:00:00",
+    "0001-01-01T00:30:00+01:00", "0001-01-01T01:30:00+01:00", "0001-01-01T00:00:00",
+    "9999-12-31T23:30:00-01:00", "9999-12-31T23:30:00+01:00", "9999-12-31T23:59:59Z",
+    "2018-01-02T08:00:00+01:00:30", "2018-01-02T08:00:00.999999-23:59:59.999999",
+    "2018-01-02T01:00:00.7+01:00:00.5", "2018-01-02T00:59:59.3+01:00:00.5",
+    "2018-01-02+12:00:00", "2018-01-02T08:00:00.5", "2018-01-02T08:00:00.123",
 ]
 ODD_PLATFORMS = ["myspace", "Twitter", ""]
 COMMON_URLS = ["https://www.cnn.com/a", "cnn.com", "http://foxnews.com/x", "wsj.com/b",
                "https://nytimes.com/q", "reuters.com", "https://example.org/p"]
-ODD_URLS = ["//cnn.com/a", "", "https:///x", "http://[::1", "localhost", "CNN.COM:80/x"]
+ODD_URLS = ["//cnn.com/a", "", "https:///x", "http://[::1", "localhost", "CNN.COM:80/x",
+            "https://cnn.com/a,b", "https://cnn.com/a\nb", 'cnn.com/"q"']
 ODD_LIKES = ["-1", "-0", "1_000", "+7", "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 300,
              "x", "2.5", "٣", "0x10", ""]
 COMMON_SENTIMENTS = ["", "0.25", "-0.5", "1", "-1", "0", "0.999", "-0.125"]
@@ -889,13 +905,17 @@ ODD_SENTIMENTS = ["nan", "NaN", "-nan", "inf", "-inf", "1.5", "-1.0001", "1_0", 
 @st.composite
 def posts_csv_text(draw):
     """A posts CSV: valid rows with, at a drawn rate, odd cells, padded
-    cells and blank lines."""
+    cells, quoted cells (some holding a comma or a line break), blank lines
+    and CRLF line endings."""
     odds = draw(st.sampled_from([0, 40, 8]))        # 0: no odd cells at all
 
-    def cell(common, odd):
-        value = (draw(st.sampled_from(odd)) if odds and draw(st.integers(0, odds)) == 0
-                 else draw(common))
-        return f" {value} " if odds and draw(st.integers(0, odds)) == 0 else value
+    def odd():
+        return odds and draw(st.integers(0, odds)) == 0
+
+    def cell(common, odd_values):
+        value = draw(st.sampled_from(odd_values)) if odd() else draw(common)
+        value = f" {value} " if odd() else value
+        return '"' + value.replace('"', '""') + '"' if odd() or "," in value else value
 
     def stamp():
         return (draw(st.sampled_from(COMMON_DATES)) + draw(st.sampled_from(["T", " "]))
@@ -904,7 +924,7 @@ def posts_csv_text(draw):
 
     lines = [",".join(ingest.POSTS_HEADER)]
     for i in range(draw(st.integers(0, 12))):
-        if odds and draw(st.integers(0, odds)) == 0:
+        if odd():
             lines.append("")
         lines.append(",".join([
             f"p{i}",
@@ -914,7 +934,7 @@ def posts_csv_text(draw):
             cell(st.integers(0, 500).map(str), ODD_LIKES),
             cell(st.sampled_from(COMMON_SENTIMENTS), ODD_SENTIMENTS),
         ]))
-    return "\n".join(lines) + "\n"
+    return "".join(line + ("\r\n" if odd() else "\n") for line in lines)
 
 
 def ingest_outcome(read, aggregate_posts, path, table, metrics):
@@ -940,7 +960,7 @@ class TestColumnarReadMatchesRecords:
     @settings(max_examples=400, deadline=None)
     def test_same_series_summary_or_error(self, tmp_path_factory, text, block_rows, metrics):
         path = tmp_path_factory.mktemp("posts") / "posts.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         table = bias_table(ORACLE_TABLE)
         want = ingest_outcome(per_row_read_posts_csv, per_record_aggregate, path, table,
                               metrics)
@@ -964,3 +984,125 @@ class TestColumnarReadMatchesRecords:
         want = ingest_outcome(per_row_read_posts_csv, per_record_aggregate, path, table,
                               METRIC_NAMES)
         assert ingest_outcome(read_posts_csv, aggregate, path, table, METRIC_NAMES) == want
+
+
+def test_odd_stamps_parse_alike_on_every_python():
+    """Python 3.11 widened ``fromisoformat``; the stamps read stay 3.10's."""
+    parsed = []
+    for stamp in ODD_STAMPS:
+        try:
+            ingest._utc_day(stamp)
+        except ValueError:
+            continue
+        parsed.append(stamp)
+    assert parsed == ODD_STAMPS_PARSED
+
+
+@pytest.mark.parametrize("stamp", ["20180102T080000", "20180102", "2018-01-02T0800",
+                                   "2018-01-02T08:00:00,5", "2018-01-02T08:00:00.1234567",
+                                   "2018-01-02T08:00:00+0100", "2018-01-02T08:00:00+01"])
+def test_stamps_only_newer_pythons_read_are_rejected(tmp_path, stamp):
+    text = f"{','.join(POSTS_HEADER)}\np1,\"{stamp}\",gab,cnn.com,1,\n"
+    with pytest.raises(ValueError) as exc:
+        read_posts_csv(csv_file(tmp_path, text))
+    assert str(exc.value) == f"posts row 2: cannot parse timestamp {stamp!r}"
+
+
+# cells and lines of generated CSVs for a three-field header: plain ones,
+# which the reader splits in bulk, and every shape the csv module reads
+# differently from a split on commas and line feeds
+READER_HEADER = ["h1", "h2", "h3"]
+PLAIN_CELLS = ["a", " b ", "", "cnn.com", "0.5", "\t7\t", "x\x0by", "\x1c", " ", "\ufeff",
+               "é"]
+QUOTED_CELLS = ['"q,r"', '"say ""hi"""', '"two\nlines"', '"cr\r\nlf"', '"a"b', 'a"b', '""',
+                "nul\x00"]
+ODD_HEADERS = ["\ufeffh1,h2,h3", '"h1",h2,h3', "h1,h2", "h1,h2,h3,h4", ""]
+ODD_LINES = ["", "  ", "\t"]
+
+
+@st.composite
+def reader_csv_text(draw):
+    """A CSV: plain rows of three cells with, at a drawn rate, quoted
+    cells, NULs, blank and space-only lines, short and long rows, CRLF and
+    CR line endings, an odd header and a last line without an ending."""
+    odds = draw(st.sampled_from([0, 30, 4]))        # 0: every line plain
+
+    def odd():
+        return odds and draw(st.integers(0, odds)) == 0
+
+    lines = [draw(st.sampled_from(ODD_HEADERS)) if odd() else ",".join(READER_HEADER)]
+    for _ in range(draw(st.integers(0, 14))):
+        if odd():
+            lines.append(draw(st.sampled_from(ODD_LINES)))
+            continue
+        width = draw(st.sampled_from([1, 2, 4])) if odd() else 3
+        lines.append(",".join(draw(st.sampled_from(QUOTED_CELLS)) if odd()
+                              else draw(st.sampled_from(PLAIN_CELLS)) for _ in range(width)))
+    text = "".join(line + (draw(st.sampled_from(["\r\n", "\r"])) if odd() else "\n")
+                   for line in lines)
+    return text.rstrip("\r\n") if odd() else text
+
+
+def reader_outcome(blocks, path):
+    """Every ``(line numbers, columns)`` block a reader yields, then the
+    exception it ends with, as type and text, or None."""
+    got = []
+    try:
+        for lines, columns in blocks(path, READER_HEADER, "test"):
+            got.append((list(lines), [list(column) for column in columns]))
+    except ValueError as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+class TestBlockReaderMatchesTheCsvModule:
+    """``_csv_blocks`` splits quote-free lines in bulk and hands the rest of
+    the file to the csv module; it must yield what the csv module's reader
+    it replaced (``reference_kernels``) yields, and fail alike."""
+
+    @given(reader_csv_text(), st.sampled_from([1, 3, ingest._BLOCK_ROWS]),
+           st.sampled_from([None, 4, 8]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_blocks_and_error(self, tmp_path_factory, text, block_rows, field_limit):
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode())
+        default_limit = csv.field_size_limit()
+        try:
+            if field_limit is not None:
+                csv.field_size_limit(field_limit)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+                got = reader_outcome(ingest._csv_blocks, path)
+                want = reader_outcome(csv_module_blocks, path)
+        finally:
+            csv.field_size_limit(default_limit)
+        assert got == want
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_switch_to_the_csv_module_mid_file(self, tmp_path, block_rows):
+        rows = [f"p{i},x{i},{i}\n" for i in range(9)]
+        rows[5] = 'p5,"x,\n5",5\r\n'
+        path = tmp_path / "data.csv"
+        path.write_bytes(("h1,h2,h3\n" + "".join(rows)).encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+            blocks, error = reader_outcome(ingest._csv_blocks, path)
+        assert error is None
+        assert [n for lines, _ in blocks for n in lines] == [2, 3, 4, 5, 6, 7, 9, 10, 11]
+        assert [cell for _, columns in blocks for cell in columns[1]] == [
+            "x0", "x1", "x2", "x3", "x4", "x,\n5", "x6", "x7", "x8"]
+
+    @pytest.mark.parametrize("row,error", [
+        (b"a,b", "test row 3: expected 3 fields, got 2"),
+        (b'"a",b,c', "line 3004: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ], ids=["short-row", "quoted-cell"])
+    def test_non_utf8_byte_below_a_row_in_the_same_block(self, tmp_path, row, error):
+        # the text layer decodes 8 KB ahead of the lines read: a short row
+        # above the bad byte is still reported first, and after a quoted
+        # cell the csv module reads on to the bad byte
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"h1,h2,h3\na,b,c\n" + row + b"\n" + b"x,y,z\n" * 3000
+                         + b"caf\xe9,1,2\n")
+        got = reader_outcome(ingest._csv_blocks, path)
+        assert got == reader_outcome(csv_module_blocks, path)
+        assert got[1][1].endswith(error)

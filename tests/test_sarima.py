@@ -503,6 +503,20 @@ class TestGridSearch:
         result = grid_search(np.arange(50.0), grid, seed=0)
         assert result.spec == SarimaSpec(0, 0, 0, 0, 0, 0, 0)
 
+    def test_candidates_record_whether_their_fit_converged(self, monkeypatch):
+        def fake_fit(values, spec, seed=0):
+            if spec.p == 2:
+                raise ValueError("too few points")
+            return SarimaFit(spec=spec, params=zero_params(spec), sse=1.0,
+                             converged=spec.p == 0)
+
+        monkeypatch.setattr(sarima, "fit", fake_fit)
+        monkeypatch.setattr(sarima, "rolling_test_rmse", lambda f, tr, te: 1.0)
+        grid = GridSpec(p=(0, 1, 2), d=(0,), q=(0,), P=(0,), D=(0,), Q=(0,), s=(0,))
+        result = grid_search(np.arange(50.0), grid, seed=0)
+        assert [(c.spec.p, c.score, c.converged, c.error) for c in result.candidates] == [
+            (0, 1.0, True, None), (1, 1.0, False, None), (2, None, None, "too few points")]
+
     def test_winner_score_is_minimal(self):
         series = generate_synthetic("ar1", 100, seed=6, alpha=0.8, sigma=1.0)
         grid = GridSpec(p=(0, 1), d=(0,), q=(0, 1), P=(0,), D=(0,), Q=(0,), s=(0,))
