@@ -8,7 +8,8 @@ synthetic config's series; the commands only execute it, so reruns
 produce byte-identical outputs.  ``report`` re-renders a ``rows.json``
 instead.  Per-model randomness is derived from the global seed and a
 stable "kind/leaning/metric" tag, which keeps individual fits
-reproducible in isolation too.
+reproducible in isolation too, and lets ``run`` fit in forked worker
+processes, one per CPU it may use, with the outputs of one process.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import datetime as dt
 import itertools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -219,7 +221,7 @@ def _build_synthetic(synth, seed: int) -> DailySeries:
     args = dict(synth)
     if "start_date" in args:
         try:
-            args["start_date"] = dt.date.fromisoformat(args["start_date"])
+            args["start_date"] = _iso_date(args["start_date"])
         except (TypeError, ValueError):
             raise ConfigError(f"synthetic start_date must be an ISO date, "
                               f"got {args['start_date']!r}") from None
@@ -238,6 +240,15 @@ def _build_synthetic(synth, seed: int) -> DailySeries:
         raise ConfigError(str(exc)) from None
 
 
+def _iso_date(text) -> dt.date:
+    """A YYYY-MM-DD date.  Python 3.11+ ``date.fromisoformat`` also reads
+    forms such as "20180102" and "2018-W01-1", which 3.10 rejects, so they
+    are rejected here on every Python (ValueError, or TypeError for a non-string)."""
+    if isinstance(text, str) and not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _config_window(doc: dict):
     """The (start, end) dates of the config's window, checked."""
     win = doc.get("window", DEFAULT_WINDOW)
@@ -245,7 +256,7 @@ def _config_window(doc: dict):
         raise ConfigError(f"window must be an object with start and end dates, got {win!r}")
     _reject_unknown(win, {"start", "end"}, "window")
     try:
-        start, end = (dt.date.fromisoformat(win.get(key)) for key in ("start", "end"))
+        start, end = (_iso_date(win.get(key)) for key in ("start", "end"))
     except (TypeError, ValueError):
         raise ConfigError(f"window needs ISO dates start and end, got {win!r}") from None
     if start > end:
@@ -313,7 +324,8 @@ def cmd_ingest(plan: Plan) -> int:
 def cmd_run(plan: Plan, fmt: str) -> int:
     if not plan.fits:
         raise ConfigError("config names no forecasters")
-    from . import evaluation, forecasters, svgplot
+    import pickle
+    from . import evaluation, svgplot
     series_list, splits, platform = _gather_series(plan)
     out = plan.out_dir
     models_dir = os.path.join(out, "models")
@@ -321,20 +333,28 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     os.makedirs(models_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)
 
+    outcomes = _fit_in_processes(plan.fits, splits)
+    # evaluation runs here, after every worker has gone, so its threaded
+    # BLAS calls never compete with a fit; each model is rebuilt, scored,
+    # written and dropped in turn
     rows_by_metric = {}
     failures = []
-    for fit in plan.fits:
-        split = splits[fit.metric, fit.leaning]
+    for index, fit in enumerate(plan.fits):
+        outcome = pickle.loads(outcomes[index])
+        outcomes[index] = None
+        if isinstance(outcome, str):
+            failures.append(outcome)
+            continue
+        model_text, model = outcome
         try:
-            evaluation.require_test_points(fit.kind, len(split.test.values))
-            model = forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
-            row = evaluation.evaluate(model, split, leaning=fit.leaning, metric=fit.metric)
+            row = evaluation.evaluate(model, splits[fit.metric, fit.leaning],
+                                      leaning=fit.leaning, metric=fit.metric)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{fit.tag}: {exc}")
             continue
         rows_by_metric.setdefault(fit.metric, []).append(row)
         name = f"{fit.kind}_{fit.leaning or 'series'}_{fit.metric}.json"
-        _write(os.path.join(models_dir, name), forecasters.forecaster_to_json(model))
+        _write(os.path.join(models_dir, name), model_text)
 
     tables = [evaluation.ReportTable(platform=platform, metric=metric, rows=rows)
               for metric, rows in sorted(rows_by_metric.items())]
@@ -361,6 +381,136 @@ def cmd_run(plan: Plan, fmt: str) -> int:
         print(f"{len(failures)} fit(s) failed; see failures.txt", file=sys.stderr)
         return 1
     return 0
+
+
+class FitWorkerError(Exception):
+    """A fit worker raised something other than a fit's ValueError or
+    RuntimeError, or ended without sending its results."""
+
+
+def _expected_work(fit: PlannedFit, n_train: int) -> float:
+    """A fit's expected cost, which orders the fit queue: a network's epochs
+    x mini-batches per epoch x layers x steps per window, which tracked
+    measured fit time within about 2x across the four kinds.  SARIMA ranks
+    above every network, since a grid search can take seconds."""
+    if fit.kind == "sarima":
+        return float("inf")
+    from . import forecasters
+    config = fit.config
+    lookback, horizon = forecasters.kind_lookback(fit.kind), forecasters.kind_horizon(fit.kind)
+    windows = max(n_train - lookback - horizon + 1, 0)
+    batches = -(-windows // (config.batch_size or max(windows, 1)))
+    return config.epochs * batches * config.layers * ((lookback + horizon - 1) // config.input_size)
+
+
+def _fit_one(fit: PlannedFit, split) -> bytes:
+    """The pickled outcome of one fit: its failure line, or its model file's
+    text and the fitted forecaster (a network pickles as config and theta)."""
+    import pickle
+    from . import evaluation, forecasters
+    try:
+        evaluation.require_test_points(fit.kind, len(split.test.values))
+        model = forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
+    except (ValueError, RuntimeError) as exc:
+        return pickle.dumps(f"{fit.tag}: {exc}")
+    return pickle.dumps((forecasters.forecaster_to_json(model), model))
+
+
+def _fit_from_queue(queue: int, fits: tuple, splits: dict) -> list:
+    """(index, outcome) of each fit this process takes from the queue pipe of
+    4-byte fit indices.  A 4-byte pipe read is atomic, so each fit goes to
+    exactly one process."""
+    taken = []
+    while chunk := os.read(queue, 4):
+        index = int.from_bytes(chunk, "little")
+        fit = fits[index]
+        taken.append((index, _fit_one(fit, splits[fit.metric, fit.leaning])))
+    return taken
+
+
+def _run_worker(queue: int, pipe: int, fits: tuple, splits: dict):
+    """A worker's whole life: fit from the queue, send its outcomes, or the
+    traceback of what else it raised, down ``pipe``, and leave through
+    ``os._exit``, which flushes no stdout buffer and runs no ``finally``
+    block of the parent's."""
+    import pickle
+    import signal
+    import traceback
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        try:
+            message = ("fits", _fit_from_queue(queue, fits, splits))
+        except Exception:
+            message = ("error", traceback.format_exc())
+        with open(pipe, "wb") as handle:
+            pickle.dump(message, handle)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _worker_outcomes(pid: int, status: int, message: bytes) -> list:
+    """What a reaped worker sent: its (index, outcome) pairs, else FitWorkerError."""
+    import pickle
+    import signal
+    code = os.waitstatus_to_exitcode(status)     # -N for death by signal N
+    if code:
+        ended = (f"died from signal {-code} ({signal.strsignal(-code)})" if code < 0
+                 else f"exited with status {code}")
+        raise FitWorkerError(f"fit worker {pid} {ended} before it sent its results")
+    kind, value = pickle.loads(message)
+    if kind == "error":
+        raise FitWorkerError(f"fit worker {pid} failed:\n{value.rstrip()}")
+    return value
+
+
+def _fit_in_processes(fits: tuple, splits: dict) -> list:
+    """The pickled outcome of each fit (:func:`_fit_one`), in plan order.
+
+    This process and one forked worker per further CPU it may use (none
+    without ``os.fork``) take fits from one queue, longest expected first
+    (LPT, Graham 1969), plan order breaking ties.  Each fit is seeded on its
+    own, so the process that runs it changes no result.  Every worker is
+    killed and reaped on the way out, whatever ends the run."""
+    import signal
+    order = sorted(range(len(fits)), key=lambda i: (-_expected_work(
+        fits[i], len(splits[fits[i].metric, fits[i].leaning].train.values)), i))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    forks = min(cpus, len(fits)) - 1 if hasattr(os, "fork") else 0
+    queue, feed = os.pipe()
+    # a plan holds at most metrics x leanings x kinds fits: far below a pipe's buffer
+    os.write(feed, b"".join(index.to_bytes(4, "little") for index in order))
+    os.close(feed)
+    workers = {}    # pid -> read end of its results pipe
+    try:
+        for _ in range(forks):
+            read, write = os.pipe()
+            # SIGINT waits until the worker is recorded for the cleanup below,
+            # and in the worker until it is inside the block that ends in _exit
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_worker(queue, write, fits, splits)
+                workers[pid] = read
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+            os.close(write)
+        outcomes = dict(_fit_from_queue(queue, fits, splits))
+        for pid in list(workers):
+            with open(workers[pid], "rb", closefd=False) as handle:
+                message = handle.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(workers.pop(pid))
+            outcomes.update(_worker_outcomes(pid, status, message))
+    finally:
+        for pid, read in workers.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(queue)
+    return [outcomes[index] for index in range(len(fits))]
 
 
 def cmd_gridsearch(plan: Plan) -> int:
@@ -460,7 +610,7 @@ def main(argv=None) -> int:
             return func(config, flags["out"], fmt)
         plan = load_config(config, **flags)     # the command's --seed, --preset, --out
         return func(plan) if fmt is None else func(plan, fmt)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, FitWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -479,6 +479,11 @@ class RecurrentNetwork:
                 for name, view in self._params.items():
                     view[...] = full[name][..., -view.shape[-1]:]
 
+    def __reduce__(self):
+        # pickled as its config, layout and theta: pickling the views as they
+        # are would copy each apart from theta (456 KB for a 117 KB theta)
+        return _network_from_theta, (self.config, self.one_step, self.theta)
+
     def parameters(self) -> FlatParameters:
         """Name -> view into ``theta``, in storage order."""
         return self._params
@@ -658,6 +663,12 @@ class RecurrentNetwork:
         net = cls(config, init="zeros", one_step=one_step)
         net.set_parameters({name: entry["data"] for name, entry in weights.items()})
         return net
+
+
+def _network_from_theta(config: NetworkConfig, one_step: bool, theta) -> RecurrentNetwork:
+    net = RecurrentNetwork(config, init="zeros", one_step=one_step)
+    net.theta[...] = theta
+    return net
 
 
 def layout_windows(inputs: np.ndarray, input_size: int) -> np.ndarray:

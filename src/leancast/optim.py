@@ -80,7 +80,15 @@ def optimizer_step(theta, grad, state: OptimizerState, learning_rate: float) -> 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
     """``grad`` itself when its L2 norm is within ``max_norm``, else a new
     vector scaled down to that norm; keeps long-unroll training from
-    diverging."""
+    diverging.
+
+    ``einsum``'s sum of squares, which makes no BLAS call, settles the
+    common case: it and ``grad @ grad`` both lie within n * 2**-53 of the
+    exact sum, relative to it, so below the margin the dot's norm is within
+    ``max_norm`` too.  Only near or over the bound does the dot run, whose
+    BLAS threads then spin for about 0.13 s of CPU."""
+    if np.sqrt(np.einsum("i,i->", grad, grad)) < max_norm * (1.0 - 4.0 * grad.size * 2.0**-52):
+        return grad
     total = np.sqrt(float(grad @ grad))
     if total <= max_norm or total == 0.0:
         return grad

@@ -46,6 +46,11 @@ size is ``ingest._BLOCK_ROWS`` as it stands when the reader starts.  The
 bulk reader must yield the same ``(line numbers, columns)`` blocks and end
 with the same exception type and text on every input.
 
+``dot_clip_global_norm`` is ``optim.clip_global_norm`` as it was before a
+BLAS-free sum of squares settled the clear cases: it always takes the norm
+from ``grad @ grad``.  The two must return the same object (``grad`` itself)
+or the same bits on every input.
+
 ``ar1_loop`` is ``generate_synthetic("ar1")`` as it was before it ran the
 (1,0,0) model through ``sarima.simulate``: its own scalar recursion over
 ``rng.normal(0, sigma, n)``.  The two must agree bit for bit on every sigma
@@ -552,6 +557,13 @@ def per_record_aggregate(posts, table, window, metrics) -> tuple:
                 for leaning, row in zip(LEANINGS, values.reshape(len(LEANINGS), n_days))}
 
     return summary, platform, {metric: series_of(metric) for metric in metrics}
+
+
+def dot_clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    total = np.sqrt(float(grad @ grad))
+    if total <= max_norm or total == 0.0:
+        return grad
+    return grad * (max_norm / total)
 
 
 def ar1_loop(n, seed, alpha=0.0, sigma=1.0) -> np.ndarray:

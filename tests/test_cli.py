@@ -210,6 +210,11 @@ class TestLoadConfig:
          "window needs ISO dates start and end, got {'start': '2018-01-01', 'end': 'Jan 20'}"),
         ({"window": {"start": "2018-02-01", "end": "2018-01-01"}},
          "empty date window: 2018-02-01 > 2018-01-01"),
+        # forms that Python 3.11+ date.fromisoformat reads and 3.10 does not
+        ({"window": {"start": "20180102", "end": "2018-04-30"}},
+         "window needs ISO dates start and end, got {'start': '20180102', 'end': '2018-04-30'}"),
+        ({"window": {"start": "2018-01-01", "end": "2018-W01-1"}},
+         "window needs ISO dates start and end, got {'start': '2018-01-01', 'end': '2018-W01-1'}"),
         ({"seed": 1.7}, "seed must be a nonnegative integer, got 1.7"),
         ({"seed": "abc"}, "seed must be a nonnegative integer, got 'abc'"),
         ({"seed": True}, "seed must be a nonnegative integer, got True"),
@@ -223,6 +228,10 @@ class TestLoadConfig:
         ({"leanings": []}, "leanings must name at least one leaning"),
         ({"synthetic": {"kind": "ar1", "n": 40, "start_date": 5}},
          "synthetic start_date must be an ISO date, got 5"),
+        ({"synthetic": {"kind": "ar1", "n": 40, "start_date": "2018-W01-1"}},
+         "synthetic start_date must be an ISO date, got '2018-W01-1'"),
+        ({"synthetic": {"kind": "ar1", "n": 40, "start_date": "20180102"}},
+         "synthetic start_date must be an ISO date, got '20180102'"),
         ({"synthetic": {"kind": "ar1", "n": 40, "alpha": [0.5]}},
          "synthetic alpha must be a number, got [0.5]"),
         ({"synthetic": {"kind": "seasonal_sarima", "n": 40}},

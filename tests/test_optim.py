@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from leancast import optim
-from reference_kernels import allocating_adam_step, allocating_rmsprop_step
+from reference_kernels import (allocating_adam_step, allocating_rmsprop_step,
+                               dot_clip_global_norm)
 
 
 def single(value):
@@ -210,3 +211,40 @@ def test_in_place_steps_match_dict_oracle_bit_for_bit(kind):
                 npt.assert_array_equal(_as_dict(state.m)[name], acc[name]["m"])
                 npt.assert_array_equal(_as_dict(state.v)[name], acc[name]["v"])
     assert 0 < clipped_steps < 50
+
+
+def _clip_inputs():
+    """Gradients around both of clip_global_norm's decisions, and odd ones."""
+    rng = np.random.default_rng(17)
+    ulp = 2.0 ** -52
+    # within a few ulps of max_norm the two sums disagree on some directions
+    nudges = [1.0 + k * ulp for k in range(-6, 7)] + [
+        1.0 + sign * step for sign in (1, -1) for step in (16 * ulp, 1e-12, 1e-9)]
+    for n in (1, 2, 7, 1000, 14_625, 10**6):
+        for _ in range(3):
+            unit = rng.standard_normal(n)
+            unit /= np.sqrt(float(unit @ unit))
+            # at max_norm, where the dot decides, and at the margin below
+            # which the BLAS-free sum decides alone
+            for anchor in (5.0, 5.0 * (1.0 - 4.0 * n * ulp)):
+                for nudge in nudges:
+                    yield f"n={n} at {anchor!r} x {nudge!r}", unit * (anchor * nudge)
+        yield f"n={n} zeros", np.zeros(n)
+        yield f"n={n} subnormal", unit * 1e-310
+        yield f"n={n} subnormal among normal", np.where(np.arange(n) % 2, 5e-324, unit)
+        yield f"n={n} 1e150", unit * 1e150
+        yield f"n={n} 1e150 entries", np.full(n, 1e150)
+        yield f"n={n} overflowing", np.full(n, 1e160)
+        for odd in (np.nan, np.inf, -np.inf):
+            grad = unit * 0.1
+            grad[n // 2] = odd
+            yield f"n={n} with {odd}", grad
+
+
+def test_clip_matches_the_dot_norm_bit_for_bit():
+    for label, grad in _clip_inputs():
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = dot_clip_global_norm(grad, 5.0)
+            got = optim.clip_global_norm(grad, 5.0)
+        assert (got is grad) == (expected is grad), label
+        assert got.tobytes() == expected.tobytes(), label
