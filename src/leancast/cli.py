@@ -384,8 +384,8 @@ def cmd_run(plan: Plan, fmt: str) -> int:
 
 
 class FitWorkerError(Exception):
-    """A fit worker raised something other than a fit's ValueError or
-    RuntimeError, or ended without sending its results."""
+    """A fit worker raised something other than a fit's ValueError,
+    RuntimeError or MemoryError, or ended without sending its results."""
 
 
 def _expected_work(fit: PlannedFit, n_train: int) -> float:
@@ -404,14 +404,15 @@ def _expected_work(fit: PlannedFit, n_train: int) -> float:
 
 
 def _fit_one(fit: PlannedFit, split) -> bytes:
-    """The pickled outcome of one fit: its failure line, or its model file's
-    text and the fitted forecaster (a network pickles as config and theta)."""
+    """The pickled outcome of one fit: its failure line (numpy refusing its
+    arrays too), or its model file's text and the fitted forecaster (a
+    network pickles as config and theta)."""
     import pickle
     from . import evaluation, forecasters
     try:
         evaluation.require_test_points(fit.kind, len(split.test.values))
         model = forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         return pickle.dumps(f"{fit.tag}: {exc}")
     return pickle.dumps((forecasters.forecaster_to_json(model), model))
 
@@ -615,5 +616,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def console():
+    """The ``leancast`` command: :func:`main`, then, once stdout and stderr are
+    flushed, ``os._exit`` as a fit worker leaves, skipping the interpreter's
+    teardown and ``atexit``; ``main`` has closed every output file.  An
+    exception from ``main``, or a flush that fails, takes the normal way out."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):       # a closed pipe or stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

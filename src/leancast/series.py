@@ -25,6 +25,12 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _require_within_calendar(start_date: dt.date, n: int) -> None:
+    """ValueError unless ``n`` days from ``start_date`` end by 9999-12-31."""
+    if start_date.toordinal() + n - 1 > dt.date.max.toordinal():
+        raise ValueError(f"{n} days from {start_date} run past {dt.date.max}")
+
+
 @dataclass(frozen=True)
 class DailySeries:
     """A contiguous per-day numeric sequence for one (platform, leaning, metric).
@@ -52,8 +58,7 @@ class DailySeries:
                 raise ValueError(f"{self.metric} series must be fully observed")
             if np.any(vals < 0):
                 raise ValueError(f"{self.metric} series must be nonnegative")
-        if self.start_date.toordinal() + vals.size - 1 > dt.date.max.toordinal():
-            raise ValueError(f"{vals.size} days from {self.start_date} run past {dt.date.max}")
+        _require_within_calendar(self.start_date, vals.size)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -201,6 +206,7 @@ def generate_synthetic(kind: str, n: int, seed: int, *, start_date: dt.date = dt
     missing = [key for key in SYNTHETIC_PARAMS[kind] if key not in params]
     if kind == "seasonal_sarima" and missing:    # ar1 and sine parameters have defaults
         raise ValueError(f"synthetic kind seasonal_sarima needs {' and '.join(missing)}")
+    _require_within_calendar(start_date, n)     # before n values are allocated
     rng = np.random.default_rng(seed)
     if kind == "sine":
         period = float(params.get("period", 10.0))

@@ -294,6 +294,8 @@ class TestLoadConfig:
         ({"platform": "gab"}, "a synthetic config does not read platform"),
         ({"metrics": ["likes_sum"]}, "a synthetic config does not read metrics"),
         ({"leanings": ["right"]}, "a synthetic config does not read leanings"),
+        ({"synthetic": {"kind": "sine", "n": 100000000000}},
+         "100000000000 days from 2018-01-01 run past 9999-12-31"),
     ])
     def test_bad_config_fails_before_any_output(self, tmp_path, capsys, doc, message,
                                                 command):
@@ -391,6 +393,9 @@ class TestLoadConfig:
         ({"kind": "ar1", "n": 40, "trend": 1.0}, "synthetic kind ar1 does not read trend"),
         ({"kind": "sine", "n": 40, "start_date": "9999-12-25"},
          "40 days from 9999-12-25 run past 9999-12-31"),
+        # rejected before anything is allocated (numpy would refuse 745 GiB)
+        ({"kind": "sine", "n": 100000000000},
+         "100000000000 days from 2018-01-01 run past 9999-12-31"),
     ])
     def test_series_failure_writes_nothing(self, tmp_path, capsys, synthetic, message,
                                            command):
@@ -404,6 +409,21 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("with_sarima", [False, True])
+    def test_unallocatable_fit_is_a_listed_failure(self, tmp_path, capsys, with_sarima):
+        # numpy refuses a network this size at once, touching no memory; alone,
+        # this process takes the fit, else whichever process is free
+        huge = {"kind": "lstm_1day", "epochs": 1, "layers": 1, "hidden": 100000000}
+        path = synth_run_config(tmp_path, forecasters=[
+            *([{"kind": "sarima", "spec": {"order": [1, 0, 0]}}] if with_sarima else []),
+            huge])
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "1 fit(s) failed; see failures.txt\n"
+        assert re.fullmatch(r"lstm_1day/series/synthetic: Unable to allocate .*\n",
+                            (out / "failures.txt").read_text())
+        assert (out / "report.csv").read_text().count("\n") == 1 + with_sarima
 
     def test_overflowing_sarima_fit_is_a_listed_failure(self, tmp_path, capfd):
         # values up to ~1e301: finite, but the sum of squares overflows
