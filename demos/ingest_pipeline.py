@@ -5,14 +5,15 @@ bias table are written as CSV files to ./demo_output and read back the way
 ``leancast ingest`` reads them.  Each post is labeled by the registrable
 domain of the link it shares (cnn.com, foxnews.com, ...) looked up in the
 bias table; posts whose domain is not listed stay unlabeled and are dropped
-from the series.  Days with no posts count as zero.  The chart is plain
-SVG, written next to the CSV files.
+from the series.  Days with no posts count as zero.  One call to
+``aggregate`` labels each post once and gives both the summary and the
+series.  The chart is plain SVG, written next to the CSV files.
 """
 
 import datetime as dt
 from pathlib import Path
 
-from leancast import aggregate_daily, emit_plot, summarize
+from leancast import aggregate, emit_plot
 from leancast.ingest import read_bias_csv, read_posts_csv
 
 BIAS_CSV = """domain,leaning
@@ -46,15 +47,15 @@ out_dir.mkdir(exist_ok=True)
 table = read_bias_csv(out_dir / "ingest_bias.csv")
 posts = read_posts_csv(out_dir / "ingest_posts.csv")
 
-summary = summarize(posts, table)
+window = (dt.date(2018, 1, 1), dt.date(2018, 1, 7))
+summary, _, by_metric = aggregate(posts, table, window, ["post_count"])
 print(f"{summary.total_posts} posts, {summary.labeled_posts} labeled, "
       f"{summary.unlabeled_posts} dropped")
 for leaning, count in summary.per_leaning_counts.items():
     if count:
         print(f"  {leaning:>14}: {count}")
 
-window = (dt.date(2018, 1, 1), dt.date(2018, 1, 7))
-series = aggregate_daily(posts, table, "post_count", window)
+series = by_metric["post_count"]
 print("\ndaily post counts (zero-filled over the whole window):")
 for leaning in ("left", "right", "center"):
     values = series[leaning].values.astype(int).tolist()

@@ -8,13 +8,14 @@ synthetic config's series; the commands only execute it, so reruns
 produce byte-identical outputs.  ``report`` re-renders a ``rows.json``
 instead.  Per-model randomness is derived from the global seed and a
 stable "kind/leaning/metric" tag, which keeps individual fits
-reproducible in isolation too, and lets ``run`` fit in forked worker
-processes, one per CPU it may use, with the outputs of one process.
+reproducible in isolation too, and lets ``run`` and ``gridsearch`` fit in
+forked worker processes (:func:`_fork_map`) with the outputs of one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
 import itertools
 import json
@@ -324,7 +325,6 @@ def cmd_ingest(plan: Plan) -> int:
 def cmd_run(plan: Plan, fmt: str) -> int:
     if not plan.fits:
         raise ConfigError("config names no forecasters")
-    import pickle
     from . import evaluation, svgplot
     series_list, splits, platform = _gather_series(plan)
     out = plan.out_dir
@@ -333,22 +333,22 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     os.makedirs(models_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)
 
-    outcomes = _fit_in_processes(plan.fits, splits)
+    jobs = [(fit, splits[fit.metric, fit.leaning]) for fit in plan.fits]
+    outcomes = _fork_map(_fit_one, jobs, [_expected_work(fit, len(split.train.values))
+                                          for fit, split in jobs])
     # evaluation runs here, after every worker has gone, so its threaded
-    # BLAS calls never compete with a fit; each model is rebuilt, scored,
-    # written and dropped in turn
+    # BLAS calls never compete with a fit; each model is scored, written
+    # and dropped in turn
     rows_by_metric = {}
     failures = []
-    for index, fit in enumerate(plan.fits):
-        outcome = pickle.loads(outcomes[index])
-        outcomes[index] = None
+    for index, (fit, split) in enumerate(jobs):
+        outcome, outcomes[index] = outcomes[index], None
         if isinstance(outcome, str):
             failures.append(outcome)
             continue
         model_text, model = outcome
         try:
-            row = evaluation.evaluate(model, splits[fit.metric, fit.leaning],
-                                      leaning=fit.leaning, metric=fit.metric)
+            row = evaluation.evaluate(model, split, leaning=fit.leaning, metric=fit.metric)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{fit.tag}: {exc}")
             continue
@@ -366,8 +366,11 @@ def cmd_run(plan: Plan, fmt: str) -> int:
     _write(os.path.join(out, "report.csv"), report_csv)
     _write(os.path.join(out, "report.txt"), report_text)
     _write(os.path.join(out, "rows.json"), evaluation.rows_to_json(tables))
+    failures_path = os.path.join(out, "failures.txt")
     if failures:
-        _write(os.path.join(out, "failures.txt"), "\n".join(failures) + "\n")
+        _write(failures_path, "\n".join(failures) + "\n")
+    elif os.path.exists(failures_path):
+        os.remove(failures_path)    # an earlier run's, which this report replaces
 
     by_metric = {}
     for metric, leaning, series in series_list:
@@ -381,11 +384,6 @@ def cmd_run(plan: Plan, fmt: str) -> int:
         print(f"{len(failures)} fit(s) failed; see failures.txt", file=sys.stderr)
         return 1
     return 0
-
-
-class FitWorkerError(Exception):
-    """A fit worker raised something other than a fit's ValueError,
-    RuntimeError or MemoryError, or ended without sending its results."""
 
 
 def _expected_work(fit: PlannedFit, n_train: int) -> float:
@@ -403,86 +401,66 @@ def _expected_work(fit: PlannedFit, n_train: int) -> float:
     return config.epochs * batches * config.layers * ((lookback + horizon - 1) // config.input_size)
 
 
-def _fit_one(fit: PlannedFit, split) -> bytes:
-    """The pickled outcome of one fit: its failure line (numpy refusing its
-    arrays too), or its model file's text and the fitted forecaster (a
-    network pickles as config and theta)."""
-    import pickle
+def _fit_one(fit: PlannedFit, split):
+    """One fit's outcome: its failure line (numpy refusing its arrays too),
+    or its model file's text and the fitted forecaster (a network pickles
+    as config and theta)."""
     from . import evaluation, forecasters
     try:
         evaluation.require_test_points(fit.kind, len(split.test.values))
         model = forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
     except (ValueError, RuntimeError, MemoryError) as exc:
-        return pickle.dumps(f"{fit.tag}: {exc}")
-    return pickle.dumps((forecasters.forecaster_to_json(model), model))
+        return f"{fit.tag}: {exc}"
+    return forecasters.forecaster_to_json(model), model
 
 
-def _fit_from_queue(queue: int, fits: tuple, splits: dict) -> list:
-    """(index, outcome) of each fit this process takes from the queue pipe of
-    4-byte fit indices.  A 4-byte pipe read is atomic, so each fit goes to
-    exactly one process."""
-    taken = []
-    while chunk := os.read(queue, 4):
-        index = int.from_bytes(chunk, "little")
-        fit = fits[index]
-        taken.append((index, _fit_one(fit, splits[fit.metric, fit.leaning])))
-    return taken
-
-
-def _run_worker(queue: int, pipe: int, fits: tuple, splits: dict):
-    """A worker's whole life: fit from the queue, send its outcomes, or the
-    traceback of what else it raised, down ``pipe``, and leave through
-    ``os._exit``, which flushes no stdout buffer and runs no ``finally``
-    block of the parent's."""
+def _run_worker(take, pipe: int):
+    """A worker's whole life: send the (index, result) pairs ``take`` yields,
+    or the traceback of what it raised, down ``pipe`` in one pickle, and
+    leave through ``os._exit``, which flushes no stdout buffer and runs no
+    ``finally`` block of the parent's."""
     import pickle
     import signal
     import traceback
-    status = 1
     try:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         try:
-            message = ("fits", _fit_from_queue(queue, fits, splits))
+            message = list(take())
         except Exception:
-            message = ("error", traceback.format_exc())
+            message = traceback.format_exc()
         with open(pipe, "wb") as handle:
             pickle.dump(message, handle)
-        status = 0
+        os._exit(0)
     finally:
-        os._exit(status)
+        os._exit(1)
 
 
-def _worker_outcomes(pid: int, status: int, message: bytes) -> list:
-    """What a reaped worker sent: its (index, outcome) pairs, else FitWorkerError."""
+def _fork_map(work, items: list, costs: list) -> list:
+    """``[work(*item) for item in items]``, computed by this process and one
+    forked worker per further CPU it may use (none without ``os.fork``).
+
+    Every process takes items from one queue pipe of 4-byte indices, highest
+    cost first (LPT, Graham 1969), item order breaking ties; a 4-byte pipe
+    read is atomic, so each item goes to exactly one process.  A worker's
+    results are pickled once and this process keeps its own, so ``work``
+    must give the same result anywhere.  A worker that raises or dies
+    raises ChildProcessError here; every worker is killed and reaped on the
+    way out, whatever ends the call."""
     import pickle
     import signal
-    code = os.waitstatus_to_exitcode(status)     # -N for death by signal N
-    if code:
-        ended = (f"died from signal {-code} ({signal.strsignal(-code)})" if code < 0
-                 else f"exited with status {code}")
-        raise FitWorkerError(f"fit worker {pid} {ended} before it sent its results")
-    kind, value = pickle.loads(message)
-    if kind == "error":
-        raise FitWorkerError(f"fit worker {pid} failed:\n{value.rstrip()}")
-    return value
-
-
-def _fit_in_processes(fits: tuple, splits: dict) -> list:
-    """The pickled outcome of each fit (:func:`_fit_one`), in plan order.
-
-    This process and one forked worker per further CPU it may use (none
-    without ``os.fork``) take fits from one queue, longest expected first
-    (LPT, Graham 1969), plan order breaking ties.  Each fit is seeded on its
-    own, so the process that runs it changes no result.  Every worker is
-    killed and reaped on the way out, whatever ends the run."""
-    import signal
-    order = sorted(range(len(fits)), key=lambda i: (-_expected_work(
-        fits[i], len(splits[fits[i].metric, fits[i].leaning].train.values)), i))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    forks = min(cpus, len(fits)) - 1 if hasattr(os, "fork") else 0
+    forks = min(cpus, len(items)) - 1 if hasattr(os, "fork") else 0
     queue, feed = os.pipe()
-    # a plan holds at most metrics x leanings x kinds fits: far below a pipe's buffer
-    os.write(feed, b"".join(index.to_bytes(4, "little") for index in order))
+    # a command has at most metrics x leanings x kinds items: far below a pipe's buffer
+    os.write(feed, b"".join(index.to_bytes(4, "little") for index in
+                            sorted(range(len(items)), key=lambda i: (-costs[i], i))))
     os.close(feed)
+
+    def take():
+        while chunk := os.read(queue, 4):
+            index = int.from_bytes(chunk, "little")
+            yield index, work(*items[index])
+
     workers = {}    # pid -> read end of its results pipe
     try:
         for _ in range(forks):
@@ -493,25 +471,42 @@ def _fit_in_processes(fits: tuple, splits: dict) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_worker(queue, write, fits, splits)
+                    _run_worker(take, write)
                 workers[pid] = read
             finally:
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
             os.close(write)
-        outcomes = dict(_fit_from_queue(queue, fits, splits))
+        results = dict(take())
         for pid in list(workers):
             with open(workers[pid], "rb", closefd=False) as handle:
                 message = handle.read()
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # -N: killed by signal N
             os.close(workers.pop(pid))
-            outcomes.update(_worker_outcomes(pid, status, message))
+            if code:
+                ended = (f"died from signal {-code} ({signal.strsignal(-code)})" if code < 0
+                         else f"exited with status {code}")
+                raise ChildProcessError(f"fit worker {pid} {ended} before it sent its results")
+            sent = pickle.loads(message)
+            if isinstance(sent, str):
+                raise ChildProcessError(f"fit worker {pid} failed:\n{sent.rstrip()}")
+            results.update(sent)
     finally:
         for pid, read in workers.items():
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         os.close(queue)
-    return [outcomes[index] for index in range(len(fits))]
+    return [results[index] for index in range(len(items))]
+
+
+def _search_one(train, grid):
+    """The grid search of one training series, or the message of its
+    GridSearchError, which a pickle could not rebuild."""
+    from . import sarima
+    try:
+        return sarima.grid_search(train, grid)
+    except sarima.GridSearchError as exc:
+        return str(exc)
 
 
 def cmd_gridsearch(plan: Plan) -> int:
@@ -521,15 +516,14 @@ def cmd_gridsearch(plan: Plan) -> int:
     from . import sarima
     _, splits, _ = _gather_series(plan)
     # search every series before writing, so a failure writes nothing
-    results = {}
-    for (metric, leaning), split in splits.items():
-        try:
-            results[f"{leaning or 'series'}_{metric}"] = sarima.grid_search(
-                split.train.values, plan.grid)
-        except sarima.GridSearchError as exc:
-            raise ConfigError(f"{leaning or 'series'}/{metric}: {exc}") from None
+    jobs = [(split.train.values, plan.grid) for split in splits.values()]
+    results = _fork_map(_search_one, jobs, [len(train) for train, _ in jobs])
+    for (metric, leaning), result in zip(splits, results):
+        if isinstance(result, str):
+            raise ConfigError(f"{leaning or 'series'}/{metric}: {result}")
     os.makedirs(plan.out_dir, exist_ok=True)
-    for base, result in results.items():
+    for (metric, leaning), result in zip(splits, results):
+        base = f"{leaning or 'series'}_{metric}"
         doc = sarima.to_doc(result.spec, result.fit.params)
         _write(os.path.join(plan.out_dir, f"gridsearch_{base}.json"),
                json.dumps(doc, sort_keys=True) + "\n")
@@ -611,7 +605,7 @@ def main(argv=None) -> int:
             return func(config, flags["out"], fmt)
         plan = load_config(config, **flags)     # the command's --seed, --preset, --out
         return func(plan) if fmt is None else func(plan, fmt)
-    except (ConfigError, ValueError, KeyError, OSError, FitWorkerError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -619,15 +613,20 @@ def main(argv=None) -> int:
 def console():
     """The ``leancast`` command: :func:`main`, then, once stdout and stderr are
     flushed, ``os._exit`` as a fit worker leaves, skipping the interpreter's
-    teardown and ``atexit``; ``main`` has closed every output file.  An
-    exception from ``main``, or a flush that fails, takes the normal way out."""
+    teardown and ``atexit``; ``main`` has closed every output file.  A flush
+    that fails (a closed pipe or stream) is one ``error:`` line on stderr,
+    if stderr takes it, and exit status 1, as when ``main``'s own print
+    fails.  An exception from ``main`` takes the normal way out."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except (OSError, ValueError):       # a closed pipe or stream
-        sys.exit(code)
+    except (OSError, ValueError) as exc:
+        code = 1
+        with contextlib.suppress(AttributeError, OSError, ValueError):   # no stderr to take it
+            sys.stderr.write(f"error: {exc}\n")
+            sys.stderr.flush()
     os._exit(code)
 
 

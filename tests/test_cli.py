@@ -760,6 +760,21 @@ class TestRunCommand:
         assert len((out / "report.csv").read_text().splitlines()) == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_clean_run_removes_an_earlier_failures_list(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        diverging = synth_run_config(tmp_path, forecasters=[
+            {"kind": "lstm_1day", "epochs": 1, "batch_size": 0, "layers": 1,
+             "hidden": 4, "learning_rate": 1e308}])
+        assert main(["run", "--config", diverging, "--out", str(out)]) == 1
+        assert (out / "failures.txt").read_text().startswith("lstm_1day/series/synthetic: ")
+        clean = synth_run_config(tmp_path, forecasters=[
+            {"kind": "sarima", "spec": {"order": [1, 0, 0]}}])
+        capsys.readouterr()
+        assert main(["run", "--config", clean, "--out", str(out)]) == 0
+        assert not (out / "failures.txt").exists()
+        assert "failed fits" not in (out / "report.txt").read_text()
+        assert capsys.readouterr().err == ""
+
     def test_short_test_half_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
         # 50 days at split 0.7 leave 15 test days; multistep scoring needs 19
         fitted = []

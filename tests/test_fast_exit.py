@@ -2,7 +2,8 @@
 :func:`leancast.cli.console`, which leaves by ``os._exit`` once stdout and
 stderr are flushed.  Each command here runs that way and through a
 normal-exit reference, each in a fresh process, and the two must agree on
-exit code, stdout, stderr and every file written."""
+exit code, stdout, stderr and every file written; only a stdout flush that
+fails after ``main`` is reported by the fast exit alone."""
 
 import json
 import os
@@ -18,6 +19,7 @@ REPO = Path(__file__).parent.parent
 DATA = REPO / "tests" / "data"
 FAST = ["-m", "leancast.cli"]
 REFERENCE = ["-c", "import sys, leancast.cli; sys.exit(leancast.cli.main())"]
+BOTH = (("fast", FAST), ("reference", REFERENCE))
 SYNTH = {"kind": "ar1", "n": 40, "alpha": 0.8, "sigma": 1.0}
 
 
@@ -27,7 +29,7 @@ def write_config(tmp_path, doc):
     return str(path)
 
 
-def run_both(tmp_path, args, buffered=True, stdout=subprocess.PIPE):
+def run_both(tmp_path, args, buffered=True, stdout=subprocess.PIPE, entries=BOTH):
     """(exit code, stdout, stderr, {file: bytes}) of ``leancast *args`` run
     from an empty directory, asserted equal for the fast and reference exits.
     ``buffered`` False sets PYTHONUNBUFFERED, so stdout writes straight through."""
@@ -38,7 +40,7 @@ def run_both(tmp_path, args, buffered=True, stdout=subprocess.PIPE):
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     results = []
-    for name, entry in (("fast", FAST), ("reference", REFERENCE)):
+    for name, entry in entries:
         cwd = tmp_path / name
         cwd.mkdir()
         done = subprocess.run([sys.executable, *entry, *args], cwd=cwd, env=env,
@@ -46,9 +48,8 @@ def run_both(tmp_path, args, buffered=True, stdout=subprocess.PIPE):
         files = {str(path.relative_to(cwd)): path.read_bytes()
                  for path in sorted(cwd.rglob("*")) if path.is_file()}
         results.append((done.returncode, done.stdout, done.stderr, files))
-    fast, reference = results
-    assert fast == reference
-    return fast
+    assert all(result == results[0] for result in results)
+    return results[0]
 
 
 def test_ingest(tmp_path):
@@ -104,22 +105,21 @@ def test_usage_error(tmp_path):
 
 @pytest.mark.parametrize("buffered", [True, False])
 def test_stdout_pipe_closed_before_start(tmp_path, buffered):
-    # unbuffered, print itself fails and main reports it; buffered, the
-    # flush fails, and the normal teardown reports it (exit 120)
+    # unbuffered, print itself fails and main reports it; buffered, the flush
+    # after main fails and console reports it alike, where the reference's
+    # teardown would exit 120 with Python's own two-line report
     config = write_config(tmp_path, {"synthetic": SYNTH})
     read, write = os.pipe()
     os.close(read)
     try:
         code, _, err, files = run_both(tmp_path, ["simulate", "--config", config,
                                                   "--out", "out"],
-                                       buffered=buffered, stdout=write)
+                                       buffered=buffered, stdout=write,
+                                       entries=BOTH[:1] if buffered else BOTH)
     finally:
         os.close(write)
     assert "out/simulated.csv" in files
-    if buffered:
-        assert code == 120 and err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
-    else:
-        assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
+    assert (code, err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
 class Left(Exception):
@@ -141,22 +141,30 @@ def test_console_flushes_then_leaves_through_os_exit(tmp_path, monkeypatch, caps
     assert capsys.readouterr().out.startswith("wrote 40 values to ")
 
 
-def test_console_exits_normally_when_a_flush_fails(tmp_path, monkeypatch):
-    class Closed:
-        def write(self, text):
-            return len(text)
+class Closed:
+    def write(self, text):
+        return len(text)
 
-        def flush(self):
-            raise ValueError("I/O operation on closed file.")
+    def flush(self):
+        raise ValueError("I/O operation on closed file.")
 
+
+@pytest.mark.parametrize("stderr", ["open", "closed", "none"])
+def test_console_exits_1_when_a_flush_fails(tmp_path, monkeypatch, capsys, stderr):
+    # one error line where stderr takes it, and exit status 1 either way
     config = write_config(tmp_path, {"synthetic": SYNTH})
     monkeypatch.setattr(sys, "argv", ["leancast", "simulate", "--config", config,
                                       "--out", str(tmp_path / "out")])
     monkeypatch.setattr(cli.os, "_exit", leave)
     monkeypatch.setattr(sys, "stdout", Closed())
-    with pytest.raises(SystemExit) as exited:
+    if stderr != "open":
+        monkeypatch.setattr(sys, "stderr", Closed() if stderr == "closed" else None)
+    with pytest.raises(Left) as left:
         cli.console()
-    assert exited.value.code == 0
+    assert left.value.args == (1,)
+    assert (tmp_path / "out" / "simulated.csv").exists()
+    assert capsys.readouterr().err == (
+        "error: I/O operation on closed file.\n" if stderr == "open" else "")
 
 
 def test_main_in_process_still_returns_its_code(tmp_path, capsys):
