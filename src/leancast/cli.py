@@ -325,7 +325,7 @@ def cmd_ingest(plan: Plan) -> int:
 def cmd_run(plan: Plan, fmt: str) -> int:
     if not plan.fits:
         raise ConfigError("config names no forecasters")
-    from . import evaluation, svgplot
+    from . import evaluation, forecasters, svgplot
     series_list, splits, platform = _gather_series(plan)
     out = plan.out_dir
     models_dir = os.path.join(out, "models")
@@ -346,15 +346,14 @@ def cmd_run(plan: Plan, fmt: str) -> int:
         if isinstance(outcome, str):
             failures.append(outcome)
             continue
-        model_text, model = outcome
         try:
-            row = evaluation.evaluate(model, split, leaning=fit.leaning, metric=fit.metric)
+            row = evaluation.evaluate(outcome, split, leaning=fit.leaning, metric=fit.metric)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{fit.tag}: {exc}")
             continue
         rows_by_metric.setdefault(fit.metric, []).append(row)
         name = f"{fit.kind}_{fit.leaning or 'series'}_{fit.metric}.json"
-        _write(os.path.join(models_dir, name), model_text)
+        _write(os.path.join(models_dir, name), forecasters.forecaster_to_json(outcome))
 
     tables = [evaluation.ReportTable(platform=platform, metric=metric, rows=rows)
               for metric, rows in sorted(rows_by_metric.items())]
@@ -403,15 +402,14 @@ def _expected_work(fit: PlannedFit, n_train: int) -> float:
 
 def _fit_one(fit: PlannedFit, split):
     """One fit's outcome: its failure line (numpy refusing its arrays too),
-    or its model file's text and the fitted forecaster (a network pickles
-    as config and theta)."""
+    or the fitted forecaster (a network pickles as config, layout and theta
+    bytes)."""
     from . import evaluation, forecasters
     try:
         evaluation.require_test_points(fit.kind, len(split.test.values))
-        model = forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
+        return forecasters.fit_forecaster(fit.kind, split, fit.config, seed=fit.seed)
     except (ValueError, RuntimeError, MemoryError) as exc:
         return f"{fit.tag}: {exc}"
-    return forecasters.forecaster_to_json(model), model
 
 
 def _run_worker(take, pipe: int):

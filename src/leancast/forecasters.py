@@ -20,7 +20,7 @@ The 14-day kinds consume the lookback flat (a single cell step over a
 to a 14-step sequence presentation instead.  A kind trained on one step
 (lstm_1day, and the flat 14-day kinds) gets a network without recurrent
 weights, which a single step from zero state would never use (see
-``neural``); its model file holds only the live weights.
+``neural``); its model file's theta holds only the live weights.
 """
 
 from __future__ import annotations

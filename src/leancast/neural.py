@@ -19,7 +19,9 @@ All parameters live in one float64 vector, ``RecurrentNetwork.theta``, each
 array raveled in this order: per layer ``W_i W_f W_g W_o b_i b_f b_g b_o``
 (LSTM) or ``W_z W_r W_h U_z U_r U_h b_z b_r b_h`` (GRU), then ``out.W out.b``.
 ``parameters()``, ``layers[k]``, ``W_out`` and ``b_out`` are views into it,
-and ``backward`` fills a gradient vector of the same layout.  A layer's
+and ``backward`` fills a gradient vector of the same layout; a model
+document (``to_doc``) holds it as base64 of its little-endian float64 bytes
+beside the config and the layout (``one_step``).  A layer's
 W (and U, b) blocks are adjacent, so its gates are fused (Appleyard,
 Kocisky & Blunsom 2016, "Optimizing performance of recurrent neural
 networks on GPUs"): one GEMM per step for all LSTM gates, and for the GRU's
@@ -61,6 +63,7 @@ the forward recursion (checked against finite differences in the tests).
 
 from __future__ import annotations
 
+import base64
 import functools
 import math
 from dataclasses import dataclass, asdict
@@ -480,9 +483,14 @@ class RecurrentNetwork:
                     view[...] = full[name][..., -view.shape[-1]:]
 
     def __reduce__(self):
-        # pickled as its config, layout and theta: pickling the views as they
-        # are would copy each apart from theta (456 KB for a 117 KB theta)
-        return _network_from_theta, (self.config, self.one_step, self.theta)
+        # pickled as its model document's config, layout and theta bytes:
+        # pickling the views as they are would copy each apart from theta
+        # (456 KB for a 117 KB theta)
+        return _network_from_theta, (self.config, self.one_step, self.theta_bytes())
+
+    def theta_bytes(self) -> bytes:
+        """``theta`` as little-endian float64, what a model document's theta encodes."""
+        return self.theta.astype("<f8", copy=False).tobytes()
 
     def parameters(self) -> FlatParameters:
         """Name -> view into ``theta``, in storage order."""
@@ -650,24 +658,52 @@ class RecurrentNetwork:
                     dh *= cache["masks"][k - 1][:, 0]
 
     def to_doc(self) -> dict:
-        return {"config": asdict(self.config), "weights": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in self.parameters().items()}}
+        """The model document: the config, the layout and ``theta`` as
+        base64 of its little-endian float64 bytes, in the module docstring's
+        order; each value is kept bit for bit."""
+        return {"config": asdict(self.config), "one_step": self.one_step,
+                "theta": base64.b64encode(self.theta_bytes()).decode("ascii")}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RecurrentNetwork":
-        config, weights = NetworkConfig(**doc["config"]), doc["weights"]
-        # a one-step network's LSTM W has only the x-columns, its GRU no U
-        one_step = ("layer0.U_z" not in weights if config.cell == "gru"
-                    else weights["layer0.W_i"]["shape"][1] == config.input_size)
-        net = cls(config, init="zeros", one_step=one_step)
-        net.set_parameters({name: entry["data"] for name, entry in weights.items()})
-        return net
+        """The network of a parsed model document, checked; an older
+        document's per-name decimal ``weights`` load too."""
+        config = NetworkConfig(**doc["config"])
+        if "weights" in doc:
+            weights = doc["weights"]
+            # a one-step network's LSTM W has only the x-columns, its GRU no U
+            one_step = ("layer0.U_z" not in weights if config.cell == "gru"
+                        else weights["layer0.W_i"]["shape"][1] == config.input_size)
+            net = cls(config, init="zeros", one_step=one_step)
+            net.set_parameters({name: entry["data"] for name, entry in weights.items()})
+            return net
+        missing = [key for key in ("one_step", "theta") if key not in doc]
+        if missing:
+            raise ValueError(f"network model lacks {' and '.join(missing)}")
+        one_step, text = doc["one_step"], doc["theta"]
+        if not isinstance(one_step, bool):
+            raise ValueError(f"one_step must be true or false, got {one_step!r}")
+        if not isinstance(text, str):
+            raise ValueError(f"theta must be base64 text, got a {type(text).__name__}")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:    # binascii.Error, or text that is not ASCII
+            raw = None
+        # one encoding per theta: no padding bits set, no missing padding
+        if raw is None or base64.b64encode(raw) != text.encode("ascii"):
+            raise ValueError("theta is not strict base64")
+        return _network_from_theta(config, one_step, raw)
 
 
-def _network_from_theta(config: NetworkConfig, one_step: bool, theta) -> RecurrentNetwork:
+def _network_from_theta(config: NetworkConfig, one_step: bool, raw: bytes) -> RecurrentNetwork:
+    """The network of ``config`` and layout whose theta is ``raw``, little-endian
+    float64: a pickled network is rebuilt, and a model document read, here."""
     net = RecurrentNetwork(config, init="zeros", one_step=one_step)
-    net.theta[...] = theta
+    if len(raw) != net.theta.nbytes:
+        raise ValueError(f"theta holds {len(raw)} bytes; the "
+                         f"{'one-step' if one_step else 'full'} layout of this "
+                         f"config holds {net.theta.nbytes}")
+    net.theta[...] = np.frombuffer(raw, "<f8")
     return net
 
 

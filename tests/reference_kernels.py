@@ -55,11 +55,17 @@ or the same bits on every input.
 (1,0,0) model through ``sarima.simulate``: its own scalar recursion over
 ``rng.normal(0, sigma, n)``.  The two must agree bit for bit on every sigma
 the generator accepts.
+
+``per_name_decimal_doc`` is ``RecurrentNetwork.to_doc`` as it was before a
+network's document held theta as base64: each named array's shape and
+values as shortest-decimal JSON numbers.  It writes what model files
+written then hold, and each must still load to the same theta bit for bit.
 """
 
 import csv
 import datetime as dt
 import re
+from dataclasses import asdict
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -574,3 +580,9 @@ def ar1_loop(n, seed, alpha=0.0, sigma=1.0) -> np.ndarray:
         prev = alpha * prev + eps[t]
         values[t] = prev
     return values
+
+
+def per_name_decimal_doc(net) -> dict:
+    return {"config": asdict(net.config), "weights": {
+        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        for name, arr in net.parameters().items()}}

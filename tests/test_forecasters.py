@@ -1,3 +1,4 @@
+import base64
 import datetime as dt
 import json
 import re
@@ -21,6 +22,7 @@ from leancast.sarima import (GridSpec, SarimaFit, SarimaParams, SarimaSpec)
 from leancast.series import (DailySeries, IDENTITY_SCALER, ScalerState,
                              chronological_split, generate_synthetic,
                              make_windows)
+from reference_kernels import per_name_decimal_doc
 
 
 def split_of(values, ratio=0.7):
@@ -33,6 +35,11 @@ def split_of(values, ratio=0.7):
 def ar1_split(n=120, seed=3, ratio=0.7):
     return split_of(generate_synthetic("ar1", n, seed=seed, alpha=0.8, sigma=1.0).values,
                     ratio)
+
+
+def decoded_theta(model_doc):
+    """The float64 values of a network model document's theta."""
+    return np.frombuffer(base64.b64decode(model_doc["theta"], validate=True), "<f8")
 
 
 def tiny_config(kind, **over):
@@ -497,11 +504,93 @@ class TestSerialization:
     def test_an_older_file_predicts_as_it_did(self, text, prediction):
         model = forecaster_from_json(text)
         assert predict_next(model, ar1_split(n=40).train.values) == prediction
-        doc = json.loads(text)
+        doc, again = json.loads(text), json.loads(forecaster_to_json(model))
         if model.kind == "sarima":
             assert model.model.train_rmse == doc["model"].pop("train_rmse")
-        # re-encoding drops only the derived train_rmse; metadata passes through
-        assert json.loads(forecaster_to_json(model)) == doc
+            # re-encoding drops only the derived train_rmse; metadata passes through
+            assert again == doc
+            return
+        # metadata passes through, and theta holds the older weights bit for bit
+        older, model_doc = doc.pop("model"), again.pop("model")
+        assert again == doc
+        assert model_doc["config"] == older["config"]
+        weights = np.concatenate([older["weights"][name]["data"]
+                                  for name in model.model.parameters()])
+        npt.assert_array_equal(decoded_theta(model_doc).view(np.uint64),
+                               weights.view(np.uint64))
+
+    # (kind, config overrides): each cell in its one-step and full layout
+    LAYOUTS = [("lstm_1day", {}), ("lstm_14day", {"input_size": 1}),
+               ("gru_14day", {}), ("gru_14day", {"input_size": 1}),
+               ("multistep_14_5", {})]
+
+    @pytest.mark.parametrize("kind, over", LAYOUTS,
+                             ids=["lstm_one_step", "lstm_full", "gru_one_step", "gru_full",
+                                  "multistep"])
+    def test_an_older_decimal_file_loads_exactly(self, kind, over):
+        """A file of the per-name decimal layout written before theta was
+        base64 loads to the same theta bit for bit and predicts exactly."""
+        split = ar1_split(n=80)
+        model = fit_forecaster(kind, split, config=tiny_config(kind, layers=2, **over))
+        assert model.model.one_step == (kind != "multistep_14_5" and not over)
+        doc = json.loads(forecaster_to_json(model))
+        doc["model"] = per_name_decimal_doc(model.model)
+        clone = forecaster_from_json(json.dumps(doc, sort_keys=True))
+        assert clone.model.one_step == model.model.one_step
+        npt.assert_array_equal(clone.model.theta.view(np.uint64),
+                               model.model.theta.view(np.uint64))
+        values = split.train.values
+        assert ([predict_next(clone, values[:end]) for end in range(14, len(values) + 1)]
+                == [predict_next(model, values[:end]) for end in range(14, len(values) + 1)])
+        if kind == "multistep_14_5":
+            windows = np.lib.stride_tricks.sliding_window_view(values, 14)
+            assert (forecast_multistep(clone, windows).tobytes()
+                    == forecast_multistep(model, windows).tobytes())
+        # the file, encoded again, holds the model's own document
+        assert forecaster_to_json(clone) == forecaster_to_json(model)
+
+    def test_network_document_keeps_every_theta_bit(self):
+        net = RecurrentNetwork(tiny_config("lstm_14day", layers=2))
+        extremes = [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, np.nextafter(1.0, 2.0)]
+        net.theta[:len(extremes)] = extremes
+        doc = json.loads(json.dumps(net.to_doc()))
+        npt.assert_array_equal(decoded_theta(doc).view(np.uint64), net.theta.view(np.uint64))
+        clone = RecurrentNetwork.from_doc(doc)
+        npt.assert_array_equal(clone.theta.view(np.uint64), net.theta.view(np.uint64))
+        assert clone.to_doc() == net.to_doc()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("theta", 1.5, "theta must be base64 text, got a float"),
+        ("theta", [0.0, 1.0], "theta must be base64 text, got a list"),
+        ("theta", "AAAA AAAAAAA=", "theta is not strict base64"),
+        ("theta", "AAAAAAAAAA=", "theta is not strict base64"),
+        ("theta", "AAAAAAAAAAB=", "theta is not strict base64"),
+        ("theta", "AAAAAAAAAAE", "theta is not strict base64"),
+        ("theta", "\u00e9AAAAAAAAAA=", "theta is not strict base64"),
+        ("theta", "short", "theta holds 144 bytes; the one-step layout of this config holds 152"),
+        ("one_step", "flip", "theta holds 152 bytes; the full layout of this config holds 280"),
+        ("one_step", 1, "one_step must be true or false, got 1"),
+        ("one_step", "true", "one_step must be true or false, got 'true'"),
+        ("one_step", None, "network model lacks one_step"),
+        ("theta", None, "network model lacks theta"),
+    ])
+    def test_network_model_fields_are_checked(self, key, value, message):
+        # one LSTM layer of hidden 2 on one input: W (8, 1), b (8,) and the
+        # readout's 2 + 1, 19 values; the full layout's W is (8, 3), 35 values
+        model = fit_forecaster("lstm_1day", ar1_split(n=40),
+                               config=tiny_config("lstm_1day", hidden=2))
+        doc = json.loads(forecaster_to_json(model))
+        if value is None:
+            del doc["model"][key]
+        elif value == "short":
+            doc["model"]["theta"] = base64.b64encode(model.model.theta_bytes()[:-8]).decode()
+        elif value == "flip":
+            doc["model"]["one_step"] = not doc["model"]["one_step"]
+        else:
+            doc["model"][key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            forecaster_from_json(json.dumps(doc))
+        assert caught.value.__context__ is None and caught.value.__cause__ is None
 
     def test_unknown_kind_rejected(self):
         doc = json.loads(forecaster_to_json(constant_sarima(1.0)))

@@ -12,6 +12,8 @@ one-step layout drops must still hold their initial draw after training on
 the full layout, which shows that they were dead.
 """
 
+import base64
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -164,10 +166,14 @@ def test_one_step_model_document_holds_no_recurrent_weights(cell):
     cfg = NetworkConfig(cell=cell, layers=2, hidden=3, input_size=4, seed=2)
     net = RecurrentNetwork(cfg, one_step=True)
     doc = net.to_doc()
-    assert sum(len(entry["data"]) for entry in doc["weights"].values()) == net.theta.size
-    assert not any(name.split(".")[1].startswith("U") for name in doc["weights"])
+    full = RecurrentNetwork(cfg)
+    assert doc["one_step"] is True
+    # per layer W (G*H, I or H) and b (G*H), G = 4 gates (LSTM) or 3 (GRU),
+    # then the readout's 3 + 1: the full layout adds the h-columns or U
+    size = {"lstm": 12 * 4 + 12 + 12 * 3 + 12 + 4, "gru": 9 * 4 + 9 + 9 * 3 + 9 + 4}[cell]
+    assert len(base64.b64decode(doc["theta"], validate=True)) == 8 * size
+    assert net.theta.size == size < full.theta.size
     clone = RecurrentNetwork.from_doc(doc)
     assert clone.one_step
     npt.assert_array_equal(clone.theta.view(np.uint64), net.theta.view(np.uint64))
-    full = RecurrentNetwork(cfg)
     assert not RecurrentNetwork.from_doc(full.to_doc()).one_step
